@@ -102,7 +102,7 @@ let run_plain_queries ~db ~table ~projection ~mode queries =
     (fun (q : Sparta.Query_gen.query) ->
       if mode = Cold then Database.drop_caches db;
       let r =
-        Executor.run table ~projection (Predicate.Eq (q.column, Value.Text q.value))
+        Executor.run_view (Table.freeze table) ~projection (Predicate.Eq (q.column, Value.Text q.value))
       in
       {
         bucket = Sparta.Query_gen.bucket_of q.expected;

@@ -53,7 +53,7 @@ let serve ~edb ~view ~domains queries =
   let serve_slice d () =
     List.fold_left
       (fun acc (q : Sparta.Query_gen.query) ->
-        let r = Wre.Encrypted_db.search_ids_view edb ~view ~column:q.column q.value in
+        let r = Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value in
         { served = acc.served + 1; busy_ns = acc.busy_ns +. r.Executor.stats.sim_ns })
       { served = 0; busy_ns = 0.0 }
       (slice d)
@@ -83,13 +83,13 @@ let run ~rows:n ~n_queries () =
   ignore (db : Database.t);
   List.iter
     (fun (q : Sparta.Query_gen.query) ->
-      ignore (Wre.Encrypted_db.search_ids_view edb ~view ~column:q.column q.value))
+      ignore (Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value))
     queries;
   (if Sys.getenv_opt "WRE_BENCH_DEBUG" <> None then
      let costs =
        List.map
          (fun (q : Sparta.Query_gen.query) ->
-           let r = Wre.Encrypted_db.search_ids_view edb ~view ~column:q.column q.value in
+           let r = Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value in
            (r.Executor.stats.sim_ns, q.column, q.value, q.expected, r.Executor.stats.rows_examined))
          queries
        |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare b a)

@@ -8,12 +8,12 @@
    Experiments: table1 creation fig2 fig4..fig7 (figs) fig8 fig9 (fp)
                 aliasing attacks indcuda lambda_sweep updates
                 index_ablation correlation micro ingest recovery
-                concurrency server join range all *)
+                concurrency server join range freeze all *)
 
 let usage () =
   print_endline
     "usage: main.exe [--rows N] [--queries N] [--trials N] \
-     [table1|fig2|figs|fp|aliasing|attacks|indcuda|lambda_sweep|updates|index_ablation|correlation|micro|ingest|recovery|concurrency|server|join|range|all]...";
+     [table1|fig2|figs|fp|aliasing|attacks|indcuda|lambda_sweep|updates|index_ablation|correlation|micro|ingest|recovery|concurrency|server|join|range|freeze|all]...";
   exit 1
 
 let () =
@@ -60,6 +60,7 @@ let () =
     | "server" -> Exp_server.run ~rows:!rows ~n_queries:!queries ()
     | "join" -> Exp_join.run ~rows:!rows ()
     | "range" -> Exp_range.run ~rows:!rows ~n_queries:!queries ()
+    | "freeze" -> Exp_freeze.run ~rows:!rows ()
     | "all" ->
         Exp_table1.run ~rows:!rows ();
         Exp_fig2.run ();
@@ -78,7 +79,8 @@ let () =
         Exp_concurrency.run ~rows:!rows ~n_queries:!queries ();
         Exp_server.run ~rows:!rows ~n_queries:!queries ();
         Exp_join.run ~rows:!rows ();
-        Exp_range.run ~rows:!rows ~n_queries:!queries ()
+        Exp_range.run ~rows:!rows ~n_queries:!queries ();
+        Exp_freeze.run ~rows:!rows ()
     | other ->
         Printf.eprintf "unknown experiment %S\n" other;
         usage ()

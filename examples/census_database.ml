@@ -71,7 +71,7 @@ let () =
     (fun (q : Sparta.Query_gen.query) ->
       Database.drop_caches plain_db;
       let plain_res =
-        Executor.run plain ~projection:Executor.All_columns (Predicate.Eq (q.column, Value.Text q.value))
+        Executor.run_view (Table.freeze plain) ~projection:Executor.All_columns (Predicate.Eq (q.column, Value.Text q.value))
       in
       Database.drop_caches enc_db;
       let _rows, enc_res = Wre.Encrypted_db.search_rows edb ~column:q.column q.value in
@@ -89,7 +89,7 @@ let () =
   in
   warm_total "plaintext" (fun q ->
       let r =
-        Executor.run plain ~projection:Executor.All_columns (Predicate.Eq (q.column, Value.Text q.value))
+        Executor.run_view (Table.freeze plain) ~projection:Executor.All_columns (Predicate.Eq (q.column, Value.Text q.value))
       in
       Pager.sim_ms r.stats);
   warm_total "encrypted" (fun q ->

@@ -353,18 +353,16 @@ let search_predicate t ~column m =
   let tags = tags_for t ~column m in
   Predicate.In (tag_column column, List.map (fun tag -> Value.Int tag) tags)
 
-let search_ids t ~column m =
-  Obs.Trace.with_span "edb.search_ids" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  phase h_exec "query.exec" (fun () -> Executor.run t.table ~projection:Executor.Row_ids pred)
-
 let freeze t = Table.freeze t.table
 
-let search_ids_view ?pool t ~view ~column m =
+(* Every search runs over a view: the caller's, or one frozen now. *)
+let view_or_freeze ?view t = match view with Some v -> v | None -> freeze t
+
+let search_ids ?pool ?view t ~column m =
   Obs.Trace.with_span "edb.search_ids" @@ fun () ->
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
   phase h_exec "query.exec" (fun () ->
-      Executor.run_view ?pool view ~projection:Executor.Row_ids pred)
+      Executor.run_view ?pool (view_or_freeze ?view t) ~projection:Executor.Row_ids pred)
 
 let range_index t column =
   match Hashtbl.find_opt t.range_indexes column with
@@ -410,12 +408,11 @@ let decrypt_row t enc_row =
   Obs.Metrics.incr m_rows_decrypted;
   row
 
-(* Back half of a row search, shared by the live-table and snapshot
-   paths: decrypt every returned row (optionally fanned over a pool —
-   decryption is a pure read of the encryptor tables plus AES-CTR, and
-   [Task_pool.map_array] keeps results index-ordered, so the output is
-   identical to the sequential map), then the bucketized client-side
-   false-positive filter. *)
+(* Back half of a row search: decrypt every returned row (optionally
+   fanned over a pool — decryption is a pure read of the encryptor
+   tables plus AES-CTR, and [Task_pool.map_array] keeps results
+   index-ordered, so the output is identical to the sequential map),
+   then the bucketized client-side false-positive filter. *)
 let decrypt_and_filter ?pool t ~column m (result : Executor.result) =
   let col_pos = Schema.column_index t.plain_schema column in
   let decrypted =
@@ -438,21 +435,12 @@ let decrypt_and_filter ?pool t ~column m (result : Executor.result) =
   in
   (rows, result)
 
-let search_rows t ~column m =
+let search_rows ?pool ?view t ~column m =
   Obs.Trace.with_span "edb.search_rows" @@ fun () ->
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
   let result =
     phase h_exec "query.exec" (fun () ->
-        Executor.run t.table ~projection:Executor.All_columns pred)
-  in
-  decrypt_and_filter t ~column m result
-
-let search_rows_view ?pool t ~view ~column m =
-  Obs.Trace.with_span "edb.search_rows" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run_view ?pool view ~projection:Executor.All_columns pred)
+        Executor.run_view ?pool (view_or_freeze ?view t) ~projection:Executor.All_columns pred)
   in
   decrypt_and_filter ?pool t ~column m result
 
@@ -486,7 +474,7 @@ let search_range t ~column ~lo ~hi =
   let pred = phase h_rewrite "query.rewrite" (fun () -> range_predicate t ~column ~lo ~hi) in
   let result =
     phase h_exec "query.exec" (fun () ->
-        Executor.run t.table ~projection:Executor.All_columns pred)
+        Executor.run_view (freeze t) ~projection:Executor.All_columns pred)
   in
   decrypt_in_range t ~column ~lo ~hi result
 
@@ -495,7 +483,7 @@ let search_range t ~column ~lo ~hi =
    §5k). The server predicate passed for the candidate re-check is the
    flat rtag IN-list — traversal leaves equal the flat tags by
    construction, so both plans return byte-identical results. *)
-let search_range_traverse ?pool t ~view ~column ~lo ~hi =
+let search_range_traverse ?pool ?view t ~column ~lo ~hi =
   Obs.Trace.with_span "edb.search_range_traverse" @@ fun () ->
   let rs = range_struct t column in
   let cover, pred =
@@ -504,7 +492,7 @@ let search_range_traverse ?pool t ~view ~column ~lo ~hi =
   in
   let result =
     phase h_exec "query.exec" (fun () ->
-        Executor.run_traverse ?pool view ~tree:(Range_struct.tree rs)
+        Executor.run_traverse ?pool (view_or_freeze ?view t) ~tree:(Range_struct.tree rs)
           ~tag_column:(rtag_column column) ~roots:cover.Range_struct.roots
           ~projection:Executor.All_columns pred)
   in

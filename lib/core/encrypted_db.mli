@@ -133,11 +133,32 @@ val insert_encrypted : t -> Sqldb.Value.t array -> int
     restore path when re-attaching an exported encrypted table. The
     row is schema-checked but not re-encrypted. *)
 
-val search_ids : t -> column:string -> string -> Sqldb.Executor.result
+(* Searches run over a frozen epoch: the given [view] (freeze once,
+   query many, from any domain while writers proceed) or one frozen at
+   call time. [pool] fans the per-tag index probes (and, for rows, the
+   decrypt pass — index-ordered, so rows come back in the same order at
+   any domain count). *)
+
+val freeze : t -> Sqldb.Read_view.t
+(** {!Sqldb.Table.freeze} of the underlying encrypted table. *)
+
+val search_ids :
+  ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
+  t ->
+  column:string ->
+  string ->
+  Sqldb.Executor.result
 (** [SELECT ID WHERE col = m], server-side only (index scan over tags;
     may include bucketized false positives). *)
 
-val search_rows : t -> column:string -> string -> Sqldb.Value.t array list * Sqldb.Executor.result
+val search_rows :
+  ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
+  t ->
+  column:string ->
+  string ->
+  Sqldb.Value.t array list * Sqldb.Executor.result
 (** [SELECT * WHERE col = m]: fetches rows, decrypts them client-side,
     and (for bucketized schemes) drops false positives. Returns the
     plaintext rows and the raw server-side result. *)
@@ -146,33 +167,6 @@ val decrypt_row : t -> Sqldb.Value.t array -> Sqldb.Value.t array
 (** Decrypt one encrypted-table row back to [plain_schema] order.
     A pure read of the column keys plus AES-CTR — safe from any
     domain. *)
-
-(* Snapshot reads: freeze an epoch once, serve any number of reader
-   domains from it while writers proceed. *)
-
-val freeze : t -> Sqldb.Read_view.t
-(** {!Sqldb.Table.freeze} of the underlying encrypted table. *)
-
-val search_ids_view :
-  ?pool:Stdx.Task_pool.t ->
-  t ->
-  view:Sqldb.Read_view.t ->
-  column:string ->
-  string ->
-  Sqldb.Executor.result
-(** {!search_ids} against a frozen view; [pool] fans the per-tag index
-    probes. Identical answer to {!search_ids} at the same epoch. *)
-
-val search_rows_view :
-  ?pool:Stdx.Task_pool.t ->
-  t ->
-  view:Sqldb.Read_view.t ->
-  column:string ->
-  string ->
-  Sqldb.Value.t array list * Sqldb.Executor.result
-(** {!search_rows} against a frozen view; [pool] fans both the index
-    probes and the decrypt pass (index-ordered, so the rows come back
-    in the exact order the sequential path produces). *)
 
 val search_predicate : t -> column:string -> string -> Sqldb.Predicate.t
 (** The WHERE clause a search compiles to (exposed for tests/EXPLAIN). *)
@@ -220,14 +214,14 @@ val range_cover :
 
 val search_range_traverse :
   ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
   t ->
-  view:Sqldb.Read_view.t ->
   column:string ->
   lo:int64 option ->
   hi:int64 option ->
   Sqldb.Value.t array list * Sqldb.Executor.result
-(** {!search_range} through the [Range_traverse] plan over a frozen
-    view: ships cover roots, server expands them over the boundary
-    tree and probes the rtag index, client filters edge-bucket false
-    positives after decryption. Byte-identical rows to {!search_range}
+(** {!search_range} through the [Range_traverse] plan: ships cover
+    roots, server expands them over the boundary tree and probes the
+    rtag index, client filters edge-bucket false positives after
+    decryption. Byte-identical rows to {!search_range}
     at any domain count. *)

@@ -115,9 +115,14 @@ type query_result = {
 val execute : t -> string -> (query_result, string) result
 (** Parse plaintext SQL (SELECT / JOIN / INSERT / DELETE / UPDATE
     against the plaintext schema), run it through the encrypted
-    database. DELETE and UPDATE decrypt and residual-filter before
-    touching rows, so bucketized false positives are never deleted or
-    rewritten.
+    database — {!execute_snapshot} with no pool and no view. Every
+    statement that reads finds its rows through a frozen view
+    ({!Encrypted_db.freeze}): a SELECT or JOIN to answer, a DELETE or
+    UPDATE to pick the rows it then mutates on the live table —
+    consistent because mutations are serialized (the server admission
+    queue single-threads writes). DELETE and UPDATE decrypt and
+    residual-filter before touching rows, so bucketized false
+    positives are never deleted or rewritten.
 
     UPDATE is atomic with respect to encryption failures: every
     replacement row is encrypted (and validated) first, and only when
@@ -142,15 +147,13 @@ val execute_snapshot :
   t ->
   string ->
   (query_result, string) result
-(** {!execute}, with SELECTs served from a frozen epoch snapshot: the
-    given [view] (freeze once, query many) or one frozen at call time.
-    [pool] fans the per-tag index probes and the decrypt/residual-
-    filter/LIMIT pass across domains; the decrypted result is identical
-    to {!execute} at the same epoch — chunked decryption preserves row
-    order and the LIMIT stopping point, and with no pool (or a 1-domain
-    pool) the execution is byte-identical to the sequential path.
-    A JOIN ignores [view] (a single table's snapshot) and freezes its
-    own epoch-consistent pair, fanning the per-bucket probes over
-    [pool] — same answer at any domain count. Non-SELECT statements
-    take the normal write path: mutations are never served from
-    snapshots. *)
+(** {!execute}, with a SELECT served from the given [view] (freeze
+    once, query many) when it snapshots the statement's table, else
+    from one frozen at call time. [pool] fans the per-tag index probes
+    and the decrypt/residual-filter/LIMIT pass across domains; chunked
+    decryption preserves row order and the LIMIT stopping point, so the
+    answer is the same at any domain count. A JOIN ignores [view] (a
+    single table's snapshot) and freezes its own epoch-consistent pair,
+    fanning the per-bucket probes over [pool]. DELETE and UPDATE ignore
+    both and freeze the current epoch: a batch's view may predate the
+    write. *)

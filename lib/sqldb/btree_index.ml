@@ -1,16 +1,10 @@
 (* lint: guarded-by Table.writer (indexes mutate only on the write path) *)
-type group = { key : Value.t; ids : int Stdx.Vec.t }
-
 type t = {
   pager : Pager.t;
   rel : Pager.rel;
   name : string;
-  by_key : (Value.t, group) Hashtbl.t;
-  mutable entries : int;
+  mutable postings : Postings.t;
   mutable key_bytes : int; (* total key bytes across entries, for entry sizing *)
-  mutable sorted : group array; (* groups in key order; valid when not dirty *)
-  mutable cum : int array; (* cum.(i) = entries strictly before sorted.(i) *)
-  mutable dirty : bool;
 }
 
 (* Postgres-like layout constants: 16 bytes of line pointer + TID
@@ -19,51 +13,27 @@ let entry_overhead = 16
 let internal_entry_bytes = 24
 
 let create pager ~name =
-  {
-    pager;
-    rel = Pager.make_rel pager ~name;
-    name;
-    by_key = Hashtbl.create 1024;
-    entries = 0;
-    key_bytes = 0;
-    sorted = [||];
-    cum = [||];
-    dirty = false;
-  }
+  { pager; rel = Pager.make_rel pager ~name; name; postings = Postings.empty; key_bytes = 0 }
 
 let name t = t.name
+let snapshot t = { t with postings = t.postings }
 
 let insert t key id =
-  (match Hashtbl.find_opt t.by_key key with
-  | Some g -> Stdx.Vec.push g.ids id
-  | None ->
-      let g = { key; ids = Stdx.Vec.create () } in
-      Stdx.Vec.push g.ids id;
-      Hashtbl.replace t.by_key key g);
-  t.entries <- t.entries + 1;
-  t.key_bytes <- t.key_bytes + Value.index_key_bytes key;
-  t.dirty <- true
+  t.postings <- Postings.add t.postings key id;
+  t.key_bytes <- t.key_bytes + Value.index_key_bytes key
 
 let remove t key id =
-  match Hashtbl.find_opt t.by_key key with
-  | None -> ()
-  | Some g ->
-      let kept = Array.of_seq (Seq.filter (fun x -> x <> id) (Array.to_seq (Stdx.Vec.to_array g.ids))) in
-      let removed = Stdx.Vec.length g.ids - Array.length kept in
-      if removed > 0 then begin
-        t.entries <- t.entries - removed;
-        t.key_bytes <- t.key_bytes - (removed * Value.index_key_bytes key);
-        if Array.length kept = 0 then Hashtbl.remove t.by_key key
-        else Hashtbl.replace t.by_key key { g with ids = Stdx.Vec.of_array kept };
-        t.dirty <- true
-      end
+  let postings, removed = Postings.remove t.postings key id in
+  t.postings <- postings;
+  t.key_bytes <- t.key_bytes - (removed * Value.index_key_bytes key)
 
-let entry_count t = t.entries
-let distinct_keys t = Hashtbl.length t.by_key
+let entry_count t = Postings.entries t.postings
+let distinct_keys t = Postings.keys t.postings
 
 let avg_entry_bytes t =
-  if t.entries = 0 then 24.0
-  else (float_of_int t.key_bytes /. float_of_int t.entries) +. float_of_int entry_overhead
+  let entries = entry_count t in
+  if entries = 0 then 24.0
+  else (float_of_int t.key_bytes /. float_of_int entries) +. float_of_int entry_overhead
 
 (* Effective leaf fill: sequential/duplicate-heavy keys pack near the
    90% fillfactor; uniformly random unique keys (PRF search tags) cause
@@ -72,9 +42,10 @@ let avg_entry_bytes t =
    index bigger than the plaintext index it replaces (paper Table I's
    "DB + Indexes" growing faster than "DB"). *)
 let leaf_fill t =
-  if t.entries = 0 then 0.9
+  let entries = entry_count t in
+  if entries = 0 then 0.9
   else begin
-    let unique_fraction = float_of_int (Hashtbl.length t.by_key) /. float_of_int t.entries in
+    let unique_fraction = float_of_int (distinct_keys t) /. float_of_int entries in
     0.9 -. (0.35 *. unique_fraction)
   end
 
@@ -83,7 +54,8 @@ let entries_per_leaf t =
   max 1 (int_of_float (usable /. avg_entry_bytes t))
 
 let leaf_pages t =
-  if t.entries = 0 then 1 else (t.entries + entries_per_leaf t - 1) / entries_per_leaf t
+  let entries = entry_count t in
+  if entries = 0 then 1 else (entries + entries_per_leaf t - 1) / entries_per_leaf t
 
 let fanout t =
   let usable = float_of_int (Pager.config t.pager).page_size *. leaf_fill t in
@@ -108,32 +80,6 @@ let internal_pages t =
 let page_count t = leaf_pages t + internal_pages t
 let size_bytes t = page_count t * (Pager.config t.pager).page_size
 
-let rebuild t =
-  if t.dirty then begin
-    let groups = Hashtbl.fold (fun _ g acc -> g :: acc) t.by_key [] in
-    let sorted = Array.of_list groups in
-    Array.sort (fun a b -> Value.compare a.key b.key) sorted;
-    let cum = Array.make (Array.length sorted) 0 in
-    let acc = ref 0 in
-    Array.iteri
-      (fun i g ->
-        cum.(i) <- !acc;
-        acc := !acc + Stdx.Vec.length g.ids)
-      sorted;
-    t.sorted <- sorted;
-    t.cum <- cum;
-    t.dirty <- false
-  end
-
-(* Index of the first group with key >= [key]; length if none. *)
-let lower_bound t key =
-  let lo = ref 0 and hi = ref (Array.length t.sorted) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Value.compare t.sorted.(mid).key key < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (* Walk root-to-leaf, touching one page per internal level. Internal
    page identity is derived from the leaf position so that lookups of
    nearby keys share upper pages, like a real tree. Page numbering:
@@ -155,6 +101,9 @@ let touch_path t ~leaf =
     base := !base + pages_at_level
   done
 
+(* Touch the leaves holding entries [first_entry, first_entry +
+   n_entries) of the key order — an entry's rank fixes its leaf — and
+   charge the rows; a miss still descends the tree and reads one leaf. *)
 let touch_entry_range t ~first_entry ~n_entries =
   if n_entries > 0 then begin
     let epl = entries_per_leaf t in
@@ -165,96 +114,17 @@ let touch_entry_range t ~first_entry ~n_entries =
       Pager.touch t.pager t.rel leaf
     done
   end
-  else
-    (* A miss still descends the tree and reads one leaf. *)
-    touch_path t ~leaf:(min (max 0 (first_entry / entries_per_leaf t)) (leaf_pages t - 1))
-
-(* Detached read-only copy for snapshot readers: force a rebuild while
-   the caller still holds the table's writer lock, then deep-copy the
-   group structures so later inserts into the live index cannot be
-   observed. The pager rel is shared — a frozen lookup touches the same
-   physical pages (and buffer-pool entries) as the live index. *)
-let freeze t =
-  rebuild t;
-  let sorted =
-    Array.map (fun g -> { key = g.key; ids = Stdx.Vec.of_array (Stdx.Vec.to_array g.ids) }) t.sorted
-  in
-  let by_key = Hashtbl.create (max 16 (Array.length sorted)) in
-  Array.iter (fun g -> Hashtbl.replace by_key g.key g) sorted;
-  {
-    pager = t.pager;
-    rel = t.rel;
-    name = t.name;
-    by_key;
-    entries = t.entries;
-    key_bytes = t.key_bytes;
-    sorted;
-    cum = Array.copy t.cum;
-    dirty = false;
-  }
+  else touch_path t ~leaf:(min (max 0 (first_entry / entries_per_leaf t)) (leaf_pages t - 1));
+  Pager.charge_rows t.pager n_entries
 
 let lookup t key =
-  rebuild t;
   Pager.charge_probe t.pager;
-  let i = lower_bound t key in
-  if i < Array.length t.sorted && Value.equal t.sorted.(i).key key then begin
-    let g = t.sorted.(i) in
-    let n = Stdx.Vec.length g.ids in
-    touch_entry_range t ~first_entry:t.cum.(i) ~n_entries:n;
-    Pager.charge_rows t.pager n;
-    Stdx.Vec.to_array g.ids
-  end
-  else begin
-    let first_entry = if i < Array.length t.cum then t.cum.(i) else t.entries in
-    touch_entry_range t ~first_entry ~n_entries:0;
-    [||]
-  end
-
-let dedup_sorted_ids ids =
-  Array.sort compare ids;
-  let n = Array.length ids in
-  if n = 0 then ids
-  else begin
-    let out = Stdx.Vec.create () in
-    Stdx.Vec.push out ids.(0);
-    for i = 1 to n - 1 do
-      if ids.(i) <> ids.(i - 1) then Stdx.Vec.push out ids.(i)
-    done;
-    Stdx.Vec.to_array out
-  end
-
-let lookup_many t keys =
-  let all = List.concat_map (fun k -> Array.to_list (lookup t k)) keys in
-  dedup_sorted_ids (Array.of_list all)
+  let first_entry, ids = Postings.find t.postings key in
+  touch_entry_range t ~first_entry ~n_entries:(Array.length ids);
+  ids
 
 let range t ?lo ?hi () =
-  rebuild t;
   Pager.charge_probe t.pager;
-  let n_groups = Array.length t.sorted in
-  let first = match lo with None -> 0 | Some v -> lower_bound t v in
-  let last =
-    match hi with
-    | None -> n_groups - 1
-    | Some v ->
-        (* last group with key <= v *)
-        let i = lower_bound t v in
-        if i < n_groups && Value.equal t.sorted.(i).key v then i else i - 1
-  in
-  if first > last then begin
-    touch_entry_range t ~first_entry:(if first < n_groups then t.cum.(first) else t.entries)
-      ~n_entries:0;
-    [||]
-  end
-  else begin
-    let first_entry = t.cum.(first) in
-    let n_entries =
-      (if last + 1 < n_groups then t.cum.(last + 1) else t.entries) - first_entry
-    in
-    touch_entry_range t ~first_entry ~n_entries;
-    Pager.charge_rows t.pager n_entries;
-    let out = Stdx.Vec.create () in
-    for i = first to last do
-      Stdx.Vec.iter (fun id -> Stdx.Vec.push out id) t.sorted.(i).ids
-    done;
-    Stdx.Vec.to_array out
-  end
+  let first_entry, ids = Postings.range t.postings ?lo ?hi () in
+  touch_entry_range t ~first_entry ~n_entries:(Array.length ids);
+  ids

@@ -1,16 +1,14 @@
 (** Non-unique B-tree index.
 
-    Logically a sorted multimap from key values to row ids. Physically
-    it models a PostgreSQL B-tree for the pager: entries are packed
-    into 8 KiB leaf pages in key order (so equal keys are contiguous,
-    and an equality lookup touches [height] internal pages plus
-    [⌈matches / entries_per_leaf⌉] consecutive leaves), and internal
-    fanout determines the height. Sizes reported by {!size_bytes} feed
-    the Table I ciphertext-expansion experiment.
-
-    Inserts mark the index dirty; the sorted leaf layout is rebuilt
-    lazily on the next lookup (a bulk-load-then-query engine, which is
-    the paper's usage pattern). *)
+    Logically a sorted multimap from key values to row ids, kept as a
+    persistent {!Postings} tree. Physically it models a PostgreSQL
+    B-tree for the pager: entries are packed into 8 KiB leaf pages in
+    key order (so equal keys are contiguous, and an equality lookup
+    touches [height] internal pages plus [⌈matches / entries_per_leaf⌉]
+    consecutive leaves), and internal fanout determines the height. An
+    entry's leaf is its rank in key order, which the postings tree
+    answers in O(log n). Sizes reported by {!size_bytes} feed the
+    Table I ciphertext-expansion experiment. *)
 
 type t
 
@@ -20,20 +18,19 @@ val insert : t -> Value.t -> int -> unit
 
 val remove : t -> Value.t -> int -> unit
 (** Drop every entry mapping [key] to [id] (no-op when absent) and
-    shrink the entry/key-byte accounting accordingly; marks the index
-    dirty for the next lazy rebuild — the vacuum path. *)
+    shrink the entry/key-byte accounting accordingly — the vacuum
+    path. *)
 
-val freeze : t -> t
-(** Detached read-only copy for snapshot readers: rebuilt, deep-copied
-    group structure sharing the live index's pager rel. Lookups on the
-    copy are pure reads plus pager charges — safe from any domain. *)
+val snapshot : t -> t
+(** O(1): a handle on the current postings root. Inserts and removes
+    copy the path to the key they change, so the snapshot never sees
+    them; lookups on it are pure reads plus pager charges — safe from
+    any domain. Shares the pager rel, so its page touches land in the
+    same buffer pool as the live index's. *)
 
 val lookup : t -> Value.t -> int array
-(** Row ids for an equality match; touches index pages via the pager. *)
-
-val lookup_many : t -> Value.t list -> int array
-(** OR-of-equalities: union of per-key lookups, deduplicated, in heap
-    order — the plan WRE search queries compile to. *)
+(** Row ids for an equality match, in insertion order; touches index
+    pages via the pager. *)
 
 val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int array
 (** Inclusive range scan over keys. *)

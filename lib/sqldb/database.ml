@@ -53,7 +53,7 @@ let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.catalog []
 
 let insert t ~table:name row = Table.insert (table t name) row
 
-let query t ~table:name ~projection p = Executor.run (table t name) ~projection p
+let query t ~table:name ~projection p = Executor.run_view (Table.freeze (table t name)) ~projection p
 
 let drop_caches t = Pager.drop_caches t.pager
 

@@ -30,6 +30,7 @@ val freeze_pair : t -> string -> string -> (Read_view.t * Read_view.t) option
 val insert : t -> table:string -> Value.t array -> int
 
 val query : t -> table:string -> projection:Executor.projection -> Predicate.t -> Executor.result
+(** {!Executor.run_view} over a fresh {!Table.freeze} of the table. *)
 
 val drop_caches : t -> unit
 (** Cold-cache protocol between queries (paper §VI-B). *)

@@ -30,10 +30,9 @@ let h_wall = Obs.Metrics.histogram "executor.wall_ns"
 (* The first Eq/In/Range leg over an indexed column, searched shallowly
    through conjunctions. The access is a superset of the leg it serves
    (exact for a pure leg), so callers re-check the full predicate when
-   the plan does not cover it alone. The planner is parameterized over
-   [index_of] so the same logic plans against a live table or a frozen
-   read view. *)
-let rec indexable index_of p =
+   the plan does not cover it alone. *)
+let rec indexable view p =
+  let index_of col = Read_view.index_on view ~column:col in
   match p with
   | Predicate.Eq (col, v) -> Option.map (fun idx -> (col, `Eq (idx, v))) (index_of col)
   | Predicate.In (col, vs) -> Option.map (fun idx -> (col, `In (idx, vs))) (index_of col)
@@ -42,20 +41,20 @@ let rec indexable index_of p =
       match index_of col with
       | Some idx when Table_index.kind idx = Table_index.Btree -> Some (col, `Range (idx, lo, hi))
       | Some _ | None -> None)
-  | Predicate.And ps -> List.find_map (indexable index_of) ps
+  | Predicate.And ps -> List.find_map (indexable view) ps
   | Predicate.True | Predicate.Or _ | Predicate.Not _ -> None
 
 (* A disjunction is index-servable when every leg is: the candidate set
    is then the deduplicated union of the per-leg accesses (the WRE
    proxy's server-side OR of tag IN-lists). Nested ORs flatten. *)
-let or_accesses index_of legs =
+let or_accesses view legs =
   let rec go legs acc =
     match legs with
     | [] -> Some acc
     | Predicate.Or sub :: rest -> (
         match go sub acc with Some acc -> go rest acc | None -> None)
     | leg :: rest -> (
-        match indexable index_of leg with
+        match indexable view leg with
         | Some pair -> go rest (pair :: acc)
         | None -> None)
   in
@@ -68,134 +67,78 @@ type access =
 
 type planned = P_index of string * access | P_or of (string * access) list | P_seq
 
-let plan_of index_of p =
-  match indexable index_of p with
+let plan_of view p =
+  match indexable view p with
   | Some (col, access) -> P_index (col, access)
   | None -> (
       match p with
       | Predicate.Or legs -> (
-          match or_accesses index_of legs with
+          match or_accesses view legs with
           | Some ((_ :: _) as pairs) -> P_or pairs
           | Some [] | None -> P_seq)
       | _ -> P_seq)
 
-let table_index_of table col = Table.index_on table ~column:col
-
-let explain table p =
-  match plan_of (table_index_of table) p with
+let explain view p =
+  match plan_of view p with
   | P_index (col, _) -> Index_scan col
   | P_or pairs -> Or_index_scan (List.map fst pairs)
   | P_seq -> Seq_scan
 
-(* Sorted, deduplicated union of candidate-id arrays. *)
-let union_ids arrays =
-  let all = Array.concat arrays in
-  Array.sort (fun (a : int) b -> compare a b) all;
-  let n = Array.length all in
-  if n = 0 then all
-  else begin
-    let out = Stdx.Vec.create ~capacity:n () in
-    Array.iteri (fun i id -> if i = 0 || id <> all.(i - 1) then Stdx.Vec.push out id) all;
-    Stdx.Vec.to_array out
-  end
+let plan_label = function
+  | Index_scan c -> "index(" ^ c ^ ")"
+  | Or_index_scan cs -> "or_index(" ^ String.concat "," cs ^ ")"
+  | Range_traverse c -> "range_traverse(" ^ c ^ ")"
+  | Seq_scan -> "seq"
 
-let run table ~projection p =
-  Obs.Metrics.incr m_queries;
-  Obs.Trace.with_span "executor.run" @@ fun () ->
-  let pager = Table.pager table in
-  let before = Pager.stats pager in
-  let t0 = Stdx.Clock.now_ns () in
-  let schema = Table.schema table in
-  let eval = Predicate.compile schema p in
-  let seq_scan () =
-    let acc = Stdx.Vec.create () in
-    Table.scan table (fun id _row -> Stdx.Vec.push acc id);
-    (Seq_scan, Stdx.Vec.to_array acc)
-  in
-  (* An access may still fail at run time (range over a hash index);
-     [None] sends the whole query to a sequential scan. *)
-  let fetch_access = function
-    | `Eq (idx, v) -> Some (Table_index.lookup idx v)
-    | `In (idx, vs) -> Some (Table_index.lookup_many idx vs)
-    | `Range (idx, lo, hi) -> Table_index.range idx ?lo ?hi ()
-  in
-  let plan, candidate_ids =
-    match plan_of (table_index_of table) p with
-    | P_index (col, access) -> (
-        match fetch_access access with
-        | Some ids -> (Index_scan col, ids)
-        | None -> seq_scan ())
-    | P_or pairs -> (
-        let legs = List.map (fun (_, access) -> fetch_access access) pairs in
-        if List.exists Option.is_none legs then seq_scan ()
-        else
-          (Or_index_scan (List.map fst pairs), union_ids (List.filter_map Fun.id legs)))
-    | P_seq -> seq_scan ()
-  in
-  (* Residual filter. Index results are checked against the full
-     predicate; for a pure index leg this is a no-op re-check on peeked
-     rows (an index-only scan does not touch the heap — visibility-map
-     style — matching the paper's SELECT ID behaviour). An OR plan
-     always re-checks: each leg's access may over-approximate its leg. *)
-  let needs_filter =
-    match (plan, p) with
-    | Index_scan col, Predicate.Eq (c, _) when c = col -> false
-    | Index_scan col, Predicate.In (c, _) when c = col -> false
-    | Index_scan col, Predicate.Range (c, _, _) when c = col -> false
-    | _ -> true
-  in
-  (* Index entries may point at tombstoned tuples; drop them (the
-     visibility check a real executor performs). *)
-  let candidate_ids =
-    if Table.live_count table = Table.row_count table then candidate_ids
-    else Array.of_list (List.filter (Table.is_live table) (Array.to_list candidate_ids))
-  in
+let seq_scan view =
+  let acc = Stdx.Vec.create () in
+  Read_view.scan view (fun id _row -> Stdx.Vec.push acc id);
+  (Seq_scan, Stdx.Vec.to_array acc)
+
+(* The tail every plan shares: drop tombstoned candidates, re-check the
+   predicate when the plan does not answer it exactly ([recheck]),
+   project, and account — per-query stats (this domain's pager delta
+   since [before] plus the [foreign] deltas of probes that ran on other
+   domains), the executor.* metrics and the [executor.plan] trace event
+   ([attrs] go between its epoch and candidate counts).
+
+   Residual filtering on peeked rows is free of heap charges: an
+   index-only scan does not touch the heap — visibility-map style —
+   matching the paper's SELECT ID behaviour. *)
+let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ?(attrs = []) (plan, candidate_ids) =
+  let candidate_ids = Read_view.live_only view candidate_ids in
   let row_ids =
-    if needs_filter then
-      Array.of_list
-        (List.filter (fun id -> eval (Table.peek_row table id)) (Array.to_list candidate_ids))
+    if recheck then
+      Array.of_seq (Seq.filter (fun id -> eval (Read_view.peek_row view id)) (Array.to_seq candidate_ids))
     else candidate_ids
   in
   let rows =
     match projection with
     | Row_ids ->
         (* Returning ids still ships ~8 bytes per hit across the wire. *)
-        Pager.charge_transfer pager (8 * Array.length row_ids);
+        Pager.charge_transfer (Read_view.pager view) (8 * Array.length row_ids);
         [||]
-    | All_columns -> Array.map (fun id -> Table.read_row table id) row_ids
+    | All_columns -> Array.map (Read_view.read_row view) row_ids
   in
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let after = Pager.stats pager in
-  let stats =
-    Pager.
-      {
-        hits = after.hits - before.hits;
-        misses = after.misses - before.misses;
-        rows_examined = after.rows_examined - before.rows_examined;
-        sim_ns = after.sim_ns -. before.sim_ns;
-      }
-  in
-  (match plan with
-  | Index_scan _ -> Obs.Metrics.incr m_plan_index
-  | Or_index_scan _ -> Obs.Metrics.incr m_plan_or
-  | Range_traverse _ -> Obs.Metrics.incr m_plan_traverse
-  | Seq_scan -> Obs.Metrics.incr m_plan_seq);
+  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) foreign in
+  Obs.Metrics.incr
+    (match plan with
+    | Index_scan _ -> m_plan_index
+    | Or_index_scan _ -> m_plan_or
+    | Range_traverse _ -> m_plan_traverse
+    | Seq_scan -> m_plan_seq);
   Obs.Metrics.add m_candidates (Array.length candidate_ids);
   Obs.Metrics.add m_returned (Array.length row_ids);
   Obs.Metrics.observe h_wall wall_ns;
   if Obs.Trace.is_enabled () then
     Obs.Trace.event "executor.plan"
       ~attrs:
-        [
-          ( "plan",
-            match plan with
-            | Index_scan c -> "index(" ^ c ^ ")"
-            | Or_index_scan cs -> "or_index(" ^ String.concat "," cs ^ ")"
-            | Range_traverse c -> "range_traverse(" ^ c ^ ")"
-            | Seq_scan -> "seq" );
-          ("candidates", string_of_int (Array.length candidate_ids));
-          ("rows", string_of_int (Array.length row_ids));
-        ];
+        ((("plan", plan_label plan) :: ("epoch", string_of_int (Read_view.epoch view)) :: attrs)
+        @ [
+            ("candidates", string_of_int (Array.length candidate_ids));
+            ("rows", string_of_int (Array.length row_ids));
+          ]);
   { row_ids; rows; plan; wall_ns; stats }
 
 (* The two-table plan: delegate to [Join], which owns bucket fan-out,
@@ -203,68 +146,44 @@ let run table ~projection p =
    so planning stays one surface. *)
 let run_join = Join.run
 
-(* Snapshot-read path: same planner, same result contract as [run],
-   executed against a frozen [Read_view.t] with the per-tag index
-   probes of multi-key plans (the IN-list of a rewritten WRE query, the
-   legs of a server-side OR) optionally fanned across a task pool.
+(* The per-tag index probes of multi-key plans (the IN-list of a
+   rewritten WRE query, the legs of a server-side OR) optionally fan
+   across a task pool.
 
    Determinism: probe results are combined index-ordered, and the union
    is a sort + dedup, so [row_ids]/[rows] are identical regardless of
    how probes are scheduled; with no pool (or a 1-domain pool) the
-   probes run in the same order a sequential [run] would issue them,
-   making the two byte-identical. Pager counts are also scheduling-
+   probes run in list order. Pager counts are also scheduling-
    independent: the set of page touches is fixed by the plan, and the
    pager's atomic accounting turns each distinct page into exactly one
-   miss no matter which domain gets there first.
-
-   Per-query [stats] stay exact under concurrency: every probe task
-   measures its own domain-local pager delta, and the caller adds the
-   deltas of probes that ran on *other* domains to its own window —
-   unrelated queries running concurrently never pollute the numbers. *)
+   miss no matter which domain gets there first. *)
 let run_view ?pool view ~projection p =
   Obs.Metrics.incr m_queries;
   Obs.Trace.with_span "executor.run_view" @@ fun () ->
-  let pager = Read_view.pager view in
-  let self_dom = (Domain.self () :> int) in
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
-  let schema = Read_view.schema view in
-  let eval = Predicate.compile schema p in
-  let worker_stats = ref Pager.zero_stats in
-  let seq_scan () =
-    let acc = Stdx.Vec.create () in
-    Read_view.scan view (fun id _row -> Stdx.Vec.push acc id);
-    (Seq_scan, Stdx.Vec.to_array acc)
-  in
+  let eval = Predicate.compile (Read_view.schema view) p in
   let probes_of : access -> (unit -> int array option) list = function
     | `Eq (idx, v) -> [ (fun () -> Some (Table_index.lookup idx v)) ]
     | `In (idx, vs) -> List.map (fun v () -> Some (Table_index.lookup idx v)) vs
     | `Range (idx, lo, hi) -> [ (fun () -> Table_index.range idx ?lo ?hi ()) ]
   in
-  (* [union]: a single-access index plan returns its ids verbatim (the
-     order [run] would produce); multi-probe plans (IN, OR) union with
-     sort + dedup, exactly what [lookup_many]/[union_ids] compute. *)
+  (* A single-access index plan returns its ids verbatim; multi-probe
+     plans (IN, OR) union with sort + dedup. A probe that cannot run
+     (range over a hash index) sends the query to a sequential scan. *)
   let run_probes kind probes ~union =
-    let outcomes =
-      Stdx.Task_pool.map_array ?pool (Array.of_list probes) (fun probe ->
-          let b = Pager.local_stats () in
-          let ids = probe () in
-          let a = Pager.local_stats () in
-          (ids, (Domain.self () :> int), Pager.diff_stats b a))
+    let outcomes, foreign = Pager.map_measured ?pool (Array.of_list probes) (fun probe -> probe ()) in
+    let planned =
+      if Array.exists Option.is_none outcomes then seq_scan view
+      else
+        match Array.to_list (Array.map Option.get outcomes) with
+        | [ ids ] when not union -> (kind, ids)
+        | id_arrays -> (kind, Postings.union_ids id_arrays)
     in
-    Array.iter
-      (fun (_, dom, d) ->
-        if dom <> self_dom then worker_stats := Pager.sum_stats !worker_stats d)
-      outcomes;
-    if Array.exists (fun (ids, _, _) -> ids = None) outcomes then seq_scan ()
-    else
-      let id_arrays = Array.to_list (Array.map (fun (ids, _, _) -> Option.get ids) outcomes) in
-      match id_arrays with
-      | [ ids ] when not union -> (kind, ids)
-      | _ -> (kind, union_ids id_arrays)
+    (planned, foreign)
   in
-  let plan, candidate_ids =
-    match plan_of (fun col -> Read_view.index_on view ~column:col) p with
+  let planned, foreign =
+    match plan_of view p with
     | P_index (col, access) ->
         run_probes (Index_scan col) (probes_of access) ~union:(match access with `In _ -> true | _ -> false)
     | P_or pairs ->
@@ -272,154 +191,67 @@ let run_view ?pool view ~projection p =
           (Or_index_scan (List.map fst pairs))
           (List.concat_map (fun (_, access) -> probes_of access) pairs)
           ~union:true
-    | P_seq -> seq_scan ()
+    | P_seq -> (seq_scan view, Pager.zero_stats)
   in
-  let needs_filter =
-    match (plan, p) with
-    | Index_scan col, Predicate.Eq (c, _) when c = col -> false
-    | Index_scan col, Predicate.In (c, _) when c = col -> false
-    | Index_scan col, Predicate.Range (c, _, _) when c = col -> false
+  (* Index results need no re-check when a pure Eq/In/Range leg is the
+     whole predicate. An OR plan always re-checks: each leg's access may
+     over-approximate its leg. *)
+  let recheck =
+    match (fst planned, p) with
+    | Index_scan col, (Predicate.Eq (c, _) | Predicate.In (c, _) | Predicate.Range (c, _, _)) -> c <> col
     | _ -> true
   in
-  let candidate_ids =
-    if Read_view.live_count view = Read_view.row_count view then candidate_ids
-    else Array.of_list (List.filter (Read_view.is_live view) (Array.to_list candidate_ids))
-  in
-  let row_ids =
-    if needs_filter then
-      Array.of_list
-        (List.filter (fun id -> eval (Read_view.peek_row view id)) (Array.to_list candidate_ids))
-    else candidate_ids
-  in
-  let rows =
-    match projection with
-    | Row_ids ->
-        Pager.charge_transfer pager (8 * Array.length row_ids);
-        [||]
-    | All_columns -> Array.map (fun id -> Read_view.read_row view id) row_ids
-  in
-  let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) !worker_stats in
-  (match plan with
-  | Index_scan _ -> Obs.Metrics.incr m_plan_index
-  | Or_index_scan _ -> Obs.Metrics.incr m_plan_or
-  | Range_traverse _ -> Obs.Metrics.incr m_plan_traverse
-  | Seq_scan -> Obs.Metrics.incr m_plan_seq);
-  Obs.Metrics.add m_candidates (Array.length candidate_ids);
-  Obs.Metrics.add m_returned (Array.length row_ids);
-  Obs.Metrics.observe h_wall wall_ns;
-  if Obs.Trace.is_enabled () then
-    Obs.Trace.event "executor.plan"
-      ~attrs:
-        [
-          ( "plan",
-            match plan with
-            | Index_scan c -> "index(" ^ c ^ ")"
-            | Or_index_scan cs -> "or_index(" ^ String.concat "," cs ^ ")"
-            | Range_traverse c -> "range_traverse(" ^ c ^ ")"
-            | Seq_scan -> "seq" );
-          ("epoch", string_of_int (Read_view.epoch view));
-          ("candidates", string_of_int (Array.length candidate_ids));
-          ("rows", string_of_int (Array.length row_ids));
-        ];
-  { row_ids; rows; plan; wall_ns; stats }
+  finish view ~projection ~eval ~recheck ~before ~foreign ~t0 planned
 
 (* The ESEDS range plan (DESIGN.md §5k): the query ships the canonical
    cover of a range as O(log B) encrypted-tree roots; the server
    expands each root through [Range_tree.traverse] to its leaf bucket
    tags and probes the rtag index. One task per subtree root fans
    across the pool; each root's probe set is a sorted+deduplicated
-   lookup and roots combine through [union_ids], so the candidate set —
-   and hence [row_ids]/[rows] — is byte-identical at any domain count,
-   the same determinism contract as [run_view]. Candidates are always
-   re-checked against the full server predicate, which both filters
-   conjunctive companions and keeps the traversal interchangeable with
-   the flat tag IN-list plan. *)
+   lookup and roots combine through a sort + dedup union, so the
+   candidate set — and hence [row_ids]/[rows] — is byte-identical at
+   any domain count, the same determinism contract as [run_view].
+   Candidates are always re-checked against the full server predicate,
+   which both filters conjunctive companions and keeps the traversal
+   interchangeable with the flat tag IN-list plan. *)
 let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
   Obs.Metrics.incr m_queries;
   Obs.Trace.with_span "executor.run_traverse" @@ fun () ->
-  let pager = Read_view.pager view in
-  let self_dom = (Domain.self () :> int) in
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
-  let schema = Read_view.schema view in
-  let eval = Predicate.compile schema p in
-  let worker_stats = ref Pager.zero_stats in
-  let plan, candidate_ids, nodes_visited, leaf_probes =
+  let eval = Predicate.compile (Read_view.schema view) p in
+  let planned, foreign, nodes_visited, leaf_probes =
     match Read_view.index_on view ~column:tag_column with
     | None ->
         (* No rtag index on this view: degrade to a sequential scan;
            the shared tail re-checks the predicate over every row. *)
-        let acc = Stdx.Vec.create () in
-        Read_view.scan view (fun id _row -> Stdx.Vec.push acc id);
-        (Seq_scan, Stdx.Vec.to_array acc, 0, 0)
+        (seq_scan view, Pager.zero_stats, 0, 0)
     | Some idx ->
-        let outcomes =
-          Stdx.Task_pool.map_array ?pool roots (fun root ->
-              let b = Pager.local_stats () in
-              let ids, visited, leaves =
-                match Range_tree.traverse tree ~root with
-                | None ->
-                    (* Unknown root pseudonym: an empty subtree, not an
-                       error — traversal stays total for any query. *)
-                    ([||], 0, 0)
-                | Some (leaf_tags, visited) ->
-                    let keys = List.map (fun tag -> Value.Int tag) (Array.to_list leaf_tags) in
-                    (Table_index.lookup_many idx keys, visited, Array.length leaf_tags)
-              in
-              (ids, visited, leaves, (Domain.self () :> int), Pager.diff_stats b (Pager.local_stats ())))
+        let outcomes, foreign =
+          Pager.map_measured ?pool roots (fun root ->
+              match Range_tree.traverse tree ~root with
+              | None ->
+                  (* Unknown root pseudonym: an empty subtree, not an
+                     error — traversal stays total for any query. *)
+                  ([||], 0, 0)
+              | Some (leaf_tags, visited) ->
+                  let keys = List.map (fun tag -> Value.Int tag) (Array.to_list leaf_tags) in
+                  (Table_index.lookup_many idx keys, visited, Array.length leaf_tags))
         in
-        Array.iter
-          (fun (_, _, _, dom, d) ->
-            if dom <> self_dom then worker_stats := Pager.sum_stats !worker_stats d)
-          outcomes;
-        let id_arrays = Array.to_list (Array.map (fun (ids, _, _, _, _) -> ids) outcomes) in
-        let visited = Array.fold_left (fun acc (_, v, _, _, _) -> acc + v) 0 outcomes in
-        let leaves = Array.fold_left (fun acc (_, _, l, _, _) -> acc + l) 0 outcomes in
-        (Range_traverse tag_column, union_ids id_arrays, visited, leaves)
+        let id_arrays = Array.to_list (Array.map (fun (ids, _, _) -> ids) outcomes) in
+        let visited = Array.fold_left (fun acc (_, v, _) -> acc + v) 0 outcomes in
+        let leaves = Array.fold_left (fun acc (_, _, l) -> acc + l) 0 outcomes in
+        ((Range_traverse tag_column, Postings.union_ids id_arrays), foreign, visited, leaves)
   in
-  let candidate_ids =
-    if Read_view.live_count view = Read_view.row_count view then candidate_ids
-    else Array.of_list (List.filter (Read_view.is_live view) (Array.to_list candidate_ids))
-  in
-  let row_ids =
-    Array.of_list
-      (List.filter (fun id -> eval (Read_view.peek_row view id)) (Array.to_list candidate_ids))
-  in
-  let rows =
-    match projection with
-    | Row_ids ->
-        Pager.charge_transfer pager (8 * Array.length row_ids);
-        [||]
-    | All_columns -> Array.map (fun id -> Read_view.read_row view id) row_ids
-  in
-  let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) !worker_stats in
-  (match plan with
-  | Range_traverse _ -> Obs.Metrics.incr m_plan_traverse
-  | Index_scan _ | Or_index_scan _ | Seq_scan -> Obs.Metrics.incr m_plan_seq);
   Obs.Metrics.add m_trav_nodes nodes_visited;
   Obs.Metrics.add m_trav_leaves leaf_probes;
   Obs.Metrics.observe h_trav_roots (float_of_int (Array.length roots));
   Obs.Metrics.observe h_trav_leaves (float_of_int leaf_probes);
-  Obs.Metrics.add m_candidates (Array.length candidate_ids);
-  Obs.Metrics.add m_returned (Array.length row_ids);
-  Obs.Metrics.observe h_wall wall_ns;
-  if Obs.Trace.is_enabled () then
-    Obs.Trace.event "executor.plan"
-      ~attrs:
-        [
-          ( "plan",
-            match plan with
-            | Range_traverse c -> "range_traverse(" ^ c ^ ")"
-            | Index_scan c -> "index(" ^ c ^ ")"
-            | Or_index_scan cs -> "or_index(" ^ String.concat "," cs ^ ")"
-            | Seq_scan -> "seq" );
-          ("epoch", string_of_int (Read_view.epoch view));
-          ("roots", string_of_int (Array.length roots));
-          ("nodes_visited", string_of_int nodes_visited);
-          ("leaf_probes", string_of_int leaf_probes);
-          ("candidates", string_of_int (Array.length candidate_ids));
-          ("rows", string_of_int (Array.length row_ids));
-        ];
-  { row_ids; rows; plan; wall_ns; stats }
+  finish view ~projection ~eval ~recheck:true ~before ~foreign ~t0
+    ~attrs:
+      [
+        ("roots", string_of_int (Array.length roots));
+        ("nodes_visited", string_of_int nodes_visited);
+        ("leaf_probes", string_of_int leaf_probes);
+      ]
+    planned

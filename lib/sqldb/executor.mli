@@ -14,10 +14,11 @@
     server-side OR of tag IN-lists); anything else is a sequential
     scan.
 
-    Every run feeds the process-wide [Obs.Metrics] registry (plan
-    counts, candidate/returned rows, a wall-time histogram) and, when
-    tracing is on, emits an [executor.run] span with an
-    [executor.plan] event. *)
+    Every plan runs against a frozen {!Read_view} ({!Table.freeze}) —
+    the only read path — and feeds the process-wide [Obs.Metrics]
+    registry (plan counts, candidate/returned rows, a wall-time
+    histogram) and, when tracing is on, emits an [executor.run_view] or
+    [executor.run_traverse] span with an [executor.plan] event. *)
 
 type projection =
   | Row_ids  (** SELECT ID *)
@@ -39,10 +40,8 @@ type result = {
   stats : Pager.stats;  (** pager-counter delta for this query *)
 }
 
-val explain : Table.t -> Predicate.t -> plan_kind
-(** The plan that {!run} would choose, without executing. *)
-
-val run : Table.t -> projection:projection -> Predicate.t -> result
+val explain : Read_view.t -> Predicate.t -> plan_kind
+(** The plan that {!run_view} would choose, without executing. *)
 
 val run_join :
   ?pool:Stdx.Task_pool.t ->
@@ -60,14 +59,14 @@ val run_join :
     the sequential run at 1 domain. *)
 
 val run_view : ?pool:Stdx.Task_pool.t -> Read_view.t -> projection:projection -> Predicate.t -> result
-(** {!run} against a frozen epoch snapshot ({!Table.freeze}), safe to
-    call from any domain. When [pool] is given, the per-tag index
-    probes of multi-key plans (rewritten WRE IN-lists, server-side OR
-    legs) fan out across its domains; results are combined in index
-    order and unions sort + dedup, so [row_ids]/[rows] are identical
-    regardless of scheduling, and with no pool (or one domain) the
-    execution is byte-identical to the sequential path. [stats] is this
-    query's own pager delta, exact even under concurrent queries:
+(** Plan and run a single-table query against a frozen epoch snapshot
+    ({!Table.freeze}), safe to call from any domain. When [pool] is
+    given, the per-tag index probes of multi-key plans (rewritten WRE
+    IN-lists, server-side OR legs) fan out across its domains; results
+    are combined in index order and unions sort + dedup, so
+    [row_ids]/[rows] are identical regardless of scheduling, and with
+    no pool (or one domain) the probes run in list order. [stats] is
+    this query's own pager delta, exact even under concurrent queries:
     probe tasks measure domain-local deltas that are summed into the
     caller's window. *)
 

@@ -1,45 +1,18 @@
 (* lint: guarded-by Table.writer (indexes mutate only on the write path) *)
-type t = {
-  pager : Pager.t;
-  rel : Pager.rel;
-  name : string;
-  by_key : (Value.t, int Stdx.Vec.t) Hashtbl.t;
-  mutable entries : int;
-}
+type t = { pager : Pager.t; rel : Pager.rel; name : string; mutable postings : Postings.t }
 
 (* Postgres hash entries are hash code + item pointer: ~20 bytes with
    line pointer; pages target ~75% fill. *)
 let entry_bytes = 20
 let fill = 0.75
 
-let create pager ~name =
-  { pager; rel = Pager.make_rel pager ~name; name; by_key = Hashtbl.create 1024; entries = 0 }
-
+let create pager ~name = { pager; rel = Pager.make_rel pager ~name; name; postings = Postings.empty }
 let name t = t.name
-
-let insert t key id =
-  (match Hashtbl.find_opt t.by_key key with
-  | Some ids -> Stdx.Vec.push ids id
-  | None ->
-      let ids = Stdx.Vec.create () in
-      Stdx.Vec.push ids id;
-      Hashtbl.replace t.by_key key ids);
-  t.entries <- t.entries + 1
-
-let remove t key id =
-  match Hashtbl.find_opt t.by_key key with
-  | None -> ()
-  | Some ids ->
-      let kept = Array.of_seq (Seq.filter (fun x -> x <> id) (Array.to_seq (Stdx.Vec.to_array ids))) in
-      let removed = Stdx.Vec.length ids - Array.length kept in
-      if removed > 0 then begin
-        t.entries <- t.entries - removed;
-        if Array.length kept = 0 then Hashtbl.remove t.by_key key
-        else Hashtbl.replace t.by_key key (Stdx.Vec.of_array kept)
-      end
-
-let entry_count t = t.entries
-let distinct_keys t = Hashtbl.length t.by_key
+let snapshot t = { t with postings = t.postings }
+let insert t key id = t.postings <- Postings.add t.postings key id
+let remove t key id = t.postings <- fst (Postings.remove t.postings key id)
+let entry_count t = Postings.entries t.postings
+let distinct_keys t = Postings.keys t.postings
 
 let entries_per_page t =
   max 1 (int_of_float (float_of_int (Pager.config t.pager).page_size *. fill /. float_of_int entry_bytes))
@@ -47,42 +20,24 @@ let entries_per_page t =
 (* Number of primary bucket pages: next power of two that keeps the
    average bucket within one page, like Postgres's splitting rule. *)
 let bucket_pages t =
-  let needed = max 1 ((t.entries + entries_per_page t - 1) / entries_per_page t) in
+  let needed = max 1 ((entry_count t + entries_per_page t - 1) / entries_per_page t) in
   let rec pow2 n = if n >= needed then n else pow2 (2 * n) in
   pow2 1
 
 let size_bytes t = bucket_pages t * (Pager.config t.pager).page_size
-
-(* Detached read-only copy for snapshot readers (see Btree_index). *)
-let freeze t =
-  let by_key = Hashtbl.create (max 16 (Hashtbl.length t.by_key)) in
-  Hashtbl.iter (fun k ids -> Hashtbl.replace by_key k (Stdx.Vec.of_array (Stdx.Vec.to_array ids))) t.by_key;
-  { pager = t.pager; rel = t.rel; name = t.name; by_key; entries = t.entries }
 
 let lookup t key =
   Pager.charge_probe t.pager;
   let n_buckets = bucket_pages t in
   let bucket = (Value.hash key land max_int) mod n_buckets in
   Pager.touch t.pager t.rel bucket;
-  match Hashtbl.find_opt t.by_key key with
-  | None -> [||]
-  | Some ids ->
-      let n = Stdx.Vec.length ids in
-      (* Entries beyond one page's worth of this key spill into
-         overflow pages chained off the bucket. Overflow page numbers
-         live above the primary space. *)
-      let epp = entries_per_page t in
-      let overflow = (n - 1) / epp in
-      for i = 1 to overflow do
-        Pager.touch t.pager t.rel (n_buckets + (bucket * 64) + i)
-      done;
-      Pager.charge_rows t.pager n;
-      Stdx.Vec.to_array ids
-
-let lookup_many t keys =
-  let all = List.concat_map (fun k -> Array.to_list (lookup t k)) keys in
-  let a = Array.of_list all in
-  Array.sort compare a;
-  let out = Stdx.Vec.create () in
-  Array.iteri (fun i id -> if i = 0 || id <> a.(i - 1) then Stdx.Vec.push out id) a;
-  Stdx.Vec.to_array out
+  let _, ids = Postings.find t.postings key in
+  let n = Array.length ids in
+  (* Entries beyond one page's worth of this key spill into overflow
+     pages chained off the bucket. Overflow page numbers live above the
+     primary space. *)
+  for i = 1 to (n - 1) / entries_per_page t do
+    Pager.touch t.pager t.rel (n_buckets + (bucket * 64) + i)
+  done;
+  Pager.charge_rows t.pager n;
+  ids

@@ -10,7 +10,8 @@
     Physical model: directory of bucket pages sized for ~75% fill;
     a lookup hashes the key, touches its bucket page (plus chained
     overflow pages when a bucket outgrows one page), then the executor
-    fetches heap rows as usual. *)
+    fetches heap rows as usual. Logically the postings are the same
+    persistent {!Postings} tree the B-tree keeps. *)
 
 type t
 
@@ -23,14 +24,11 @@ val remove : t -> Value.t -> int -> unit
     entry counts and the derived bucket-page/byte accounting shrink
     back to the live rows — the vacuum path. *)
 
-val freeze : t -> t
-(** Detached read-only copy for snapshot readers (see {!Btree_index.freeze}). *)
+val snapshot : t -> t
+(** O(1) handle on the current postings root (see {!Btree_index.snapshot}). *)
 
 val lookup : t -> Value.t -> int array
 (** Row ids for an equality match; touches bucket (+overflow) pages. *)
-
-val lookup_many : t -> Value.t list -> int array
-(** Union of per-key lookups, deduplicated. *)
 
 val entry_count : t -> int
 val distinct_keys : t -> int

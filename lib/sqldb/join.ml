@@ -34,22 +34,6 @@ let normalize_pairs pairs =
     Stdx.Vec.to_array out
   end
 
-let sorted_dedup_ids (ids : int array) =
-  Array.sort (fun (a : int) b -> compare a b) ids;
-  let n = Array.length ids in
-  if n = 0 then ids
-  else begin
-    let out = Stdx.Vec.create ~capacity:n () in
-    Array.iteri (fun i id -> if i = 0 || id <> ids.(i - 1) then Stdx.Vec.push out id) ids;
-    Stdx.Vec.to_array out
-  end
-
-(* Index entries may point at tombstoned tuples; drop them, like the
-   executor's visibility check. *)
-let live_only view ids =
-  if Read_view.live_count view = Read_view.row_count view then ids
-  else Array.of_list (List.filter (Read_view.is_live view) (Array.to_list ids))
-
 (* value -> row-id list from one scan ([Read_view.scan] surfaces live
    rows only). NULL is skipped: SQL equality never matches it. *)
 let hash_of_view view col =
@@ -86,15 +70,12 @@ let run_equi ~left ~right ~on_left ~on_right ~build_left =
    share it). Either way the result is sorted, deduplicated, live. *)
 let postings view col =
   match Read_view.index_on view ~column:col with
-  | Some idx -> fun keys -> live_only view (Table_index.lookup_many idx keys)
+  | Some idx -> fun keys -> Read_view.live_only view (Table_index.lookup_many idx keys)
   | None ->
       let tbl = hash_of_view view col in
       fun keys ->
-        sorted_dedup_ids
-          (Array.of_list
-             (List.concat_map
-                (fun k -> Option.value ~default:[] (Hashtbl.find_opt tbl k))
-                keys))
+        Postings.union_ids
+          (List.map (fun k -> Array.of_list (Option.value ~default:[] (Hashtbl.find_opt tbl k))) keys)
 
 let cross lids rids =
   let nl = Array.length lids and nr = Array.length rids in
@@ -112,29 +93,19 @@ let cross lids rids =
 let run ?pool ~left ~right ~on_left ~on_right spec =
   Obs.Metrics.incr m_joins;
   Obs.Trace.with_span "join.run" @@ fun () ->
-  let self_dom = (Domain.self () :> int) in
   let before = Pager.local_stats () in
-  let worker_stats = ref Pager.zero_stats in
   let t0 = Stdx.Clock.now_ns () in
   let build_left = Read_view.live_count left <= Read_view.live_count right in
-  let raw, bucket_pairs =
+  let raw, bucket_pairs, foreign =
     match spec with
-    | Equi -> (run_equi ~left ~right ~on_left ~on_right ~build_left, [||])
+    | Equi -> (run_equi ~left ~right ~on_left ~on_right ~build_left, [||], Pager.zero_stats)
     | Buckets bs ->
         Obs.Metrics.add m_buckets (Array.length bs);
         let post_left = postings left on_left and post_right = postings right on_right in
-        let outcomes =
-          Stdx.Task_pool.map_array ?pool bs (fun (lkeys, rkeys) ->
-              let b = Pager.local_stats () in
-              let pairs = cross (post_left lkeys) (post_right rkeys) in
-              (pairs, (Domain.self () :> int), Pager.diff_stats b (Pager.local_stats ())))
+        let outcomes, foreign =
+          Pager.map_measured ?pool bs (fun (lkeys, rkeys) -> cross (post_left lkeys) (post_right rkeys))
         in
-        Array.iter
-          (fun (_, dom, d) ->
-            if dom <> self_dom then worker_stats := Pager.sum_stats !worker_stats d)
-          outcomes;
-        ( Array.concat (Array.to_list (Array.map (fun (p, _, _) -> p) outcomes)),
-          Array.map (fun (p, _, _) -> Array.length p) outcomes )
+        (Array.concat (Array.to_list outcomes), Array.map Array.length outcomes, foreign)
   in
   Obs.Metrics.add m_candidates (Array.length raw);
   let pairs = normalize_pairs raw in
@@ -142,7 +113,7 @@ let run ?pool ~left ~right ~on_left ~on_right spec =
      wire, like the executor's 8-bytes-per-id charge for Row_ids. *)
   Pager.charge_transfer (Read_view.pager left) (16 * Array.length pairs);
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) !worker_stats in
+  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) foreign in
   let buckets = match spec with Equi -> 0 | Buckets bs -> Array.length bs in
   Obs.Metrics.observe h_wall wall_ns;
   if Obs.Trace.is_enabled () then

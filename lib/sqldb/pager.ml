@@ -176,3 +176,16 @@ let sum_stats a b =
   }
 
 let zero_stats = { hits = 0; misses = 0; rows_examined = 0; sim_ns = 0.0 }
+
+let map_measured ?pool items f =
+  let self = (Domain.self () :> int) in
+  let outcomes =
+    Stdx.Task_pool.map_array ?pool items (fun x ->
+        let before = local_stats () in
+        let r = f x in
+        (r, (Domain.self () :> int), diff_stats before (local_stats ())))
+  in
+  ( Array.map (fun (r, _, _) -> r) outcomes,
+    Array.fold_left
+      (fun acc (_, dom, d) -> if dom <> self then sum_stats acc d else acc)
+      zero_stats outcomes )

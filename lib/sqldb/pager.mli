@@ -79,4 +79,10 @@ val diff_stats : stats -> stats -> stats
 val sum_stats : stats -> stats -> stats
 val zero_stats : stats
 
+val map_measured : ?pool:Stdx.Task_pool.t -> 'a array -> ('a -> 'b) -> 'b array * stats
+(** [Task_pool.map_array] (index-ordered results) that also returns the
+    summed {!local_stats} deltas of the tasks that ran on {e other}
+    domains — what a fanned-out query adds to its own window to keep
+    its per-query stats exact. *)
+
 val sim_ms : stats -> float

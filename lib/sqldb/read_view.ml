@@ -4,10 +4,12 @@
    pointer — per-column dictionary backings and id arrays are append-
    only (vacuum replaces them wholesale instead of mutating shared
    slots), so everything below a frozen length is immutable forever —
-   while the visibility bitmap is copied, so no later insert/delete/
-   vacuum/checkpoint is observable through the view. Built by
-   [Table.freeze] under the table's writer lock; every accessor here is
-   a pure read plus pager charges, safe to call from any domain. *)
+   and so are the index postings, persistent trees whose current roots
+   the view holds. Only the visibility bitmap is copied (the table
+   tombstones in place), so no later insert/delete/vacuum/checkpoint is
+   observable through the view. Built by [Table.freeze] under the
+   table's writer lock; every accessor here is a pure read plus pager
+   charges, safe to call from any domain. *)
 
 type col = {
   dict : Column_dict.frozen;
@@ -36,7 +38,7 @@ type t = {
   dict_overhead_bytes : int;
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
-  indexes : (string * Table_index.t) list; (* frozen copies, sorted by column *)
+  indexes : (string * Table_index.t) list; (* postings roots at freeze time, sorted by column *)
 }
 
 let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
@@ -63,6 +65,11 @@ let check t id =
 let is_live t id =
   check t id;
   t.live.(id)
+
+(* Index entries may point at tombstoned tuples; drop them — the
+   visibility check a real executor performs. *)
+let live_only t ids =
+  if live_count t = row_count t then ids else Array.of_seq (Seq.filter (is_live t) (Array.to_seq ids))
 
 let n_cols t = Array.length t.cols
 

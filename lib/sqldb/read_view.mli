@@ -7,9 +7,11 @@
     vice versa. The columnar storage (per-column dictionaries and id
     arrays) is shared by pointer — safe because those structures are
     append-only, with vacuum swapping in fresh backings instead of
-    mutating shared slots — while the visibility bitmap and index
-    structures are copied, so later mutations — including vacuum and
-    checkpoint — are invisible through the view. *)
+    mutating shared slots — and so are the index postings, persistent
+    trees of which the view keeps the roots current at freeze time.
+    Only the visibility bitmap is copied, so later mutations —
+    including vacuum and checkpoint — are invisible through the
+    view. *)
 
 type t
 
@@ -57,6 +59,10 @@ val row_count : t -> int
 val live_count : t -> int
 val is_live : t -> int -> bool
 
+val live_only : t -> int array -> int array
+(** Keep the ids of live rows, in order — the visibility check every
+    index-driven plan applies to its candidates. *)
+
 val is_reclaimed : t -> int -> bool
 (** True for a slot vacuumed away before the freeze. *)
 
@@ -75,7 +81,7 @@ val scan : t -> (int -> Value.t array -> unit) -> unit
     rows only, charges every slot examined. *)
 
 val index_on : t -> column:string -> Table_index.t option
-(** Frozen index copy for [column], if one existed at freeze time. *)
+(** The index on [column] as it stood at freeze time, if any. *)
 
 val indexes : t -> (string * Table_index.t) list
 

@@ -955,7 +955,7 @@ let execute db src =
           match project with
           | Error e -> Error e
           | Ok columns -> (
-              match Executor.run table ~projection:Executor.All_columns s.where with
+              match Executor.run_view (Table.freeze table) ~projection:Executor.All_columns s.where with
               | exception Not_found -> Error "predicate references an unknown column"
               | exec ->
                   let idxs = List.map (Schema.column_index schema) columns in
@@ -984,7 +984,7 @@ let execute db src =
       match Database.table_opt db table with
       | None -> Error (Printf.sprintf "no such table %S" table)
       | Some t -> (
-          match Executor.run t ~projection:Executor.Row_ids where with
+          match Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids where with
           | exception Not_found -> Error "predicate references an unknown column"
           | r ->
               let n =
@@ -999,13 +999,14 @@ let execute db src =
           match List.map (fun (c, v) -> (Schema.column_index schema c, v)) assignments with
           | exception Not_found -> Error "SET references an unknown column"
           | positions -> (
-              match Executor.run t ~projection:Executor.Row_ids where with
+              let view = Table.freeze t in
+              match Executor.run_view view ~projection:Executor.Row_ids where with
               | exception Not_found -> Error "predicate references an unknown column"
               | r -> (
                   match
                     Array.iter
                       (fun id ->
-                        let row = Array.copy (Table.peek_row t id) in
+                        let row = Array.copy (Read_view.peek_row view id) in
                         List.iter (fun (i, v) -> row.(i) <- v) positions;
                         ignore (Table.update t id row))
                       r.row_ids

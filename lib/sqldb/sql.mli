@@ -99,8 +99,10 @@ val join_projection : join -> Schema.t -> (string list, string) result
     validated requested names otherwise. *)
 
 val execute : Database.t -> string -> (query_result, string) result
-(** Parse and run a statement against the database. SELECT projects and
-    applies LIMIT client-side of the executor; INSERT/CREATE return an
+(** Parse and run a statement against the database. SELECT, DELETE and
+    UPDATE find their rows through a {!Table.freeze} of the table;
+    SELECT projects and applies LIMIT client-side of the executor;
+    DELETE and UPDATE then mutate the live table. INSERT/CREATE return an
     empty row set. A JOIN freezes both tables in one epoch-consistent
     step ({!Database.freeze_pair}), hash-joins on value equality
     ({!Join.Equi}), filters the combined [left.col]/[right.col] row

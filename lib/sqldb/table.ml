@@ -239,28 +239,6 @@ let delete t id = mutate t (fun () -> delete_unlocked t id)
 
 let row_page t id = Stdx.Vec.get t.row_pages id
 
-let read_row t id =
-  let row = peek_row t id in
-  Pager.touch t.pager t.heap_rel (row_page t id);
-  Pager.charge_rows t.pager 1;
-  Pager.charge_transfer t.pager (tuple_bytes t.schema row);
-  row
-
-let scan t f =
-  let n = row_count t in
-  let last_page = ref (-1) in
-  for id = 0 to n - 1 do
-    (* Dead tuples still cost a page visit (they occupy the heap until
-       vacuumed) but are not surfaced. *)
-    let page = Stdx.Vec.get t.row_pages id in
-    if page <> !last_page then begin
-      Pager.touch t.pager t.heap_rel page;
-      last_page := page
-    end;
-    if Stdx.Vec.get t.live id then f id (peek_row t id)
-  done;
-  Pager.charge_rows t.pager n
-
 let update t id row =
   if not (Stdx.Vec.get t.live id) then
     invalid_arg (Printf.sprintf "Table.update(%s): row %d is dead" t.name id);
@@ -354,7 +332,6 @@ let create_index ?(kind = Table_index.Btree) t ~column =
       idx
 
 let index_on t ~column = Hashtbl.find_opt t.indexes column
-let indexes t = Hashtbl.fold (fun _ idx acc -> idx :: acc) t.indexes []
 
 (* Storage accounting: tuple pages plus the pages the resident column
    dictionaries occupy. Query-cost page touches model only the tuple
@@ -467,12 +444,12 @@ let build_view t =
     ~dict_overhead_bytes:(dict_overhead_bytes t) ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
-      (Hashtbl.fold (fun col idx acc -> (col, Table_index.freeze idx) :: acc) t.indexes []
+      (Hashtbl.fold (fun col idx acc -> (col, Table_index.snapshot idx) :: acc) t.indexes []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 (* Publish the current epoch as an immutable read view. Cached: the
-   copy (one visibility bitmap plus index freezes — the columnar
-   storage itself is shared by pointer, see Read_view) happens at most
+   one copy (the visibility bitmap — the columnar storage and the index
+   postings roots are shared by pointer, see Read_view) happens at most
    once per epoch, and only when a reader actually asks. *)
 let freeze t =
   if Atomic.get t.writer_holder = self_id () then

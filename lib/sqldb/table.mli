@@ -62,21 +62,12 @@ val vacuum : t -> unit
     [peek_row] on them returns an empty row afterwards. No-op when
     nothing is dead. *)
 
-val read_row : t -> int -> Value.t array
-(** Fetch through the pager (touches the row's heap page and charges
-    CPU + transfer at the logical row-format tuple size); out-of-range
-    ids raise [Invalid_argument]. *)
-
 val peek_row : t -> int -> Value.t array
 (** Materialize from the column dictionaries without cost accounting
     (for test assertions and internal scans that account separately). *)
 
 val row_page : t -> int -> int
 (** Heap page number holding a row. *)
-
-val scan : t -> (int -> Value.t array -> unit) -> unit
-(** Full sequential scan: touches every heap page once and charges CPU
-    per row. *)
 
 val create_index : ?kind:Table_index.kind -> t -> column:string -> Table_index.t
 (** Build (or return the existing) index on a column, backfilling
@@ -85,7 +76,6 @@ val create_index : ?kind:Table_index.kind -> t -> column:string -> Table_index.t
     existing index). *)
 
 val index_on : t -> column:string -> Table_index.t option
-val indexes : t -> Table_index.t list
 
 (* Epoch-based snapshot reads. *)
 
@@ -95,13 +85,14 @@ val epoch : t -> int
     index creation. *)
 
 val freeze : t -> Read_view.t
-(** Publish the current epoch as an immutable {!Read_view.t}. The view
-    is cached per epoch, so repeated freezes between mutations are
-    O(1); after a mutation the next freeze pays one O(n) visibility-
-    bitmap copy plus an index freeze per index — the columnar storage
-    itself is shared by pointer. Readers use the view from any domain
-    without locking; writers keep mutating the live table — neither
-    blocks the other. *)
+(** Publish the current epoch as an immutable {!Read_view.t} — the only
+    way to query a table. The view is cached per epoch, so repeated
+    freezes between mutations are O(1); after a mutation the next
+    freeze copies the visibility bitmap (one word per row) and nothing
+    else: the columnar storage is shared by pointer and each index
+    contributes its current postings root, O(1) per index whatever its
+    size. Readers use the view from any domain without locking; writers
+    keep mutating the live table — neither blocks the other. *)
 
 (* Storage accounting (Table I). *)
 

@@ -16,15 +16,12 @@ let insert t key id =
 let remove t key id =
   match t with B i -> Btree_index.remove i key id | H i -> Hash_index.remove i key id
 
+let snapshot = function B i -> B (Btree_index.snapshot i) | H i -> H (Hash_index.snapshot i)
 let lookup t key = match t with B i -> Btree_index.lookup i key | H i -> Hash_index.lookup i key
-
-let lookup_many t keys =
-  match t with B i -> Btree_index.lookup_many i keys | H i -> Hash_index.lookup_many i keys
+let lookup_many t keys = Postings.union_ids (List.map (lookup t) keys)
 
 let range t ?lo ?hi () =
   match t with B i -> Some (Btree_index.range i ?lo ?hi ()) | H _ -> None
-
-let freeze = function B i -> B (Btree_index.freeze i) | H i -> H (Hash_index.freeze i)
 
 let entry_count = function B i -> Btree_index.entry_count i | H i -> Hash_index.entry_count i
 let size_bytes = function B i -> Btree_index.size_bytes i | H i -> Hash_index.size_bytes i

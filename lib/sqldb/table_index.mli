@@ -12,16 +12,20 @@ val insert : t -> Value.t -> int -> unit
 val remove : t -> Value.t -> int -> unit
 (** Drop the entries mapping a key to a row id (vacuum path). *)
 
+val snapshot : t -> t
+(** O(1) handle on the index as of now, for read views: later inserts
+    and removes never reach it. *)
+
 val lookup : t -> Value.t -> int array
+
 val lookup_many : t -> Value.t list -> int array
+(** OR-of-equalities: one probe per key, in list order, then the
+    sorted deduplicated union — the plan WRE search queries compile
+    to. *)
 
 val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int array option
 (** [None] for hash indexes — they cannot serve range scans, and the
     planner falls back to a sequential scan. *)
-
-val freeze : t -> t
-(** Detached read-only copy for snapshot readers; shares the live
-    index's pager rel so page touches land in the same buffer pool. *)
 
 val entry_count : t -> int
 val size_bytes : t -> int

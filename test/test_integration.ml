@@ -53,7 +53,7 @@ let test_queries_agree_with_plaintext kind () =
   List.iter
     (fun (q : Sparta.Query_gen.query) ->
       let reference =
-        Sqldb.Executor.run plain ~projection:Sqldb.Executor.Row_ids
+        Sqldb.Executor.run_view (Sqldb.Table.freeze plain) ~projection:Sqldb.Executor.Row_ids
           (Sqldb.Predicate.Eq (q.column, Sqldb.Value.Text q.value))
       in
       let enc_rows, _raw = Wre.Encrypted_db.search_rows edb ~column:q.column q.value in

@@ -620,7 +620,7 @@ let test_checkpoint_crash_reader_holds_old_epoch () =
           done;
           let view = Wre.Encrypted_db.freeze edb in
           let alice_at_freeze =
-            (Wre.Encrypted_db.search_ids_view edb ~view ~column:"name" "alice")
+            (Wre.Encrypted_db.search_ids ~view edb ~column:"name" "alice")
               .Sqldb.Executor.row_ids
           in
           for i = half to n_ops - 1 do
@@ -635,7 +635,7 @@ let test_checkpoint_crash_reader_holds_old_epoch () =
           Store.Failpoints.disarm ();
           check_bool (point ^ ": checkpoint crashed") true crashed;
           let alice_after =
-            (Wre.Encrypted_db.search_ids_view edb ~view ~column:"name" "alice")
+            (Wre.Encrypted_db.search_ids ~view edb ~column:"name" "alice")
               .Sqldb.Executor.row_ids
           in
           check_bool (point ^ ": view answers unchanged") true (alice_after = alice_at_freeze);

@@ -1,7 +1,11 @@
 (* B0 — Bechamel micro-benchmarks of the primitives on the encryption
-   hot path: raw AES block, CTR encryption of a typical field, the
-   HMAC search-tag PRF, salt-set generation, and one full WRE Enc per
-   scheme. One Test.make per operation; OLS estimate of ns/run. *)
+   hot path: raw AES block, CTR encryption of a typical field and
+   decryption of 1 KiB, the HMAC search-tag PRF, salt-set generation,
+   one full WRE Enc per scheme, and the client's decrypt of one
+   encrypted SPARTA row (every column, and only what
+   [SELECT id ... WHERE fname = ...] reads). One Test.make per
+   operation; OLS estimate of ns/run. The client-crypto subset goes to
+   BENCH_micro.json as ns/op and ns/byte. *)
 
 open Bechamel
 open Toolkit
@@ -12,13 +16,60 @@ let dist =
   Dist.Empirical.of_counts
     (List.init 50 (fun i -> (Printf.sprintf "value-%02d" i, 1 + ((50 - i) * 3))))
 
-let tests () =
+(* One encrypted SPARTA row under bucketized-1000, the scheme of the
+   paper's Figs. 4-7, plus the decrypt masks of [SELECT *] (none) and
+   of [SELECT id ... WHERE fname = ...]. *)
+let sparta_row () =
+  let rows = Bench_util.generate_rows 1000 in
+  let _, edb, _ =
+    Bench_util.build_encrypted ~kind:(Wre.Scheme.Bucketized 1000.0)
+      ~dist_of:(Bench_util.dist_of_rows rows) rows
+  in
+  let schema = Wre.Encrypted_db.plain_schema edb in
+  let id_mask =
+    Array.map
+      (fun (c : Sqldb.Schema.column) -> c.name = "id" || c.name = "fname")
+      (Sqldb.Schema.columns schema)
+  in
+  (edb, Sqldb.Table.peek_row (Wre.Encrypted_db.table edb) 0, id_mask)
+
+(* Plaintext bytes one masked decrypt recovers: each decrypted blob
+   less its nonce. *)
+let decrypted_bytes edb enc_row mask =
+  let enc_schema = Wre.Encrypted_db.encrypted_schema edb in
+  let total = ref 0 in
+  Array.iteri
+    (fun i (c : Sqldb.Schema.column) ->
+      match Sqldb.Schema.column_index_opt enc_schema (Wre.Encrypted_db.data_column c.name) with
+      | Some p when mask.(i) -> (
+          match enc_row.(p) with
+          | Sqldb.Value.Blob ct ->
+              total := !total + String.length ct - Crypto.Ctr.ciphertext_overhead
+          | _ -> ())
+      | Some _ | None -> ())
+    (Sqldb.Schema.columns (Wre.Encrypted_db.plain_schema edb));
+  !total
+
+let field = String.make 24 'f'
+
+(* The entries BENCH_micro.json records, with the bytes one operation
+   processes (for a PRF tag: the length-prefixed salt and message). *)
+let recorded ~row_bytes ~id_bytes =
+  [
+    ("aes128/block", 16);
+    ("ctr/decrypt-1KiB", 1024);
+    ("prf/search-tag-hmac", 4 + 8 + 4 + String.length field);
+    ("edb/decrypt_row-star", row_bytes);
+    ("edb/decrypt_row-id", id_bytes);
+  ]
+
+let tests ~edb ~enc_row ~id_mask =
   let g = Stdx.Prng.create 1L in
   let aes_key = Crypto.Aes128.expand (String.make 16 'a') in
   let block = Bytes.make 16 'b' in
   let ctr_key = Crypto.Ctr.of_raw (String.make 16 'c') in
   let prf_key = Crypto.Prf.of_raw (String.make 32 'p') in
-  let field = String.make 24 'f' in
+  let ct_1k = Crypto.Ctr.encrypt_random ctr_key g (String.make 1024 'd') in
   let enc_of kind = Wre.Column_enc.create ~master ~column:"bench" ~kind ~dist () in
   let encs =
     List.map
@@ -39,6 +90,11 @@ let tests () =
     Test.make ~name:"sha256/1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest (String.make 1024 'x')));
     Test.make ~name:"aes128/block" (Staged.stage (fun () -> Crypto.Aes128.encrypt_block aes_key block ~off:0));
     Test.make ~name:"ctr/24B-field" (Staged.stage (fun () -> Crypto.Ctr.encrypt_random ctr_key g field));
+    Test.make ~name:"ctr/decrypt-1KiB" (Staged.stage (fun () -> Crypto.Ctr.decrypt ctr_key ct_1k));
+    Test.make ~name:"edb/decrypt_row-star"
+      (Staged.stage (fun () -> Wre.Encrypted_db.decrypt_row edb enc_row));
+    Test.make ~name:"edb/decrypt_row-id"
+      (Staged.stage (fun () -> Wre.Encrypted_db.decrypt_row ~mask:id_mask edb enc_row));
     Test.make ~name:"prf/search-tag-hmac"
       (Staged.stage (fun () -> Crypto.Prf.tag prf_key ~salt:3 ~message:field));
     Test.make ~name:"prf/search-tag-siphash"
@@ -60,20 +116,65 @@ let tests () =
 
 let run () =
   Bench_util.heading "B0: Bechamel micro-benchmarks (ns per operation, OLS)";
+  let edb, enc_row, id_mask = sparta_row () in
+  (* Leave the set-up's garbage out of the first samples. *)
+  Gc.compact ();
   let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
   let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ()) in
+  (* No per-sample GC stabilization: a forced collection before every
+     sample swamps sub-microsecond operations (r^2 near 0 for an AES
+     block on a 2-vCPU VM), while without it each estimate carries its
+     own amortized GC cost. *)
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None () in
+  let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ~edb ~enc_row ~id_mask) in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let t = Stdx.Table_fmt.create [ "operation"; "ns/op"; "r^2" ] in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  let rows =
+    Hashtbl.fold
+      (fun name ols_result acc ->
+        let est =
+          match Analyze.OLS.estimates ols_result with
+          | Some [ e ] -> e
+          | Some (e :: _) -> e
+          | _ -> nan
+        in
+        let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols_result) in
+        (name, est, r2) :: acc)
+      results []
+  in
   List.iter
-    (fun (name, ols_result) ->
-      let est =
-        match Analyze.OLS.estimates ols_result with Some [ e ] -> e | Some (e :: _) -> e | _ -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols_result) in
+    (fun (name, est, r2) ->
       Stdx.Table_fmt.add_row t [ name; Printf.sprintf "%.0f" est; Printf.sprintf "%.3f" r2 ])
     (List.sort compare rows);
-  Stdx.Table_fmt.print t
+  Stdx.Table_fmt.print t;
+  let row_bytes = decrypted_bytes edb enc_row (Array.make (Array.length id_mask) true) in
+  let id_bytes = decrypted_bytes edb enc_row id_mask in
+  let entry (op, bytes) =
+    let ns = List.find_map (fun (n, est, _) -> if n = "micro " ^ op then Some est else None) rows in
+    let ns = Option.value ~default:nan ns in
+    ( op,
+      Bench_util.json_obj
+        [
+          ("ns_per_op", Printf.sprintf "%.1f" ns);
+          ("ns_per_byte", Printf.sprintf "%.3f" (ns /. float_of_int (max bytes 1)));
+          ("bytes", string_of_int bytes);
+        ] )
+  in
+  let json =
+    Bench_util.json_obj
+      [
+        ("name", "\"micro\"");
+        ( "config",
+          Bench_util.json_obj
+            [
+              ("cores", string_of_int (Domain.recommended_domain_count ()));
+              ("edb_scheme", "\"bucketized-1000\"");
+              ("edb_row", "\"one SPARTA row, 23 columns\"");
+              ("edb_id_mask", "\"id, fname\"");
+            ] );
+        ("metrics", Bench_util.json_obj (List.map entry (recorded ~row_bytes ~id_bytes)));
+      ]
+  in
+  Bench_util.write_bench_json ~path:"BENCH_micro.json" json;
+  print_endline "wrote BENCH_micro.json"

@@ -11,6 +11,7 @@ let rtag_column c = c ^ "_rtag"
    registry covers both entry points. *)
 let m_rows_encrypted = Obs.Metrics.counter "edb.rows_encrypted_total"
 let m_rows_decrypted = Obs.Metrics.counter "edb.rows_decrypted_total"
+let m_columns_decrypted = Obs.Metrics.counter "edb.columns_decrypted_total"
 let h_rewrite = Obs.Metrics.histogram "query.rewrite_ns"
 let h_exec = Obs.Metrics.histogram "query.exec_ns"
 let h_decrypt = Obs.Metrics.histogram "query.decrypt_ns"
@@ -19,6 +20,16 @@ let h_filter = Obs.Metrics.histogram "query.filter_ns"
 (* One query phase: latency histogram + trace span under one name. *)
 let phase h name f = Obs.Metrics.time h (fun () -> Obs.Trace.with_span name f)
 
+(* What one plain column becomes in the encrypted table: its
+   encrypted-schema positions plus the key material its cells need,
+   resolved once at {!create}/{!attach} so the per-row paths look
+   nothing up by name. *)
+type slot =
+  | Key of int
+  | Searchable of { tag_pos : int; data_pos : int; enc : Column_enc.t }
+  | Ranged of { rtag_pos : int; data_pos : int; key : Crypto.Ctr.key; ri : Range_index.t }
+  | Data of { pos : int; key : Crypto.Ctr.key }
+
 type t = {
   table : Table.t;
   plain_schema : Schema.t;
@@ -26,14 +37,11 @@ type t = {
   kind : Scheme.kind;
   encrypted_columns : string list;
   encryptors : (string, Column_enc.t) Hashtbl.t;
-  data_keys : (string, Crypto.Ctr.key) Hashtbl.t; (* non-searchable columns *)
   g : Stdx.Prng.t;
   range_indexes : (string, Range_index.t) Hashtbl.t;
   range_structs : (string, Range_struct.t) Hashtbl.t;
-  (* Plain-column position -> encrypted-table position maps, built once. *)
   enc_schema : Schema.t;
-  plain_to_enc :
-    [ `Key of int | `Data of int | `Searchable of int * int | `Ranged of int * int ] array;
+  slots : slot array; (* one per plain column, in plain-schema order *)
 }
 
 (* Column validation + encrypted-schema layout, shared by {!create}
@@ -125,14 +133,43 @@ let build_range_structs ~master range_indexes =
     range_indexes;
   structs
 
-let build_data_keys ~plain_schema ~key_column ~encrypted_columns ~master =
-  let data_keys = Hashtbl.create 16 in
-  Array.iter
-    (fun (col : Schema.column) ->
-      if col.name <> key_column && not (List.mem col.name encrypted_columns) then
-        Hashtbl.replace data_keys col.name (Crypto.Keys.data_key master ~column:col.name))
-    (Schema.columns plain_schema);
-  data_keys
+(* The rest of the client state, shared by {!create} and {!attach}:
+   encryptors, boundary trees, and each plain column's slot. *)
+let make ~fallback ?tag_algo ~table ~plain_schema ~key_column ~encrypted_columns ~kind ~master
+    ~dist_of ~g ~range_indexes (enc_schema, mapping) =
+  let encryptors = build_encryptors ~fallback ?tag_algo ~master ~kind ~dist_of encrypted_columns in
+  let slots =
+    Array.mapi
+      (fun i m ->
+        let column = (Schema.columns plain_schema).(i).name in
+        match m with
+        | `Key p -> Key p
+        | `Searchable (tag_pos, data_pos) ->
+            Searchable { tag_pos; data_pos; enc = Hashtbl.find encryptors column }
+        | `Ranged (rtag_pos, data_pos) ->
+            Ranged
+              {
+                rtag_pos;
+                data_pos;
+                key = Crypto.Keys.data_key master ~column;
+                ri = Hashtbl.find range_indexes column;
+              }
+        | `Data pos -> Data { pos; key = Crypto.Keys.data_key master ~column })
+      mapping
+  in
+  {
+    table;
+    plain_schema;
+    key_column;
+    kind;
+    encrypted_columns;
+    encryptors;
+    g;
+    range_indexes;
+    range_structs = build_range_structs ~master range_indexes;
+    enc_schema;
+    slots;
+  }
 
 let create ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
     ?(range_columns = []) ?range_training ~db ~name ~plain_schema ~key_column ~encrypted_columns
@@ -141,11 +178,11 @@ let create ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
     (fun (_, buckets) ->
       if buckets < 1 then invalid_arg "Encrypted_db.create: range buckets must be positive")
     range_columns;
-  let enc_schema, mapping =
+  let layout =
     enc_layout ~ctx:"Encrypted_db.create" ~plain_schema ~key_column ~encrypted_columns
       ~range_names:(List.map fst range_columns)
   in
-  let table = Database.create_table db ~name ~schema:enc_schema in
+  let table = Database.create_table db ~name ~schema:(fst layout) in
   ignore (Table.create_index table ~column:key_column);
   List.iter
     (fun c -> ignore (Table.create_index ~kind:tag_index table ~column:(tag_column c)))
@@ -164,28 +201,16 @@ let create ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
       in
       Hashtbl.replace range_indexes c (Range_index.create ~master ~column:c ~buckets ~training))
     range_columns;
-  {
-    table;
-    plain_schema;
-    key_column;
-    kind;
-    encrypted_columns;
-    encryptors = build_encryptors ~fallback ?tag_algo ~master ~kind ~dist_of encrypted_columns;
-    data_keys = build_data_keys ~plain_schema ~key_column ~encrypted_columns ~master;
-    g = Stdx.Prng.create seed;
-    range_indexes;
-    range_structs = build_range_structs ~master range_indexes;
-    enc_schema;
-    plain_to_enc = mapping;
-  }
+  make ~fallback ?tag_algo ~table ~plain_schema ~key_column ~encrypted_columns ~kind ~master
+    ~dist_of ~g:(Stdx.Prng.create seed) ~range_indexes layout
 
 let attach ?(fallback = `Reject) ?tag_algo ?(range_boundaries = []) ~table ~plain_schema
     ~key_column ~encrypted_columns ~kind ~master ~dist_of ~prng () =
-  let enc_schema, mapping =
+  let layout =
     enc_layout ~ctx:"Encrypted_db.attach" ~plain_schema ~key_column ~encrypted_columns
       ~range_names:(List.map fst range_boundaries)
   in
-  if Schema.columns (Table.schema table) <> Schema.columns enc_schema then
+  if Schema.columns (Table.schema table) <> Schema.columns (fst layout) then
     invalid_arg
       (Printf.sprintf "Encrypted_db.attach: table %S does not match the derived encrypted schema"
          (Table.name table));
@@ -194,20 +219,8 @@ let attach ?(fallback = `Reject) ?tag_algo ?(range_boundaries = []) ~table ~plai
     (fun (c, boundaries) ->
       Hashtbl.replace range_indexes c (Range_index.restore ~master ~column:c ~boundaries))
     range_boundaries;
-  {
-    table;
-    plain_schema;
-    key_column;
-    kind;
-    encrypted_columns;
-    encryptors = build_encryptors ~fallback ?tag_algo ~master ~kind ~dist_of encrypted_columns;
-    data_keys = build_data_keys ~plain_schema ~key_column ~encrypted_columns ~master;
-    g = prng;
-    range_indexes;
-    range_structs = build_range_structs ~master range_indexes;
-    enc_schema;
-    plain_to_enc = mapping;
-  }
+  make ~fallback ?tag_algo ~table ~plain_schema ~key_column ~encrypted_columns ~kind ~master
+    ~dist_of ~g:prng ~range_indexes layout
 
 let prng t = t.g
 
@@ -234,19 +247,15 @@ let plain_text_of v =
    PRNG per domain of work. *)
 let encrypt_row t g row =
   let out = Array.make (Schema.arity t.enc_schema) Value.Null in
-  let plain_cols = Schema.columns t.plain_schema in
   Array.iteri
     (fun i v ->
-      match t.plain_to_enc.(i) with
-      | `Key p -> out.(p) <- v
-      | `Searchable (tag_pos, data_pos) ->
-          let enc = Hashtbl.find t.encryptors plain_cols.(i).name in
+      match t.slots.(i) with
+      | Key p -> out.(p) <- v
+      | Searchable { tag_pos; data_pos; enc } ->
           let tag, ct = Column_enc.encrypt enc g (plain_text_of v) in
           out.(tag_pos) <- Value.Int tag;
           out.(data_pos) <- Value.Blob ct
-      | `Ranged (rtag_pos, data_pos) ->
-          let ri = Hashtbl.find t.range_indexes plain_cols.(i).name in
-          let key = Hashtbl.find t.data_keys plain_cols.(i).name in
+      | Ranged { rtag_pos; data_pos; key; ri } ->
           let raw =
             match v with
             | Value.Int x -> x
@@ -257,9 +266,8 @@ let encrypt_row t g row =
           in
           out.(rtag_pos) <- Value.Int (Range_index.tag_of_value ri raw);
           out.(data_pos) <- Value.Blob (Crypto.Ctr.encrypt_random key g (Value_codec.encode v))
-      | `Data p ->
-          let key = Hashtbl.find t.data_keys plain_cols.(i).name in
-          out.(p) <- Value.Blob (Crypto.Ctr.encrypt_random key g (Value_codec.encode v)))
+      | Data { pos; key } ->
+          out.(pos) <- Value.Blob (Crypto.Ctr.encrypt_random key g (Value_codec.encode v)))
     row;
   Obs.Metrics.incr m_rows_encrypted;
   out
@@ -383,30 +391,35 @@ let range_struct t column =
 let range_tree t column = Range_struct.tree (range_struct t column)
 let range_cover t ~column ~lo ~hi = Range_struct.cover (range_struct t column) ~lo ~hi
 
-let decrypt_row t enc_row =
-  let plain_cols = Schema.columns t.plain_schema in
-  Array.mapi
-    (fun i (col : Schema.column) ->
-      match t.plain_to_enc.(i) with
-      | `Key p -> enc_row.(p)
-      | `Searchable (_, data_pos) -> begin
-          let enc = Hashtbl.find t.encryptors col.name in
-          match enc_row.(data_pos) with
-          | Value.Blob ct -> Value.Text (Column_enc.decrypt enc ct)
-          | v -> invalid_arg ("Encrypted_db.decrypt_row: expected blob, got " ^ Value.to_string v)
-        end
-      | `Data p | `Ranged (_, p) -> begin
-          let key = Hashtbl.find t.data_keys col.name in
-          match enc_row.(p) with
-          | Value.Blob ct -> Value_codec.decode_exn (Crypto.Ctr.decrypt key ct)
-          | v -> invalid_arg ("Encrypted_db.decrypt_row: expected blob, got " ^ Value.to_string v)
-        end)
-    plain_cols
+let blob_of = function
+  | Value.Blob ct -> ct
+  | v -> invalid_arg ("Encrypted_db.decrypt_row: expected blob, got " ^ Value.to_string v)
 
-let decrypt_row t enc_row =
-  let row = decrypt_row t enc_row in
+(* Positions outside [mask] come back as NULL without touching their
+   ciphertexts; the key column is a copy, not a decryption, so only the
+   others count towards [edb.columns_decrypted_total]. *)
+let decrypt_row ?mask t enc_row =
+  let n = Array.length t.slots in
+  (match mask with
+  | Some m when Array.length m <> n ->
+      invalid_arg "Encrypted_db.decrypt_row: mask length must equal the plain arity"
+  | Some _ | None -> ());
+  let out = Array.make n Value.Null in
+  let decrypted = ref 0 in
+  for i = 0 to n - 1 do
+    if match mask with None -> true | Some m -> m.(i) then
+      match t.slots.(i) with
+      | Key p -> out.(i) <- enc_row.(p)
+      | Searchable { data_pos; enc; _ } ->
+          out.(i) <- Value.Text (Column_enc.decrypt enc (blob_of enc_row.(data_pos)));
+          incr decrypted
+      | Ranged { data_pos = p; key; _ } | Data { pos = p; key } ->
+          out.(i) <- Value_codec.decode_exn (Crypto.Ctr.decrypt key (blob_of enc_row.(p)));
+          incr decrypted
+  done;
   Obs.Metrics.incr m_rows_decrypted;
-  row
+  Obs.Metrics.add m_columns_decrypted !decrypted;
+  out
 
 (* Back half of a row search: decrypt every returned row (optionally
    fanned over a pool — decryption is a pure read of the encryptor

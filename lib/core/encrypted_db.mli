@@ -163,10 +163,14 @@ val search_rows :
     and (for bucketized schemes) drops false positives. Returns the
     plaintext rows and the raw server-side result. *)
 
-val decrypt_row : t -> Sqldb.Value.t array -> Sqldb.Value.t array
+val decrypt_row : ?mask:bool array -> t -> Sqldb.Value.t array -> Sqldb.Value.t array
 (** Decrypt one encrypted-table row back to [plain_schema] order.
-    A pure read of the column keys plus AES-CTR — safe from any
-    domain. *)
+    With [mask] (one flag per plain column), only the flagged positions
+    are decrypted; the others come back as [Value.Null]. Each call adds
+    the number of non-key columns it decrypted to the
+    [edb.columns_decrypted_total] counter. A pure read of the column
+    keys plus AES-CTR — safe from any domain. Raises [Invalid_argument]
+    when [mask]'s length is not the plain arity. *)
 
 val search_predicate : t -> column:string -> string -> Sqldb.Predicate.t
 (** The WHERE clause a search compiles to (exposed for tests/EXPLAIN). *)

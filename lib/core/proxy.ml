@@ -205,7 +205,7 @@ let rewrite_select t (s : Sql.select) =
    — a LIMIT n query never decrypts more than it needs beyond the rows
    the residual rejects — so the two phases are accounted by summed
    per-row clock deltas and recorded as pre-measured trace spans. *)
-let decrypt_filter_limit ?pool edb eval ?limit (exec : Executor.result) =
+let decrypt_filter_limit ?pool ?mask edb eval ?limit (exec : Executor.result) =
   let start_ns = Stdx.Clock.now_ns () in
   let wanted = match limit with None -> max_int | Some n -> n in
   let kept = ref [] and n_kept = ref 0 in
@@ -225,7 +225,7 @@ let decrypt_filter_limit ?pool edb eval ?limit (exec : Executor.result) =
       let i = ref 0 in
       while !i < n && !n_kept < wanted do
         let t0 = Stdx.Clock.now_ns () in
-        let plain = Encrypted_db.decrypt_row edb exec.rows.(!i) in
+        let plain = Encrypted_db.decrypt_row ?mask edb exec.rows.(!i) in
         let t1 = Stdx.Clock.now_ns () in
         let keep = eval plain in
         decrypt_ns := !decrypt_ns +. (t1 -. t0);
@@ -252,7 +252,7 @@ let decrypt_filter_limit ?pool edb eval ?limit (exec : Executor.result) =
         let t0 = Stdx.Clock.now_ns () in
         let plains =
           Stdx.Task_pool.parallel_init pool len (fun j ->
-              Encrypted_db.decrypt_row edb exec.rows.(lo + j))
+              Encrypted_db.decrypt_row ?mask edb exec.rows.(lo + j))
         in
         let t1 = Stdx.Clock.now_ns () in
         decrypt_ns := !decrypt_ns +. (t1 -. t0);
@@ -311,8 +311,28 @@ let rec uses_range_column edb = function
   | Predicate.Not p -> uses_range_column edb p
   | Predicate.True | Predicate.In _ -> false
 
+(* The plain columns a statement reads, as a [decrypt_row] mask:
+   [None] (every column) for [`Star] — SELECT * and UPDATE, which
+   re-encrypts whole rows — else the named columns plus those the
+   residual filter and the traversal's edge-bucket accounting read.
+   The named columns are checked first, so an unknown projected column
+   fails before anything is decrypted. *)
+let read_mask plain_schema ~reads ~residual ~traversal =
+  match reads with
+  | `Star -> Ok None
+  | `Columns cols -> (
+      let mask = Array.make (Schema.arity plain_schema) false in
+      let set c = mask.(Schema.column_index plain_schema c) <- true in
+      match List.iter set cols with
+      | exception Not_found -> Error "projected column does not exist"
+      | () ->
+          List.iter set (Predicate.columns residual);
+          Option.iter (fun (c, _, _) -> set c) traversal;
+          Ok (Some mask))
+
 (* Shared SELECT/DELETE/UPDATE front half: run the rewritten server
-   query over a frozen view, decrypt, apply the residual predicate;
+   query over a frozen view, decrypt the columns in [reads] (see
+   {!read_mask}), apply the residual predicate;
    returns surviving (row_id, plaintext_row) pairs plus the raw executor
    result. The view is the caller's when it snapshots this table
    (multi-table batches freeze one table's epoch up front), else one
@@ -326,7 +346,7 @@ let rec uses_range_column edb = function
    edge-bucket false positives into [range.edge_fp_rows_total]. The
    traversal's candidate set equals the flat rtag IN-list's, so results
    stay byte-identical to the flat plan at any domain count. *)
-let fetch_matching ?pool ?view edb ?limit where =
+let fetch_matching ?pool ?view edb ?limit ~reads where =
   match rewrite edb where with
   | Error e -> Error e
   | Ok (server, residual) -> (
@@ -355,23 +375,27 @@ let fetch_matching ?pool ?view edb ?limit where =
           let plain_schema = Encrypted_db.plain_schema edb in
           match Predicate.compile plain_schema residual with
           | exception Not_found -> Error "residual predicate references an unknown column"
-          | eval ->
-              let eval =
-                match traversal with
-                | None -> eval
-                | Some (col, lo, hi) ->
-                    (* Edge-bucket false-positive accounting, fused into
-                       the lazy residual pass: a decrypted row outside
-                       the true range came from an edge bucket. *)
-                    let wrap v = Option.map (fun x -> Value.Int x) v in
-                    let in_range =
-                      Predicate.compile plain_schema (Predicate.Range (col, wrap lo, wrap hi))
-                    in
-                    fun row ->
-                      if not (in_range row) then Obs.Metrics.incr m_edge_fp;
-                      eval row
-              in
-              Ok (decrypt_filter_limit ?pool edb eval ?limit exec, exec)))
+          | eval -> (
+              match read_mask plain_schema ~reads ~residual ~traversal with
+              | Error e -> Error e
+              | Ok mask ->
+                  let eval =
+                    match traversal with
+                    | None -> eval
+                    | Some (col, lo, hi) ->
+                        (* Edge-bucket false-positive accounting, fused
+                           into the lazy residual pass: a decrypted row
+                           outside the true range came from an edge
+                           bucket. *)
+                        let wrap v = Option.map (fun x -> Value.Int x) v in
+                        let in_range =
+                          Predicate.compile plain_schema (Predicate.Range (col, wrap lo, wrap hi))
+                        in
+                        fun row ->
+                          if not (in_range row) then Obs.Metrics.incr m_edge_fp;
+                          eval row
+                  in
+                  Ok (decrypt_filter_limit ?pool ?mask edb eval ?limit exec, exec))))
 
 (* The cover a statement's range leg would ship — (column, root
    pseudonyms) — for tests and the leakage experiment's transcript
@@ -386,25 +410,30 @@ let range_cover_for t ~table where =
           let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in
           Some (col, cover.Range_struct.roots))
 
-(* Project surviving plaintext rows per the SELECT's projection list. *)
+(* Project surviving plaintext rows per the SELECT's projection list
+   (already validated by {!read_mask}). *)
 let select_result edb (s : Sql.select) pairs (exec : Executor.result) =
   let plain_schema = Encrypted_db.plain_schema edb in
   let limited = List.map snd pairs in
-  let server_rows = Array.length exec.rows in
-  match s.projection with
-  | `Star ->
-      let columns =
-        List.map (fun (c : Schema.column) -> c.name) (Array.to_list (Schema.columns plain_schema))
-      in
-      Ok { columns; rows = limited; affected = 0; server_rows; exec = Some exec; join_exec = None }
-  | `Columns cols -> (
-      match List.map (fun c -> (c, Schema.column_index plain_schema c)) cols with
-      | exception Not_found -> Error "projected column does not exist"
-      | idx_pairs ->
-          let rows =
-            List.map (fun row -> Array.of_list (List.map (fun (_, i) -> row.(i)) idx_pairs)) limited
-          in
-          Ok { columns = cols; rows; affected = 0; server_rows; exec = Some exec; join_exec = None })
+  let columns, rows =
+    match s.projection with
+    | `Star ->
+        ( List.map
+            (fun (c : Schema.column) -> c.name)
+            (Array.to_list (Schema.columns plain_schema)),
+          limited )
+    | `Columns cols ->
+        let idxs = List.map (Schema.column_index plain_schema) cols in
+        (cols, List.map (fun row -> Array.of_list (List.map (fun i -> row.(i)) idxs)) limited)
+  in
+  {
+    columns;
+    rows;
+    affected = 0;
+    server_rows = Array.length exec.rows;
+    exec = Some exec;
+    join_exec = None;
+  }
 
 (* ---------------- Encrypted equi-joins ---------------- *)
 
@@ -461,11 +490,26 @@ let value_eq (a : Value.t) (b : Value.t) =
   | Value.Text x, Value.Text y -> Stdx.Bytes_util.ct_equal x y
   | _ -> a = b
 
+(* Each side's [decrypt_row] mask: its ON column plus the columns the
+   projection and the WHERE read, given as positions in the combined
+   row (left's columns, then right's). *)
+let join_masks el ~lidx er ~ridx combined_idxs =
+  let arity_l = Schema.arity (Encrypted_db.plain_schema el) in
+  let mask_l = Array.make arity_l false in
+  let mask_r = Array.make (Schema.arity (Encrypted_db.plain_schema er)) false in
+  mask_l.(lidx) <- true;
+  mask_r.(ridx) <- true;
+  List.iter
+    (fun k -> if k < arity_l then mask_l.(k) <- true else mask_r.(k - arity_l) <- true)
+    combined_idxs;
+  (mask_l, mask_r)
+
 (* The encrypted join, end to end. Server side: tag-bucket hash join
    over the two frozen views (candidate pairs are a superset of the
    true join — salt tags collide across plaintexts for bucketized
    schemes, and 64-bit tags can collide for any scheme). Client side:
-   decrypt each distinct row id once (memoized per side), then
+   decrypt each distinct row id once (memoized per side, and only the
+   columns {!join_masks} names), then
    re-verify every candidate pair on plaintext — ON-column equality
    first, then the WHERE residual over the combined row — stopping at
    LIMIT survivors. Both freezes happen back to back: proxy mutations
@@ -501,29 +545,33 @@ let execute_join ?pool t (j : Sql.join) =
                           ~on_right:(Encrypted_db.tag_column col_r)
                           (Join.Buckets (Array.map (fun (_, l, r) -> (l, r)) buckets)))
                   in
+                  let lidx = Schema.column_index (Encrypted_db.plain_schema el) col_l in
+                  let ridx = Schema.column_index (Encrypted_db.plain_schema er) col_r in
+                  let idxs = List.map (Schema.column_index combined) columns in
+                  let where_idxs =
+                    List.map (Schema.column_index combined) (Predicate.columns j.Sql.j_where)
+                  in
+                  let mask_l, mask_r = join_masks el ~lidx er ~ridx (idxs @ where_idxs) in
                   let start_ns = Stdx.Clock.now_ns () in
                   let decrypt_ns = ref 0.0 and filter_ns = ref 0.0 in
                   let cache_l = Hashtbl.create 64 and cache_r = Hashtbl.create 64 in
-                  let dec cache view edb id =
+                  let dec cache view edb mask id =
                     match Hashtbl.find_opt cache id with
                     | Some p -> p
                     | None ->
                         let t0 = Stdx.Clock.now_ns () in
-                        let p = Encrypted_db.decrypt_row edb (Read_view.read_row view id) in
+                        let p = Encrypted_db.decrypt_row ~mask edb (Read_view.read_row view id) in
                         decrypt_ns := !decrypt_ns +. (Stdx.Clock.now_ns () -. t0);
                         Hashtbl.replace cache id p;
                         p
                   in
-                  let lidx = Schema.column_index (Encrypted_db.plain_schema el) col_l in
-                  let ridx = Schema.column_index (Encrypted_db.plain_schema er) col_r in
-                  let idxs = List.map (Schema.column_index combined) columns in
                   let wanted = match j.Sql.j_limit with None -> max_int | Some n -> n in
                   let kept = ref [] and n_kept = ref 0 and n_verified = ref 0 in
                   let npairs = Array.length jr.Join.pairs in
                   let i = ref 0 in
                   while !i < npairs && !n_kept < wanted do
                     let l, r = jr.Join.pairs.(!i) in
-                    let pl = dec cache_l vl el l and pr = dec cache_r vr er r in
+                    let pl = dec cache_l vl el mask_l l and pr = dec cache_r vr er mask_r r in
                     let t1 = Stdx.Clock.now_ns () in
                     if value_eq pl.(lidx) pr.(ridx) then begin
                       incr n_verified;
@@ -577,7 +625,7 @@ let execute_stmt ?pool ?view t stmt =
       match edb_for t table with
       | None -> Error (Printf.sprintf "no such encrypted table %S" table)
       | Some edb -> (
-          match fetch_matching edb where with
+          match fetch_matching edb ~reads:(`Columns []) where with
           | Error e -> Error e
           | Ok (pairs, exec) ->
               let n =
@@ -603,7 +651,7 @@ let execute_stmt ?pool ?view t stmt =
           match List.map (fun (c, v) -> (Schema.column_index plain_schema c, v)) assignments with
           | exception Not_found -> Error "SET references an unknown column"
           | positions -> (
-              match fetch_matching edb where with
+              match fetch_matching edb ~reads:`Star where with
               | Error e -> Error e
               | Ok (pairs, exec) -> (
                   (* Two-phase apply: encrypt every replacement first, so a
@@ -661,9 +709,9 @@ let execute_stmt ?pool ?view t stmt =
       match edb_for t s.table with
       | None -> Error (Printf.sprintf "no such encrypted table %S" s.table)
       | Some edb -> (
-          match fetch_matching ?pool ?view edb ?limit:s.limit s.where with
+          match fetch_matching ?pool ?view edb ?limit:s.limit ~reads:s.projection s.where with
           | Error e -> Error e
-          | Ok (pairs, exec) -> select_result edb s pairs exec))
+          | Ok (pairs, exec) -> Ok (select_result edb s pairs exec)))
 
 let execute_snapshot ?pool ?view t src =
   Obs.Trace.with_span "proxy.execute" @@ fun () ->

@@ -135,11 +135,20 @@ val execute : t -> string -> (query_result, string) result
     after the n-th surviving row instead of decrypting the full result
     set (visible as the [edb.rows_decrypted_total] counter).
 
+    Each statement decrypts only the columns it reads (visible as the
+    [edb.columns_decrypted_total] counter): a SELECT its projected
+    columns, the residual's columns and a traversed range column; a
+    DELETE its residual's columns; [SELECT *] and UPDATE, which
+    re-encrypts whole rows, every column. An unknown projected column
+    fails the statement before anything is decrypted.
+
     A JOIN freezes both tables' views back to back — epoch-consistent
     under the single-writer discipline every deployment in this repo
     maintains (the server admission queue serializes mutations) — and
     decrypts each distinct candidate row once per side (memoized), so
-    a row appearing in many candidate pairs costs one decryption. *)
+    a row appearing in many candidate pairs costs one decryption. Each
+    side decrypts its ON column and the columns the projection and the
+    WHERE read of it. *)
 
 val execute_snapshot :
   ?pool:Stdx.Task_pool.t ->

@@ -32,76 +32,133 @@ let sbox, inv_sbox =
   done;
   (s, si)
 
-(* Single-byte multiplication tables for the MixColumns coefficients;
-   table lookups keep the per-block cost low enough for 10M-record bulk
-   loads. *)
+(* Single-byte multiplication tables for the InvMixColumns
+   coefficients of the textbook inverse cipher. *)
 let mul_table c = Array.init 256 (fun x -> gmul x c)
 
-let mul2 = mul_table 2
-let mul3 = mul_table 3
 let mul9 = mul_table 9
 let mul11 = mul_table 11
 let mul13 = mul_table 13
 let mul14 = mul_table 14
 
-type key = { rk : int array (* (rounds+1) * 16 byte-wise round keys *) }
+(* Words are 32-bit big-endian column words: byte r of column c is
+   row r, so a block's bytes 4c..4c+3 load as word c. *)
+let mask32 = 0xffffffff
+let rotr8 w = ((w lsr 8) lor (w lsl 24)) land mask32
+
+(* T-tables: te0.(x) is the MixColumns column of S(x) at row 0,
+   (2·S(x), S(x), S(x), 3·S(x)); te1..te3 are its byte rotations for
+   rows 1..3. One forward round is then 16 lookups and 16 XORs. The
+   lookups are indexed by secret state, the same cache-timing class as
+   the S-box lookups they replace (DESIGN.md §5b). *)
+let te0 =
+  Array.init 256 (fun x ->
+      let s = sbox.(x) in
+      (gmul s 2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor gmul s 3)
+
+let te1 = Array.map rotr8 te0
+let te2 = Array.map rotr8 te1
+let te3 = Array.map rotr8 te2
+
+type key = { rk : int array (* 4 * (rounds+1) round-key words *) }
+
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
+
+let get_word s i =
+  (Char.code s.[i] lsl 24) lor (Char.code s.[i + 1] lsl 16) lor (Char.code s.[i + 2] lsl 8)
+  lor Char.code s.[i + 3]
 
 let expand raw =
   if String.length raw <> 16 then invalid_arg "Aes128.expand: key must be 16 bytes";
-  let rk = Array.make ((rounds + 1) * 16) 0 in
-  for i = 0 to 15 do
-    rk.(i) <- Char.code raw.[i]
+  let rk = Array.make (4 * (rounds + 1)) 0 in
+  for i = 0 to 3 do
+    rk.(i) <- get_word raw (4 * i)
   done;
   let rcon = ref 1 in
-  (* Words are 4 bytes; word i for i in [4, 44). *)
-  for w = 4 to (4 * (rounds + 1)) - 1 do
-    let prev = (w - 1) * 4 and back = (w - 4) * 4 and cur = w * 4 in
-    let t0, t1, t2, t3 =
-      if w mod 4 = 0 then begin
+  for i = 4 to (4 * (rounds + 1)) - 1 do
+    let t = rk.(i - 1) in
+    let t =
+      if i mod 4 = 0 then begin
         (* RotWord + SubWord + Rcon *)
-        let b0 = sbox.(rk.(prev + 1)) lxor !rcon in
-        let b1 = sbox.(rk.(prev + 2)) in
-        let b2 = sbox.(rk.(prev + 3)) in
-        let b3 = sbox.(rk.(prev)) in
+        let v = sub_word (((t lsl 8) lor (t lsr 24)) land mask32) lxor (!rcon lsl 24) in
         rcon := gmul !rcon 2;
-        (b0, b1, b2, b3)
+        v
       end
-      else (rk.(prev), rk.(prev + 1), rk.(prev + 2), rk.(prev + 3))
+      else t
     in
-    rk.(cur) <- rk.(back) lxor t0;
-    rk.(cur + 1) <- rk.(back + 1) lxor t1;
-    rk.(cur + 2) <- rk.(back + 2) lxor t2;
-    rk.(cur + 3) <- rk.(back + 3) lxor t3
+    rk.(i) <- rk.(i - 4) lxor t
   done;
   { rk }
 
+(* Unchecked loads and stores: [encrypt_block] checks the block's range
+   once at entry, table indices are bytes, and round-key indices stay
+   below 4 * (rounds+1). *)
+let[@inline] load b i =
+  (Char.code (Bytes.unsafe_get b i) lsl 24)
+  lor (Char.code (Bytes.unsafe_get b (i + 1)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (i + 2)) lsl 8)
+  lor Char.code (Bytes.unsafe_get b (i + 3))
+
+let[@inline] store b i w =
+  Bytes.unsafe_set b i (Char.unsafe_chr (w lsr 24));
+  Bytes.unsafe_set b (i + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
+  Bytes.unsafe_set b (i + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
+  Bytes.unsafe_set b (i + 3) (Char.unsafe_chr (w land 0xff))
+
+let[@inline] round a0 a1 a2 a3 k =
+  Array.unsafe_get te0 (a0 lsr 24)
+  lxor Array.unsafe_get te1 ((a1 lsr 16) land 0xff)
+  lxor Array.unsafe_get te2 ((a2 lsr 8) land 0xff)
+  lxor Array.unsafe_get te3 (a3 land 0xff)
+  lxor k
+
+let[@inline] last a0 a1 a2 a3 k =
+  ((Array.unsafe_get sbox (a0 lsr 24) lsl 24)
+  lor (Array.unsafe_get sbox ((a1 lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((a2 lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (a3 land 0xff))
+  lxor k
+
+(* Forward cipher: AddRoundKey, nine T-table rounds (SubBytes +
+   ShiftRows + MixColumns + AddRoundKey per column word), then the
+   final round without MixColumns. Allocates nothing. *)
+let encrypt_block key b ~off =
+  if off < 0 || off > Bytes.length b - block_size then
+    invalid_arg "Aes128.encrypt_block: block out of range";
+  let rk = key.rk in
+  let s0 = ref (load b off lxor Array.unsafe_get rk 0) in
+  let s1 = ref (load b (off + 4) lxor Array.unsafe_get rk 1) in
+  let s2 = ref (load b (off + 8) lxor Array.unsafe_get rk 2) in
+  let s3 = ref (load b (off + 12) lxor Array.unsafe_get rk 3) in
+  for r = 1 to rounds - 1 do
+    let k = 4 * r and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := round a0 a1 a2 a3 (Array.unsafe_get rk k);
+    s1 := round a1 a2 a3 a0 (Array.unsafe_get rk (k + 1));
+    s2 := round a2 a3 a0 a1 (Array.unsafe_get rk (k + 2));
+    s3 := round a3 a0 a1 a2 (Array.unsafe_get rk (k + 3))
+  done;
+  let k = 4 * rounds and a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  store b off (last a0 a1 a2 a3 (Array.unsafe_get rk k));
+  store b (off + 4) (last a1 a2 a3 a0 (Array.unsafe_get rk (k + 1)));
+  store b (off + 8) (last a2 a3 a0 a1 (Array.unsafe_get rk (k + 2)));
+  store b (off + 12) (last a3 a0 a1 a2 (Array.unsafe_get rk (k + 3)))
+
+(* The textbook inverse cipher over a 16-cell byte state, column-major
+   as in FIPS 197: state.(4*c + r) is row r, column c. Kept byte-wise
+   and independent of the T-tables, so the tests' round trips check
+   the forward cipher against a second implementation. *)
+
 let add_round_key state key round =
-  let base = round * 16 in
-  for i = 0 to 15 do
-    state.(i) <- state.(i) lxor key.rk.(base + i)
+  for c = 0 to 3 do
+    let w = key.rk.((4 * round) + c) in
+    for r = 0 to 3 do
+      state.((4 * c) + r) <- state.((4 * c) + r) lxor ((w lsr (24 - (8 * r))) land 0xff)
+    done
   done
-
-(* State layout: column-major as in FIPS 197 — state.(4*c + r) is row r,
-   column c, matching the byte order of the input block. *)
-
-let shift_rows state =
-  (* row 1: rotate left by 1; row 2: by 2; row 3: by 3 *)
-  let t = state.(1) in
-  state.(1) <- state.(5);
-  state.(5) <- state.(9);
-  state.(9) <- state.(13);
-  state.(13) <- t;
-  let t = state.(2) in
-  state.(2) <- state.(10);
-  state.(10) <- t;
-  let t = state.(6) in
-  state.(6) <- state.(14);
-  state.(14) <- t;
-  let t = state.(15) in
-  state.(15) <- state.(11);
-  state.(11) <- state.(7);
-  state.(7) <- state.(3);
-  state.(3) <- t
 
 let inv_shift_rows state =
   let t = state.(13) in
@@ -121,16 +178,6 @@ let inv_shift_rows state =
   state.(11) <- state.(15);
   state.(15) <- t
 
-let mix_columns state =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = state.(i) and a1 = state.(i + 1) and a2 = state.(i + 2) and a3 = state.(i + 3) in
-    state.(i) <- mul2.(a0) lxor mul3.(a1) lxor a2 lxor a3;
-    state.(i + 1) <- a0 lxor mul2.(a1) lxor mul3.(a2) lxor a3;
-    state.(i + 2) <- a0 lxor a1 lxor mul2.(a2) lxor mul3.(a3);
-    state.(i + 3) <- mul3.(a0) lxor a1 lxor a2 lxor mul2.(a3)
-  done
-
 let inv_mix_columns state =
   for c = 0 to 3 do
     let i = 4 * c in
@@ -141,44 +188,16 @@ let inv_mix_columns state =
     state.(i + 3) <- mul11.(a0) lxor mul13.(a1) lxor mul9.(a2) lxor mul14.(a3)
   done
 
-let sub_bytes state =
-  for i = 0 to 15 do
-    state.(i) <- sbox.(state.(i))
-  done
-
 let inv_sub_bytes state =
   for i = 0 to 15 do
     state.(i) <- inv_sbox.(state.(i))
   done
 
-let load state b off =
-  for i = 0 to 15 do
-    state.(i) <- Char.code (Bytes.get b (off + i))
-  done
-
-let store state b off =
-  for i = 0 to 15 do
-    Bytes.set b (off + i) (Char.chr state.(i))
-  done
-
-let encrypt_block key b ~off =
-  let state = Array.make 16 0 in
-  load state b off;
-  add_round_key state key 0;
-  for round = 1 to rounds - 1 do
-    sub_bytes state;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key round
-  done;
-  sub_bytes state;
-  shift_rows state;
-  add_round_key state key rounds;
-  store state b off
-
 let decrypt_block key b ~off =
   let state = Array.make 16 0 in
-  load state b off;
+  for i = 0 to 15 do
+    state.(i) <- Char.code (Bytes.get b (off + i))
+  done;
   add_round_key state key rounds;
   for round = rounds - 1 downto 1 do
     inv_shift_rows state;
@@ -189,7 +208,9 @@ let decrypt_block key b ~off =
   inv_shift_rows state;
   inv_sub_bytes state;
   add_round_key state key 0;
-  store state b off
+  for i = 0 to 15 do
+    Bytes.set b (off + i) (Char.chr state.(i))
+  done
 
 let encrypt_string key s =
   if String.length s <> 16 then invalid_arg "Aes128.encrypt_string: need one 16-byte block";

@@ -7,8 +7,13 @@
     here; the IND-CPA mode is {!Ctr}.
 
     The S-box is derived algebraically (inverse in GF(2^8) followed by
-    the affine map) rather than pasted in, and the implementation is
-    validated against the FIPS 197 Appendix B/C vectors. *)
+    the affine map) rather than pasted in. The forward cipher is
+    word-oriented: four 256-entry T-tables built from that S-box at
+    module initialization fold SubBytes, ShiftRows and MixColumns into
+    16 lookups per round. The inverse cipher stays the byte-wise
+    textbook one, a second implementation the tests check the forward
+    cipher against, along with the FIPS 197 Appendix B/C and
+    SP 800-38A vectors. *)
 
 type key
 (** Expanded key schedule. *)
@@ -17,7 +22,8 @@ val expand : string -> key
 (** [expand k] requires a 16-byte key. *)
 
 val encrypt_block : key -> bytes -> off:int -> unit
-(** Encrypt 16 bytes of [bytes] in place at [off]. *)
+(** Encrypt 16 bytes of [bytes] in place at [off]. Allocates nothing.
+    Raises [Invalid_argument] unless [0 <= off <= length - 16]. *)
 
 val decrypt_block : key -> bytes -> off:int -> unit
 (** Inverse cipher, in place. *)

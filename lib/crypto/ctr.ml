@@ -4,38 +4,32 @@ let of_raw raw = Aes128.expand raw
 
 let ciphertext_overhead = 16
 
-(* Big-endian increment of the low 64 bits of the counter block; the
-   nonce occupies the high 64 bits, so a single message never wraps into
-   another message's keystream. *)
-let incr_counter block =
-  let rec bump i =
-    if i >= 8 then begin
-      let b = Char.code (Bytes.get block i) in
-      if b = 0xff then begin
-        Bytes.set block i '\x00';
-        bump (i - 1)
-      end
-      else Bytes.set block i (Char.chr (b + 1))
-    end
-  in
-  bump 15
-
+(* Counter block i is nonce_hi ‖ be64(i): the nonce occupies the high
+   64 bits and the block index the low 64, so a single message never
+   runs into another message's keystream. One scratch block per call;
+   full blocks XOR 8 bytes at a time. *)
 let keystream_xor key ~nonce ~src ~src_off ~dst ~dst_off ~len =
-  let counter = Bytes.of_string nonce in
-  (* Zero the low 64 bits so the starting counter is nonce_hi ‖ 0. *)
-  Bytes.fill counter 8 8 '\x00';
   let block = Bytes.create 16 in
-  let pos = ref 0 in
+  let i = ref 0 and pos = ref 0 in
   while !pos < len do
-    Bytes.blit counter 0 block 0 16;
-    Aes128.encrypt_block key block ~off:0;
-    let n = min 16 (len - !pos) in
-    for i = 0 to n - 1 do
-      Bytes.set dst
-        (dst_off + !pos + i)
-        (Char.chr (Char.code src.[src_off + !pos + i] lxor Char.code (Bytes.get block i)))
+    Bytes.blit_string nonce 0 block 0 8;
+    for j = 0 to 7 do
+      Bytes.unsafe_set block (15 - j) (Char.unsafe_chr ((!i lsr (8 * j)) land 0xff))
     done;
-    incr_counter counter;
+    Aes128.encrypt_block key block ~off:0;
+    let s = src_off + !pos and d = dst_off + !pos in
+    if len - !pos >= 16 then begin
+      Bytes.set_int64_ne dst d
+        (Int64.logxor (String.get_int64_ne src s) (Bytes.get_int64_ne block 0));
+      Bytes.set_int64_ne dst (d + 8)
+        (Int64.logxor (String.get_int64_ne src (s + 8)) (Bytes.get_int64_ne block 8))
+    end
+    else
+      for j = 0 to len - !pos - 1 do
+        Bytes.set dst (d + j)
+          (Char.unsafe_chr (Char.code src.[s + j] lxor Char.code (Bytes.unsafe_get block j)))
+      done;
+    incr i;
     pos := !pos + 16
   done
 
@@ -53,8 +47,9 @@ let encrypt_random key g pt =
 
 let decrypt key ct =
   if String.length ct < 16 then invalid_arg "Ctr.decrypt: ciphertext too short";
-  let nonce = String.sub ct 0 16 in
   let len = String.length ct - 16 in
   let out = Bytes.create len in
-  keystream_xor key ~nonce ~src:ct ~src_off:16 ~dst:out ~dst_off:0 ~len;
+  (* The keystream reads only the nonce's high 8 bytes: the
+     ciphertext's own prefix. *)
+  keystream_xor key ~nonce:ct ~src:ct ~src_off:16 ~dst:out ~dst_off:0 ~len;
   Bytes.unsafe_to_string out

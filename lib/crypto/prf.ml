@@ -1,18 +1,18 @@
 type algo = Hmac_sha256 | Siphash24
 
-type key = Hmac_key of string | Siphash_key of Siphash.key
+type key = Hmac_key of Hmac.key | Siphash_key of Siphash.key
 
 let of_raw ?(algo = Hmac_sha256) raw =
   if String.length raw < 16 then invalid_arg "Prf.of_raw: key must be at least 16 bytes";
   match algo with
-  | Hmac_sha256 -> Hmac_key raw
+  | Hmac_sha256 -> Hmac_key (Hmac.prepare raw)
   | Siphash24 -> Siphash_key (Siphash.of_raw (String.sub raw 0 16))
 
 let algo = function Hmac_key _ -> Hmac_sha256 | Siphash_key _ -> Siphash24
 
 let tag_string key input =
   match key with
-  | Hmac_key k -> Hmac.mac_u64 ~key:k input
+  | Hmac_key k -> Stdx.Bytes_util.get_u64_be (Hmac.mac_prepared k input) 0
   | Siphash_key k -> Siphash.hash k input
 
 let salt_bytes salt =

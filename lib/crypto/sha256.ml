@@ -49,6 +49,25 @@ let init () =
     w = Array.make 64 0;
   }
 
+(* A fresh context in the same state: the chaining words, the partial
+   block and the byte count, with its own scratch. HMAC keeps a key's
+   pad states and copies them per message. *)
+let copy c =
+  {
+    h0 = c.h0;
+    h1 = c.h1;
+    h2 = c.h2;
+    h3 = c.h3;
+    h4 = c.h4;
+    h5 = c.h5;
+    h6 = c.h6;
+    h7 = c.h7;
+    buf = Bytes.copy c.buf;
+    buf_len = c.buf_len;
+    total = c.total;
+    w = Array.make 64 0;
+  }
+
 let mask = 0xFFFFFFFF
 
 let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask

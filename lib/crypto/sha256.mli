@@ -11,6 +11,11 @@ type ctx
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding one leaves the
+    other unchanged. Reads [ctx] only, so any number of domains may
+    copy one shared context. *)
+
 val feed_bytes : ctx -> bytes -> off:int -> len:int -> unit
 (** Feed a slice of a byte buffer without copying it to a string. *)
 

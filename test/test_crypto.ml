@@ -147,13 +147,58 @@ let test_aes_fips197 () =
   let ct = Crypto.Aes128.encrypt_string key (hex "00112233445566778899aabbccddeeff") in
   check_str "appendix C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" (Stdx.Bytes_util.to_hex ct);
   check_str "decrypt inverts" "00112233445566778899aabbccddeeff"
+    (Stdx.Bytes_util.to_hex (Crypto.Aes128.decrypt_string key ct));
+  let key = Crypto.Aes128.expand (hex "2b7e151628aed2a6abf7158809cf4f3c") in
+  let ct = Crypto.Aes128.encrypt_string key (hex "3243f6a8885a308d313198a2e0370734") in
+  check_str "appendix B" "3925841d02dc09fbdc118597196a0b32" (Stdx.Bytes_util.to_hex ct);
+  check_str "appendix B decrypt" "3243f6a8885a308d313198a2e0370734"
     (Stdx.Bytes_util.to_hex (Crypto.Aes128.decrypt_string key ct))
 
 let test_aes_sp800_38a_block () =
-  (* First ECB block of the SP 800-38A example key. *)
+  (* SP 800-38A F.1.1 ECB-AES128, all four blocks. *)
   let key = Crypto.Aes128.expand (hex "2b7e151628aed2a6abf7158809cf4f3c") in
-  let ct = Crypto.Aes128.encrypt_string key (hex "6bc1bee22e409f96e93d7e117393172a") in
-  check_str "ecb block 1" "3ad77bb40d7a3660a89ecaf32466ef97" (Stdx.Bytes_util.to_hex ct)
+  List.iteri
+    (fun i (pt, want) ->
+      let ct = Crypto.Aes128.encrypt_string key (hex pt) in
+      check_str (Printf.sprintf "ecb block %d" (i + 1)) want (Stdx.Bytes_util.to_hex ct);
+      check_str (Printf.sprintf "ecb block %d decrypt" (i + 1)) pt
+        (Stdx.Bytes_util.to_hex (Crypto.Aes128.decrypt_string key ct)))
+    [
+      ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
+      ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
+      ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688");
+      ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4");
+    ]
+
+let test_aes_block_offsets () =
+  (* In place at an interior offset, leaving the neighbours alone. *)
+  let key = Crypto.Aes128.expand (hex "000102030405060708090a0b0c0d0e0f") in
+  let b = Bytes.make 40 'z' in
+  Bytes.blit_string (hex "00112233445566778899aabbccddeeff") 0 b 7 16;
+  Crypto.Aes128.encrypt_block key b ~off:7;
+  check_str "interior block" "69c4e0d86a7b0430d8cdb78070b4c55a"
+    (Stdx.Bytes_util.to_hex (Bytes.sub_string b 7 16));
+  check_str "prefix untouched" (String.make 7 'z') (Bytes.sub_string b 0 7);
+  check_str "suffix untouched" (String.make 17 'z') (Bytes.sub_string b 23 17);
+  (* The last in-range offset. *)
+  Crypto.Aes128.encrypt_block key b ~off:24;
+  List.iter
+    (fun off ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d" off)
+        (Invalid_argument "Aes128.encrypt_block: block out of range")
+        (fun () -> Crypto.Aes128.encrypt_block key b ~off))
+    [ -1; 25; 40; max_int ]
+
+let test_aes_block_allocates_nothing () =
+  let key = Crypto.Aes128.expand (hex "000102030405060708090a0b0c0d0e0f") in
+  let b = Bytes.make 32 'a' in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Crypto.Aes128.encrypt_block key b ~off:16
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10k blocks" 0.0 (after -. before)
 
 let test_aes_key_validation () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes128.expand: key must be 16 bytes")
@@ -216,6 +261,43 @@ let test_ctr_counter_carry () =
   check_bool "no keystream reuse across carry" true
     (String.sub ct 16 16 <> String.sub ct (16 + (256 * 16)) 16);
   check_str "roundtrip" pt (Crypto.Ctr.decrypt key ct)
+
+(* Ciphertexts captured from the byte-at-a-time implementation this
+   one replaced; 700 and 4112 bytes (the latter crosses the low counter
+   byte's carry at block 256) are pinned by their SHA-256 and last 32
+   bytes. *)
+let test_ctr_golden () =
+  let key = Crypto.Ctr.of_raw (hex "2b7e151628aed2a6abf7158809cf4f3c") in
+  let nonce = hex "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
+  let pt n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  let ct n = Crypto.Ctr.encrypt key ~nonce (pt n) in
+  List.iter
+    (fun (n, want) -> check_str (Printf.sprintf "len %d" n) want (Stdx.Bytes_util.to_hex (ct n)))
+    [
+      (0, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+      (1, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0f");
+      (15, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0f25aaae45ff4a1e22bcb465ccad2e");
+      (16, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0f25aaae45ff4a1e22bcb465ccad2e6e");
+      (17, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0f25aaae45ff4a1e22bcb465ccad2e6edc");
+      ( 33,
+        "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff0f25aaae45ff4a1e22bcb465ccad2e6edcd51d7a654ff0974b1778168e4f6512c0"
+      );
+    ];
+  List.iter
+    (fun (n, digest, tail) ->
+      let c = ct n in
+      check_str (Printf.sprintf "len %d digest" n) digest (Crypto.Sha256.digest_hex c);
+      check_str (Printf.sprintf "len %d tail" n) tail
+        (Stdx.Bytes_util.to_hex (String.sub c (String.length c - 32) 32));
+      check_str (Printf.sprintf "len %d roundtrip" n) (pt n) (Crypto.Ctr.decrypt key c))
+    [
+      ( 700,
+        "ac437de196913aa56327c0bd2be05337601178ac9cc7f8d2efec1a9479584c26",
+        "d532f6a8aa2c1420dc6f43fe1f4e8e7709932b76f1d1d4066e7a2abc86aa4bad" );
+      ( 4112,
+        "920605dcf494fd04cd37eb4750d45b6341f7bdf829da4a912bc04259a9a2a0c7",
+        "c58980d00cafcc25cd0bbacb720ff9494bc07a2c39d09e92dd81348bac37b9c0" );
+    ]
 
 let test_ctr_rejects () =
   let key = Crypto.Ctr.of_raw (String.make 16 'k') in
@@ -331,6 +413,43 @@ let test_prf_key_separation () =
   check_bool "backends differ" true
     (Crypto.Prf.tag hm ~salt:0 ~message:"m" <> Crypto.Prf.tag sp ~salt:0 ~message:"m")
 
+(* Tags captured from the HMAC path that re-absorbed the pad blocks on
+   every call; a prepared key must reproduce them bit for bit, including
+   a key longer than the SHA-256 block (hashed first). *)
+let test_prf_golden () =
+  let key = Crypto.Prf.of_raw (String.make 32 'p') in
+  let check name want got = Alcotest.(check int64) name want got in
+  List.iter
+    (fun (salt, message, want) ->
+      check (Printf.sprintf "tag %d %S" salt message) want (Crypto.Prf.tag key ~salt ~message))
+    [
+      (0, "", 0x38c45a784714ddeeL);
+      (1, "23", 0xeb0cc44f17b72a7aL);
+      (12, "3", 0xb4e70c7fb4a05428L);
+      (999, "SMITH", 0x5e07151b47fa9997L);
+      (1 lsl 40, String.make 100 'x', 0x49001d0c426615fcL);
+    ];
+  List.iter
+    (fun (salt, want) ->
+      check (Printf.sprintf "tag_salt_only %d" salt) want (Crypto.Prf.tag_salt_only key ~salt))
+    [
+      (0, 0xd11d06e4c06bb692L);
+      (1, 0x4398903ac78445ddL);
+      (999, 0x31b7363f8681e3fdL);
+      (123456, 0x523796cd59563bedL);
+    ];
+  let long = Crypto.Prf.of_raw (String.make 100 'L') in
+  check "long key tag" 0x3cb5113c864c7a39L (Crypto.Prf.tag long ~salt:7 ~message:"m");
+  check "long key salt_only" 0xad62c0af0a550116L (Crypto.Prf.tag_salt_only long ~salt:7);
+  let m = Crypto.Keys.of_raw ~k0:(String.make 16 '0') ~k1:(String.make 32 '1') in
+  check "derived column key" 0x0a78b66265dad237L
+    (Crypto.Prf.tag (Crypto.Keys.prf_key m ~column:"fname") ~salt:3 ~message:"ALICE");
+  check_str "hkdf" "19881b17c3888a69f5f948e9fab2d058"
+    (Stdx.Bytes_util.to_hex (Crypto.Hkdf.derive ~ikm:"k" ~info:"wre/data/x" ~len:16));
+  check_str "drbg"
+    "945418b8333283ae441104ff0af8ab77c755914dbcd4971f9db434098d72cc5fbcb6778fbaa207c9"
+    (Stdx.Bytes_util.to_hex (Crypto.Drbg.generate (Crypto.Drbg.create ~seed:"seed") 40))
+
 let test_prf_tag_spread () =
   (* 64-bit tags over 1000 (salt, message) pairs should not collide. *)
   let key = Crypto.Prf.of_raw (String.make 32 's') in
@@ -440,12 +559,17 @@ let qcheck_ctr_roundtrip =
       let key = Crypto.Ctr.of_raw (String.make 16 'q') in
       Crypto.Ctr.decrypt key (Crypto.Ctr.encrypt_random key g pt) = pt)
 
+(* Random keys and blocks: the T-table forward cipher against the
+   independent textbook inverse. *)
 let qcheck_aes_roundtrip =
-  QCheck.Test.make ~name:"AES block roundtrip" ~count:100
-    (QCheck.string_of_size (QCheck.Gen.return 16))
-    (fun pt ->
-      let key = Crypto.Aes128.expand "0123456789abcdef" in
-      Crypto.Aes128.decrypt_string key (Crypto.Aes128.encrypt_string key pt) = pt)
+  QCheck.Test.make ~name:"AES block roundtrip" ~count:500
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
+    (fun (raw, pt) ->
+      let key = Crypto.Aes128.expand raw in
+      let b = Bytes.of_string pt in
+      Crypto.Aes128.encrypt_block key b ~off:0;
+      Crypto.Aes128.decrypt_block key b ~off:0;
+      Bytes.to_string b = pt)
 
 let qcheck_hmac_distinct =
   QCheck.Test.make ~name:"HMAC distinguishes messages" ~count:200
@@ -490,6 +614,8 @@ let () =
           Alcotest.test_case "sp800-38a block" `Quick test_aes_sp800_38a_block;
           Alcotest.test_case "key validation" `Quick test_aes_key_validation;
           Alcotest.test_case "random roundtrips" `Quick test_aes_roundtrip_random;
+          Alcotest.test_case "block offsets" `Quick test_aes_block_offsets;
+          Alcotest.test_case "block allocates nothing" `Quick test_aes_block_allocates_nothing;
         ] );
       ( "ctr",
         [
@@ -497,6 +623,7 @@ let () =
           Alcotest.test_case "roundtrip lengths" `Quick test_ctr_roundtrip_various_lengths;
           Alcotest.test_case "randomized" `Quick test_ctr_randomized;
           Alcotest.test_case "counter carry" `Quick test_ctr_counter_carry;
+          Alcotest.test_case "golden ciphertexts" `Quick test_ctr_golden;
           Alcotest.test_case "rejects" `Quick test_ctr_rejects;
         ] );
       ( "aead",
@@ -517,6 +644,7 @@ let () =
           Alcotest.test_case "encoding" `Quick test_prf_salt_message_encoding;
           Alcotest.test_case "key separation" `Quick test_prf_key_separation;
           Alcotest.test_case "tag spread" `Quick test_prf_tag_spread;
+          Alcotest.test_case "golden tags" `Quick test_prf_golden;
         ] );
       ( "siphash",
         [

@@ -502,6 +502,66 @@ let test_proxy_limit_decrypts_lazily () =
   check_bool "decrypted at most the server answer" true (decrypted <= r.server_rows);
   check_bool "decrypted at least the survivors" true (decrypted >= 7)
 
+(* (result, rows decrypted, columns decrypted) of one statement. *)
+let decrypt_deltas proxy sql =
+  let (r, rows), cols =
+    counter_delta "edb.columns_decrypted_total" (fun () ->
+        counter_delta "edb.rows_decrypted_total" (fun () -> Wre.Proxy.execute proxy sql))
+  in
+  (r, rows, cols)
+
+let test_proxy_decrypts_only_read_columns () =
+  (* Bucketized, so the server answer carries false positives that must
+     still be decrypted (on the residual's column) and dropped. *)
+  let proxy, edb = make_proxy_edb (Wre.Scheme.Bucketized 10.0) in
+  let arity = Schema.arity (Wre.Encrypted_db.plain_schema edb) in
+  let r, rows, cols = decrypt_deltas proxy "SELECT id FROM people WHERE name = 'ann'" in
+  let r = ok r in
+  check_bool "false positives fetched" true (r.server_rows > 20);
+  check_int "id rows" 20 (List.length r.rows);
+  check_int "every server row decrypted" r.server_rows rows;
+  check_int "SELECT id decrypts the residual's column" r.server_rows cols;
+  let r, _, cols = decrypt_deltas proxy "SELECT * FROM people WHERE name = 'ann'" in
+  let r = ok r in
+  check_int "star rows" 20 (List.length r.rows);
+  check_int "SELECT * decrypts every non-key column" (r.server_rows * (arity - 1)) cols;
+  let r, _, cols =
+    decrypt_deltas proxy "SELECT age, id FROM people WHERE name = 'bob' AND city = 'pdx'"
+  in
+  let r = ok r in
+  check_bool "subset projection" true
+    (List.sort compare (List.map Array.to_list r.rows)
+    = List.sort compare
+        (List.filter_map
+           (fun p ->
+             if p.(1) = Value.Text "bob" && p.(2) = Value.Text "pdx" then Some [ p.(3); p.(0) ]
+             else None)
+           people));
+  check_int "projection + residual columns" (r.server_rows * 3) cols;
+  let r, rows, cols = decrypt_deltas proxy "SELECT nope FROM people WHERE name = 'ann'" in
+  check_bool "unknown projected column" true (r = Error "projected column does not exist");
+  check_int "fails before decrypting" 0 (rows + cols);
+  let r, _, cols = decrypt_deltas proxy "SELECT id FROM people WHERE id = 7" in
+  check_int "key-only statement" 1 (List.length (ok r).rows);
+  check_int "key-only statement decrypts nothing" 0 cols;
+  let r, _, cols = decrypt_deltas proxy "DELETE FROM people WHERE name = 'cat' AND age >= 40" in
+  let r = ok r in
+  check_int "delete count"
+    (List.length
+       (List.filter
+          (fun p ->
+            p.(1) = Value.Text "cat" && match p.(3) with Value.Int a -> a >= 40L | _ -> false)
+          people))
+    r.affected;
+  check_int "DELETE decrypts its residual's columns" (r.server_rows * 2) cols;
+  let r, _, cols = decrypt_deltas proxy "UPDATE people SET city = 'sea' WHERE name = 'bob'" in
+  let r = ok r in
+  check_int "update count" 20 r.affected;
+  check_int "UPDATE decrypts whole rows" (r.server_rows * (arity - 1)) cols;
+  let r = ok (Wre.Proxy.execute proxy "SELECT * FROM people WHERE name = 'bob'") in
+  check_bool "updated rows intact" true
+    (List.for_all (fun row -> row.(2) = Value.Text "sea" && row.(3) <> Value.Null) r.rows)
+
 let test_proxy_in_list_on_encrypted_column () =
   let proxy = make_proxy (Wre.Scheme.Poisson 100.0) in
   let r = ok (Wre.Proxy.execute proxy "SELECT id FROM people WHERE name IN ('ann', 'cat')") in
@@ -582,6 +642,32 @@ let test_proxy_join_matches_plaintext () =
       check_bool "candidates are a superset" true
         (Array.length jr.Join.pairs >= List.length r.rows))
     [ Wre.Scheme.Det; Wre.Scheme.Fixed 5; Wre.Scheme.Poisson 100.0; Wre.Scheme.Bucketized 10.0 ]
+
+let test_proxy_join_decrypts_on_columns () =
+  (* Projecting only ids, each distinct row decrypts just its side's ON
+     column, once. *)
+  let proxy = make_join_proxy (Wre.Scheme.Bucketized 10.0) in
+  let sql = "SELECT people.id, pets.id FROM people JOIN pets ON people.name = pets.owner" in
+  let r, rows, cols = decrypt_deltas proxy sql in
+  let r = ok r in
+  check_bool "join ids match plaintext" true
+    (sorted_rows r.rows = sorted_rows (join_reference sql).rows);
+  let distinct (r : Wre.Proxy.query_result) side =
+    let seen = Hashtbl.create 64 in
+    Array.iter (fun p -> Hashtbl.replace seen (side p) ()) (Option.get r.join_exec).Join.pairs;
+    Hashtbl.length seen
+  in
+  let distinct_rows = distinct r fst + distinct r snd in
+  check_int "one decryption per distinct row" distinct_rows rows;
+  check_int "one column per distinct row" distinct_rows cols;
+  let sql =
+    "SELECT pets.id FROM people JOIN pets ON people.name = pets.owner WHERE people.age >= 30"
+  in
+  let r, rows, cols = decrypt_deltas proxy sql in
+  let r = ok r in
+  check_bool "WHERE join matches plaintext" true
+    (sorted_rows r.rows = sorted_rows (join_reference sql).rows);
+  check_int "WHERE column decrypted on its side only" (rows + distinct r fst) cols
 
 let test_proxy_join_residual_where_and_limit () =
   let proxy = make_join_proxy (Wre.Scheme.Bucketized 10.0) in
@@ -942,9 +1028,12 @@ let () =
             test_proxy_update_outside_distribution;
           Alcotest.test_case "update atomic on failure" `Quick test_proxy_update_atomic;
           Alcotest.test_case "limit decrypts lazily" `Quick test_proxy_limit_decrypts_lazily;
+          Alcotest.test_case "decrypts only read columns" `Quick
+            test_proxy_decrypts_only_read_columns;
           Alcotest.test_case "IN-list on encrypted column" `Quick
             test_proxy_in_list_on_encrypted_column;
           Alcotest.test_case "join matches plaintext" `Quick test_proxy_join_matches_plaintext;
+          Alcotest.test_case "join decrypts ON columns" `Quick test_proxy_join_decrypts_on_columns;
           Alcotest.test_case "join residual where + limit" `Quick
             test_proxy_join_residual_where_and_limit;
           Alcotest.test_case "join bucketized verifies FPs" `Quick

@@ -125,7 +125,8 @@ let run_encrypted_queries ~db ~edb ~projection ~mode queries =
             match projection with
             | Executor.Row_ids -> Wre.Encrypted_db.search_ids edb ~column:q.column q.value
             | Executor.All_columns ->
-                snd (Wre.Encrypted_db.search_rows edb ~column:q.column q.value))
+                snd (Wre.Encrypted_db.search_rows edb ~column:q.column q.value)
+            | Executor.Columns _ -> invalid_arg "run_encrypted_queries: SELECT ID or SELECT * only")
       in
       {
         bucket = Sparta.Query_gen.bucket_of q.expected;

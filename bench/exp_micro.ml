@@ -3,9 +3,13 @@
    decryption of 1 KiB, the HMAC search-tag PRF, salt-set generation,
    one full WRE Enc per scheme, and the client's decrypt of one
    encrypted SPARTA row (every column, and only what
-   [SELECT id ... WHERE fname = ...] reads). One Test.make per
-   operation; OLS estimate of ns/run. The client-crypto subset goes to
-   BENCH_micro.json as ns/op and ns/byte. *)
+   [SELECT id ... WHERE fname = ...] reads) — plus the read path's
+   byte work: CRC-32 of 64 KiB, framing a 167-row SPARTA reply and
+   checking + decoding it, and the executor's heap fetch of one ~1%
+   statement's rows (all 28 cells, the [SELECT *] cells, the
+   [SELECT id] cells). One Test.make per operation; OLS estimate of
+   ns/run. The recorded subset goes to BENCH_micro.json as ns/op and
+   ns/byte (ns/row for the fetches). *)
 
 open Bechamel
 open Toolkit
@@ -31,7 +35,34 @@ let sparta_row () =
       (fun (c : Sqldb.Schema.column) -> c.name = "id" || c.name = "fname")
       (Sqldb.Schema.columns schema)
   in
-  (edb, Sqldb.Table.peek_row (Wre.Encrypted_db.table edb) 0, id_mask)
+  (rows, edb, Sqldb.Table.peek_row (Wre.Encrypted_db.table edb) 0, id_mask)
+
+(* The fname value whose share of the rows is nearest 1%, and the ids
+   its rewritten search returns: one statement of the paper's smallest
+   multi-row result class. *)
+let one_percent_ids rows edb =
+  let d = Bench_util.dist_of_rows rows "fname" in
+  let target = Array.length rows / 100 in
+  let value =
+    Array.fold_left
+      (fun best v ->
+        let gap v = abs (Dist.Empirical.count d v - target) in
+        if gap v < gap best then v else best)
+      (Dist.Empirical.support d).(0) (Dist.Empirical.support d)
+  in
+  (Wre.Encrypted_db.search_ids edb ~column:"fname" value).Sqldb.Executor.row_ids
+
+(* A [SELECT *] reply of 167 plaintext SPARTA rows, 23 columns each. *)
+let sparta_reply rows =
+  Server.Wire.Result
+    {
+      columns =
+        Array.to_list
+          (Array.map (fun (c : Sqldb.Schema.column) -> c.name) (Sqldb.Schema.columns Sparta.Generator.schema));
+      rows = Array.to_list (Array.sub rows 0 167);
+      affected = 0;
+      server_rows = 167;
+    }
 
 (* Plaintext bytes one masked decrypt recovers: each decrypted blob
    less its nonce. *)
@@ -52,15 +83,64 @@ let decrypted_bytes edb enc_row mask =
 
 let field = String.make 24 'f'
 
+let crc_input = String.init 65536 (fun i -> Char.chr (i * 131 land 0xFF))
+
+type per = Bytes of int | Rows of int
+
 (* The entries BENCH_micro.json records, with the bytes one operation
-   processes (for a PRF tag: the length-prefixed salt and message). *)
-let recorded ~row_bytes ~id_bytes =
+   processes (for a PRF tag: the length-prefixed salt and message), or
+   for a fetch the rows it reads. *)
+let recorded ~row_bytes ~id_bytes ~frame_bytes ~fetch_rows =
   [
-    ("aes128/block", 16);
-    ("ctr/decrypt-1KiB", 1024);
-    ("prf/search-tag-hmac", 4 + 8 + 4 + String.length field);
-    ("edb/decrypt_row-star", row_bytes);
-    ("edb/decrypt_row-id", id_bytes);
+    ("aes128/block", Bytes 16);
+    ("ctr/decrypt-1KiB", Bytes 1024);
+    ("prf/search-tag-hmac", Bytes (4 + 8 + 4 + String.length field));
+    ("edb/decrypt_row-star", Bytes row_bytes);
+    ("edb/decrypt_row-id", Bytes id_bytes);
+    ("crc32/64KiB", Bytes (String.length crc_input));
+    ("wire/send-reply", Bytes frame_bytes);
+    ("wire/recv-reply", Bytes frame_bytes);
+    ("executor/fetch-all", Rows fetch_rows);
+    ("executor/fetch-star", Rows fetch_rows);
+    ("executor/fetch-id", Rows fetch_rows);
+  ]
+
+(* The fetches of one statement's rows, as [Executor.run_view] makes
+   them for [All_columns] and for the [Columns] a [SELECT *] and a
+   [SELECT id ... WHERE fname = ...] decrypt from. *)
+let fetch_tests ~edb ~id_mask ~ids =
+  let view = Wre.Encrypted_db.freeze edb in
+  let star = Wre.Encrypted_db.fetch_positions edb in
+  let id = Wre.Encrypted_db.fetch_positions ~mask:id_mask edb in
+  [
+    Test.make ~name:"executor/fetch-all"
+      (Staged.stage (fun () -> Array.map (Sqldb.Read_view.read_row view) ids));
+    Test.make ~name:"executor/fetch-star"
+      (Staged.stage (fun () -> Array.map (fun i -> Sqldb.Read_view.read_cols view i star) ids));
+    Test.make ~name:"executor/fetch-id"
+      (Staged.stage (fun () -> Array.map (fun i -> Sqldb.Read_view.read_cols view i id) ids));
+  ]
+
+(* The reply's two wire halves: encode + frame on the server, CRC check
+   + decode on the client (the frame's payload as [recv] hands it
+   over). *)
+let wire_tests reply =
+  let framed = Server.Wire.frame (Server.Wire.encode_response reply) in
+  let hdr = Server.Wire.header_bytes in
+  let payload = String.sub framed hdr (String.length framed - hdr) in
+  let crc =
+    match Server.Wire.parse_header (String.sub framed 0 hdr) with
+    | Ok (_, crc) -> crc
+    | Error e -> failwith (Server.Wire.error_string e)
+  in
+  [
+    Test.make ~name:"wire/send-reply"
+      (Staged.stage (fun () -> Server.Wire.frame (Server.Wire.encode_response reply)));
+    Test.make ~name:"wire/recv-reply"
+      (Staged.stage (fun () ->
+           match Server.Wire.check_payload ~crc payload with
+           | Ok () -> Server.Wire.decode_response payload
+           | Error e -> Error e));
   ]
 
 let tests ~edb ~enc_row ~id_mask =
@@ -88,6 +168,7 @@ let tests ~edb ~enc_row ~id_mask =
     encs;
   [
     Test.make ~name:"sha256/1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest (String.make 1024 'x')));
+    Test.make ~name:"crc32/64KiB" (Staged.stage (fun () -> Store.Crc32.digest crc_input));
     Test.make ~name:"aes128/block" (Staged.stage (fun () -> Crypto.Aes128.encrypt_block aes_key block ~off:0));
     Test.make ~name:"ctr/24B-field" (Staged.stage (fun () -> Crypto.Ctr.encrypt_random ctr_key g field));
     Test.make ~name:"ctr/decrypt-1KiB" (Staged.stage (fun () -> Crypto.Ctr.decrypt ctr_key ct_1k));
@@ -116,7 +197,9 @@ let tests ~edb ~enc_row ~id_mask =
 
 let run () =
   Bench_util.heading "B0: Bechamel micro-benchmarks (ns per operation, OLS)";
-  let edb, enc_row, id_mask = sparta_row () in
+  let plain_rows, edb, enc_row, id_mask = sparta_row () in
+  let ids = one_percent_ids plain_rows edb in
+  let reply = sparta_reply plain_rows in
   (* Leave the set-up's garbage out of the first samples. *)
   Gc.compact ();
   let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
@@ -126,7 +209,10 @@ let run () =
      block on a 2-vCPU VM), while without it each estimate carries its
      own amortized GC cost. *)
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None () in
-  let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s %s" (tests ~edb ~enc_row ~id_mask) in
+  let grouped =
+    Test.make_grouped ~name:"micro" ~fmt:"%s %s"
+      (tests ~edb ~enc_row ~id_mask @ wire_tests reply @ fetch_tests ~edb ~id_mask ~ids)
+  in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let t = Stdx.Table_fmt.create [ "operation"; "ns/op"; "r^2" ] in
@@ -150,16 +236,17 @@ let run () =
   Stdx.Table_fmt.print t;
   let row_bytes = decrypted_bytes edb enc_row (Array.make (Array.length id_mask) true) in
   let id_bytes = decrypted_bytes edb enc_row id_mask in
-  let entry (op, bytes) =
+  let frame_bytes = String.length (Server.Wire.frame (Server.Wire.encode_response reply)) in
+  let entry (op, per) =
     let ns = List.find_map (fun (n, est, _) -> if n = "micro " ^ op then Some est else None) rows in
     let ns = Option.value ~default:nan ns in
+    let per_unit unit n =
+      [ ("ns_per_" ^ unit, Printf.sprintf "%.3f" (ns /. float_of_int (max n 1))); (unit ^ "s", string_of_int n) ]
+    in
     ( op,
       Bench_util.json_obj
-        [
-          ("ns_per_op", Printf.sprintf "%.1f" ns);
-          ("ns_per_byte", Printf.sprintf "%.3f" (ns /. float_of_int (max bytes 1)));
-          ("bytes", string_of_int bytes);
-        ] )
+        (("ns_per_op", Printf.sprintf "%.1f" ns)
+        :: (match per with Bytes n -> per_unit "byte" n | Rows n -> per_unit "row" n)) )
   in
   let json =
     Bench_util.json_obj
@@ -172,8 +259,14 @@ let run () =
               ("edb_scheme", "\"bucketized-1000\"");
               ("edb_row", "\"one SPARTA row, 23 columns\"");
               ("edb_id_mask", "\"id, fname\"");
+              ("reply", "\"167 SPARTA rows x 23 columns\"");
+              ( "fetch",
+                Printf.sprintf "\"one ~1%% fname statement over %d rows\"" (Array.length plain_rows) );
             ] );
-        ("metrics", Bench_util.json_obj (List.map entry (recorded ~row_bytes ~id_bytes)));
+        ( "metrics",
+          Bench_util.json_obj
+            (List.map entry (recorded ~row_bytes ~id_bytes ~frame_bytes ~fetch_rows:(Array.length ids)))
+        );
       ]
   in
   Bench_util.write_bench_json ~path:"BENCH_micro.json" json;

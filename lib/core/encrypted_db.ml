@@ -395,15 +395,29 @@ let blob_of = function
   | Value.Blob ct -> ct
   | v -> invalid_arg ("Encrypted_db.decrypt_row: expected blob, got " ^ Value.to_string v)
 
+let check_mask ~ctx t = function
+  | Some m when Array.length m <> Array.length t.slots ->
+      invalid_arg (ctx ^ ": mask length must equal the plain arity")
+  | Some _ | None -> ()
+
+(* The cells [decrypt_row ?mask] reads: the key copy and data blobs of
+   the masked columns. Tags never come back to the client, so they are
+   never fetched. The layout assigns positions in plain-column order,
+   so these come out ascending. *)
+let fetch_positions ?mask t =
+  check_mask ~ctx:"Encrypted_db.fetch_positions" t mask;
+  Array.to_list t.slots
+  |> List.filteri (fun i _ -> match mask with None -> true | Some m -> m.(i))
+  |> List.map (function
+       | Key p | Searchable { data_pos = p; _ } | Ranged { data_pos = p; _ } | Data { pos = p; _ } -> p)
+  |> Array.of_list
+
 (* Positions outside [mask] come back as NULL without touching their
    ciphertexts; the key column is a copy, not a decryption, so only the
    others count towards [edb.columns_decrypted_total]. *)
 let decrypt_row ?mask t enc_row =
   let n = Array.length t.slots in
-  (match mask with
-  | Some m when Array.length m <> n ->
-      invalid_arg "Encrypted_db.decrypt_row: mask length must equal the plain arity"
-  | Some _ | None -> ());
+  check_mask ~ctx:"Encrypted_db.decrypt_row" t mask;
   let out = Array.make n Value.Null in
   let decrypted = ref 0 in
   for i = 0 to n - 1 do

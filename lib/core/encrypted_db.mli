@@ -172,6 +172,14 @@ val decrypt_row : ?mask:bool array -> t -> Sqldb.Value.t array -> Sqldb.Value.t 
     keys plus AES-CTR — safe from any domain. Raises [Invalid_argument]
     when [mask]'s length is not the plain arity. *)
 
+val fetch_positions : ?mask:bool array -> t -> int array
+(** The encrypted-schema positions {!decrypt_row} [?mask] reads, in
+    ascending order: the key column and the data blob of each masked
+    plain column (every one without [mask]), never a tag or rtag
+    column — what [Executor.Columns] should fetch for that decrypt.
+    Raises [Invalid_argument] when [mask]'s length is not the plain
+    arity. *)
+
 val search_predicate : t -> column:string -> string -> Sqldb.Predicate.t
 (** The WHERE clause a search compiles to (exposed for tests/EXPLAIN). *)
 

@@ -316,7 +316,7 @@ let rec uses_range_column edb = function
    re-encrypts whole rows — else the named columns plus those the
    residual filter and the traversal's edge-bucket accounting read.
    The named columns are checked first, so an unknown projected column
-   fails before anything is decrypted. *)
+   fails before the executor runs. *)
 let read_mask plain_schema ~reads ~residual ~traversal =
   match reads with
   | `Star -> Ok None
@@ -331,14 +331,16 @@ let read_mask plain_schema ~reads ~residual ~traversal =
           Ok (Some mask))
 
 (* Shared SELECT/DELETE/UPDATE front half: run the rewritten server
-   query over a frozen view, decrypt the columns in [reads] (see
-   {!read_mask}), apply the residual predicate;
-   returns surviving (row_id, plaintext_row) pairs plus the raw executor
-   result. The view is the caller's when it snapshots this table
-   (multi-table batches freeze one table's epoch up front), else one
-   frozen here — consistent for DELETE and UPDATE too, because
-   mutations are caller-serialized (the server admission queue
-   single-threads writes).
+   query over a frozen view, fetching only the cells the columns in
+   [reads] (see {!read_mask}) decrypt from, then decrypt them and apply
+   the residual predicate; returns surviving (row_id, plaintext_row)
+   pairs plus the raw executor result. The residual and the mask are
+   checked before the executor runs, so a statement naming an unknown
+   column fails without touching the table. The view is the caller's
+   when it snapshots this table (multi-table batches freeze one table's
+   epoch up front), else one frozen here — consistent for DELETE and
+   UPDATE too, because mutations are caller-serialized (the server
+   admission queue single-threads writes).
 
    Range predicates at conjunctive position take the [Range_traverse]
    plan: the query ships O(log B) cover roots, the server expands them
@@ -354,31 +356,32 @@ let fetch_matching ?pool ?view edb ?limit ~reads where =
       (match traversal with
       | Some _ -> Obs.Metrics.incr m_range_traverse
       | None -> if uses_range_column edb where then Obs.Metrics.incr m_range_flat);
-      match
-        phase h_exec "proxy.server_exec" (fun () ->
-            let v =
-              match view with
-              | Some v when Read_view.name v = table_name edb -> v
-              | Some _ | None -> Encrypted_db.freeze edb
-            in
-            match traversal with
-            | Some (col, lo, hi) ->
-                let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in
-                Executor.run_traverse ?pool v
-                  ~tree:(Encrypted_db.range_tree edb col)
-                  ~tag_column:(Encrypted_db.rtag_column col)
-                  ~roots:cover.Range_struct.roots ~projection:Executor.All_columns server
-            | None -> Executor.run_view ?pool v ~projection:Executor.All_columns server)
-      with
-      | exception Not_found -> Error "predicate references an unknown column"
-      | exec -> (
-          let plain_schema = Encrypted_db.plain_schema edb in
-          match Predicate.compile plain_schema residual with
-          | exception Not_found -> Error "residual predicate references an unknown column"
-          | eval -> (
-              match read_mask plain_schema ~reads ~residual ~traversal with
-              | Error e -> Error e
-              | Ok mask ->
+      let plain_schema = Encrypted_db.plain_schema edb in
+      match Predicate.compile plain_schema residual with
+      | exception Not_found -> Error "residual predicate references an unknown column"
+      | eval -> (
+          match read_mask plain_schema ~reads ~residual ~traversal with
+          | Error e -> Error e
+          | Ok mask -> (
+              let projection = Executor.Columns (Encrypted_db.fetch_positions ?mask edb) in
+              match
+                phase h_exec "proxy.server_exec" (fun () ->
+                    let v =
+                      match view with
+                      | Some v when Read_view.name v = table_name edb -> v
+                      | Some _ | None -> Encrypted_db.freeze edb
+                    in
+                    match traversal with
+                    | Some (col, lo, hi) ->
+                        let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in
+                        Executor.run_traverse ?pool v
+                          ~tree:(Encrypted_db.range_tree edb col)
+                          ~tag_column:(Encrypted_db.rtag_column col)
+                          ~roots:cover.Range_struct.roots ~projection server
+                    | None -> Executor.run_view ?pool v ~projection server)
+              with
+              | exception Not_found -> Error "predicate references an unknown column"
+              | exec ->
                   let eval =
                     match traversal with
                     | None -> eval
@@ -508,8 +511,8 @@ let join_masks el ~lidx er ~ridx combined_idxs =
    over the two frozen views (candidate pairs are a superset of the
    true join — salt tags collide across plaintexts for bucketized
    schemes, and 64-bit tags can collide for any scheme). Client side:
-   decrypt each distinct row id once (memoized per side, and only the
-   columns {!join_masks} names), then
+   fetch and decrypt each distinct row id once (memoized per side, and
+   only the columns {!join_masks} names), then
    re-verify every candidate pair on plaintext — ON-column equality
    first, then the WHERE residual over the combined row — stopping at
    LIMIT survivors. Both freezes happen back to back: proxy mutations
@@ -552,15 +555,19 @@ let execute_join ?pool t (j : Sql.join) =
                     List.map (Schema.column_index combined) (Predicate.columns j.Sql.j_where)
                   in
                   let mask_l, mask_r = join_masks el ~lidx er ~ridx (idxs @ where_idxs) in
+                  let fetch_l = Encrypted_db.fetch_positions ~mask:mask_l el in
+                  let fetch_r = Encrypted_db.fetch_positions ~mask:mask_r er in
                   let start_ns = Stdx.Clock.now_ns () in
                   let decrypt_ns = ref 0.0 and filter_ns = ref 0.0 in
                   let cache_l = Hashtbl.create 64 and cache_r = Hashtbl.create 64 in
-                  let dec cache view edb mask id =
+                  let dec cache view edb mask fetch id =
                     match Hashtbl.find_opt cache id with
                     | Some p -> p
                     | None ->
                         let t0 = Stdx.Clock.now_ns () in
-                        let p = Encrypted_db.decrypt_row ~mask edb (Read_view.read_row view id) in
+                        let p =
+                          Encrypted_db.decrypt_row ~mask edb (Read_view.read_cols view id fetch)
+                        in
                         decrypt_ns := !decrypt_ns +. (Stdx.Clock.now_ns () -. t0);
                         Hashtbl.replace cache id p;
                         p
@@ -571,7 +578,8 @@ let execute_join ?pool t (j : Sql.join) =
                   let i = ref 0 in
                   while !i < npairs && !n_kept < wanted do
                     let l, r = jr.Join.pairs.(!i) in
-                    let pl = dec cache_l vl el mask_l l and pr = dec cache_r vr er mask_r r in
+                    let pl = dec cache_l vl el mask_l fetch_l l
+                    and pr = dec cache_r vr er mask_r fetch_r r in
                     let t1 = Stdx.Clock.now_ns () in
                     if value_eq pl.(lidx) pr.(ridx) then begin
                       incr n_verified;

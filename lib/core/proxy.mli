@@ -139,16 +139,19 @@ val execute : t -> string -> (query_result, string) result
     [edb.columns_decrypted_total] counter): a SELECT its projected
     columns, the residual's columns and a traversed range column; a
     DELETE its residual's columns; [SELECT *] and UPDATE, which
-    re-encrypts whole rows, every column. An unknown projected column
-    fails the statement before anything is decrypted.
+    re-encrypts whole rows, every column. The executor fetches only
+    the cells those decrypts read ({!Encrypted_db.fetch_positions},
+    [Executor.Columns]) — never a tag column — from the same pages and
+    rows a whole-row fetch would touch. An unknown projected or
+    residual column fails the statement before the executor runs.
 
     A JOIN freezes both tables' views back to back — epoch-consistent
     under the single-writer discipline every deployment in this repo
     maintains (the server admission queue serializes mutations) — and
-    decrypts each distinct candidate row once per side (memoized), so
-    a row appearing in many candidate pairs costs one decryption. Each
-    side decrypts its ON column and the columns the projection and the
-    WHERE read of it. *)
+    fetches and decrypts each distinct candidate row once per side
+    (memoized), so a row appearing in many candidate pairs costs one
+    decryption. Each side fetches and decrypts its ON column and the
+    columns the projection and the WHERE read of it. *)
 
 val execute_snapshot :
   ?pool:Stdx.Task_pool.t ->

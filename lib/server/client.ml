@@ -13,7 +13,8 @@ let recv fd =
 
 let rpc fd req =
   match Wire.send_request fd req with
-  | () -> recv fd
+  | Ok () -> recv fd
+  | Error e -> Error ("request " ^ Wire.error_string e)
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let connect ?(client_name = "wre_client") ~socket_path () =

@@ -16,7 +16,9 @@ val tables : t -> string list
 
 val query : t -> string -> (Wire.result_payload, string) result
 (** Send one SQL statement, block for its result. A server-side
-    [Failed] reply becomes [Error message]. *)
+    [Failed] reply becomes [Error message]. A statement too large for
+    one frame ({!Wire.max_frame}) is an [Error] before anything is
+    written; the session stays usable. *)
 
 val ping : t -> (unit, string) result
 val stats : t -> (string, string) result

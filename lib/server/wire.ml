@@ -47,13 +47,17 @@ type response =
 
 let crc_int payload = Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF
 
+(* Header and payload go straight into the one buffer that is sent: the
+   payload is copied once, and the little-endian words are the bytes
+   [Codec.put_u32] would write. *)
 let frame payload =
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Codec.put_u32 b magic;
-  Codec.put_u32 b (String.length payload);
-  Codec.put_u32 b (crc_int payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let len = String.length payload in
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.set_int32_le b 0 (Int32.of_int magic);
+  Bytes.set_int32_le b 4 (Int32.of_int len);
+  Bytes.set_int32_le b 8 (Crc32.digest payload);
+  Bytes.blit_string payload 0 b header_bytes len;
+  Bytes.unsafe_to_string b
 
 let parse_header h =
   if String.length h < header_bytes then Error (Malformed "truncated header")
@@ -189,13 +193,15 @@ let recv_payload fd =
     | 0 -> Error `Eof
     | n when n < header_bytes -> Error (`Err (Malformed "truncated header"))
     | _ -> (
-        match parse_header (Bytes.to_string hdr) with
+        (* Both buffers are fresh and never written again once read, so
+           they become strings without a copy. *)
+        match parse_header (Bytes.unsafe_to_string hdr) with
         | Error e -> Error (`Err e)
         | Ok (len, crc) ->
             let payload = Bytes.create len in
             if really_read fd payload len < len then Error (`Err (Malformed "truncated frame"))
             else
-              let payload = Bytes.to_string payload in
+              let payload = Bytes.unsafe_to_string payload in
               (match check_payload ~crc payload with
               | Error e -> Error (`Err e)
               | Ok () -> Ok payload))
@@ -214,5 +220,20 @@ let recv_request fd =
 let recv_response fd =
   match recv_payload fd with Error e -> Error e | Ok p -> lift_decode (decode_response p)
 
-let send_request fd r = Store.Io.write_fd_all fd (frame (encode_request r))
-let send_response fd r = Store.Io.write_fd_all fd (frame (encode_response r))
+(* The receiver rejects a frame over [max_frame] and leaves its payload
+   unread, so the sender must never write one: the stream would be out
+   of step from then on. *)
+let send_request fd r =
+  let payload = encode_request r in
+  if String.length payload > max_frame then Error (Oversized (String.length payload))
+  else Ok (Store.Io.write_fd_all fd (frame payload))
+
+let send_response fd r =
+  let payload = encode_response r in
+  let payload =
+    if String.length payload <= max_frame then payload
+    else
+      encode_response
+        (Failed { message = "reply " ^ error_string (Oversized (String.length payload)) })
+  in
+  Store.Io.write_fd_all fd (frame payload)

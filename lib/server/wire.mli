@@ -13,7 +13,8 @@
     with {!Store.Codec} and reject trailing bytes, unknown tags, and
     element counts exceeding the bytes present. Any of these failures
     is an {!error}, never an exception — a server rejects the session
-    cleanly and keeps serving the others. *)
+    cleanly and keeps serving the others. Senders hold themselves to
+    the same length bound (see {!send_request}, {!send_response}). *)
 
 val magic : int
 val header_bytes : int
@@ -54,7 +55,8 @@ type response =
 (** {2 Framing} *)
 
 val frame : string -> string
-(** Wrap a payload in a checked frame. *)
+(** Wrap a payload in a checked frame: one allocation, one copy of the
+    payload. It does not check {!max_frame}; the senders below do. *)
 
 val parse_header : string -> (int * int, error) result
 (** Validate the 12 header bytes: [Ok (payload_len, crc)]. *)
@@ -74,8 +76,16 @@ val decode_response : string -> (response, error) result
     interrupted syscalls (the signal-handling server's steady state)
     are retried, never surfaced as protocol errors. *)
 
-val send_request : Unix.file_descr -> request -> unit
+val send_request : Unix.file_descr -> request -> (unit, error) result
+(** Frame and write a request. One whose payload exceeds {!max_frame}
+    is refused as [Oversized] and nothing is written, so the stream
+    stays in step. *)
+
 val send_response : Unix.file_descr -> response -> unit
+(** Frame and write a response. One whose payload exceeds {!max_frame}
+    goes out as [Failed], its message naming the size and the limit —
+    the peer would reject the oversized frame and lose its place in the
+    stream. *)
 
 val recv_request : Unix.file_descr -> (request, [ `Eof | `Err of error ]) result
 (** [`Eof] at a clean frame boundary, or when the peer reset the

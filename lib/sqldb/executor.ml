@@ -1,4 +1,4 @@
-type projection = Row_ids | All_columns
+type projection = Row_ids | All_columns | Columns of int array
 
 type plan_kind =
   | Index_scan of string
@@ -119,6 +119,7 @@ let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ?(attrs = []) (p
         Pager.charge_transfer (Read_view.pager view) (8 * Array.length row_ids);
         [||]
     | All_columns -> Array.map (Read_view.read_row view) row_ids
+    | Columns positions -> Array.map (fun id -> Read_view.read_cols view id positions) row_ids
   in
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
   let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) foreign in

@@ -23,6 +23,11 @@
 type projection =
   | Row_ids  (** SELECT ID *)
   | All_columns  (** SELECT * *)
+  | Columns of int array
+      (** the rows with only these schema positions materialized
+          ({!Read_view.read_cols}), every other cell [Value.Null]: the
+          same pages and rows as [All_columns], transfer charged for
+          the fetched cells only *)
 
 type plan_kind =
   | Index_scan of string
@@ -34,7 +39,7 @@ type plan_kind =
 
 type result = {
   row_ids : int array;
-  rows : Value.t array array;  (** empty for [Row_ids] *)
+  rows : Value.t array array;  (** empty for [Row_ids]; sparse for [Columns] *)
   plan : plan_kind;
   wall_ns : float;  (** measured executor time *)
   stats : Pager.stats;  (** pager-counter delta for this query *)

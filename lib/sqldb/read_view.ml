@@ -86,11 +86,30 @@ let row_page t id =
   check t id;
   t.row_pages.(id)
 
-let read_row t id =
-  let row = peek_row t id in
+let charge_read t id row =
   Pager.touch t.pager t.heap_rel t.row_pages.(id);
   Pager.charge_rows t.pager 1;
-  Pager.charge_transfer t.pager (t.row_bytes row);
+  Pager.charge_transfer t.pager (t.row_bytes row)
+
+let read_row t id =
+  let row = peek_row t id in
+  charge_read t id row;
+  row
+
+let read_cols t id positions =
+  let row =
+    if is_reclaimed t id then t.reclaimed
+    else begin
+      let row = Array.make (n_cols t) Value.Null in
+      for k = 0 to Array.length positions - 1 do
+        let p = positions.(k) in
+        let c = t.cols.(p) in
+        row.(p) <- Column_dict.frozen_get c.dict c.ids.(id)
+      done;
+      row
+    end
+  in
+  charge_read t id row;
   row
 
 let scan t f =

@@ -76,6 +76,14 @@ val read_row : t -> int -> Value.t array
     charged at the logical (row-format) tuple size, like the pre-
     columnar engine, so simulated query costs are layout-independent. *)
 
+val read_cols : t -> int -> int array -> Value.t array
+(** [read_cols v id positions]: the row with only the cells at
+    [positions] (schema positions) materialized, every other cell
+    [Value.Null]. Touches the same heap page and charges the same row
+    as {!read_row}; transfer is charged at the logical size of the
+    projected tuple, so it counts only the fetched cells. Raises
+    [Invalid_argument] for a position outside the schema. *)
+
 val scan : t -> (int -> Value.t array -> unit) -> unit
 (** Full scan in id order: touches each heap page once, surfaces live
     rows only, charges every slot examined. *)

@@ -21,17 +21,13 @@ let skip c n =
 
 let put_u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
 
+(* Fixed-width integers go in as whole words; [Int32.of_int] keeps the
+   low 32 bits, the same bytes a byte-at-a-time writer would emit. *)
 let put_u32 b n =
   if n < 0 then corrupt "put_u32: negative";
-  put_u8 b n;
-  put_u8 b (n lsr 8);
-  put_u8 b (n lsr 16);
-  put_u8 b (n lsr 24)
+  Buffer.add_int32_le b (Int32.of_int n)
 
-let put_u64 b v =
-  for i = 0 to 7 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done
+let put_u64 b v = Buffer.add_int64_le b v
 
 let put_bool b v = put_u8 b (if v then 1 else 0)
 let put_float b v = put_u64 b (Int64.bits_of_float v)
@@ -79,12 +75,10 @@ let index_kind_code = function Table_index.Btree -> 0 | Table_index.Hash -> 1
    elsewhere in the stream), which is what keeps a 10M-row checkpoint
    near the in-memory columnar size instead of 4-8 bytes per cell. *)
 let put_fixed b width n =
-  put_u8 b n;
-  if width >= 2 then put_u8 b (n lsr 8);
-  if width >= 4 then begin
-    put_u8 b (n lsr 16);
-    put_u8 b (n lsr 24)
-  end
+  match width with
+  | 1 -> put_u8 b n
+  | 2 -> Buffer.add_uint16_le b (n land 0xFFFF)
+  | _ -> Buffer.add_int32_le b (Int32.of_int n)
 
 (* A table snapshot abstracted over its source, so checkpointing can
    stream straight from a frozen view — cell by cell, with [flush]
@@ -237,21 +231,23 @@ let get_u8 c =
   c.p <- c.p + 1;
   v
 
+let get_u16 c =
+  need c 2;
+  let v = String.get_uint16_le c.s c.p in
+  c.p <- c.p + 2;
+  v
+
 let get_u32 c =
-  let a = get_u8 c in
-  let b = get_u8 c in
-  let d = get_u8 c in
-  let e = get_u8 c in
-  a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24)
+  need c 4;
+  let v = Int32.to_int (String.get_int32_le c.s c.p) land 0xFFFFFFFF in
+  c.p <- c.p + 4;
+  v
 
 let get_u64 c =
   need c 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.s.[c.p + i]))
-  done;
+  let v = String.get_int64_le c.s c.p in
   c.p <- c.p + 8;
-  !v
+  v
 
 let get_bool c =
   match get_u8 c with 0 -> false | 1 -> true | n -> corrupt "bad bool %d" n
@@ -303,16 +299,7 @@ let index_kind_of_code = function
   | 1 -> Table_index.Hash
   | n -> corrupt "bad index kind %d" n
 
-let get_fixed c width =
-  let a = get_u8 c in
-  if width = 1 then a
-  else
-    let b = get_u8 c in
-    if width = 2 then a lor (b lsl 8)
-    else
-      let d = get_u8 c in
-      let e = get_u8 c in
-      a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24)
+let get_fixed c width = match width with 1 -> get_u8 c | 2 -> get_u16 c | _ -> get_u32 c
 
 let get_table_snapshot c =
   let s_name = get_str c in

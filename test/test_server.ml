@@ -108,6 +108,41 @@ let qcheck_frame_roundtrip =
           len = String.length payload
           && Wire.check_payload ~crc (String.sub f Wire.header_bytes len) = Ok ())
 
+(* A fixed 3-row reply framed by the byte-at-a-time CRC and codec this
+   framing replaced: the sliced CRC, the word-wide integers and the
+   single-copy frame must reproduce it byte for byte. *)
+let golden_reply =
+  Wire.Result
+    {
+      columns = [ "id"; "name"; "score"; "blob" ];
+      rows =
+        [
+          [| Sqldb.Value.Int 1L; Sqldb.Value.Text "ann"; Sqldb.Value.Real 2.5; Sqldb.Value.Blob "\x00\xff" |];
+          [| Sqldb.Value.Int (-2L); Sqldb.Value.Null; Sqldb.Value.Real (-0.125); Sqldb.Value.Blob "" |];
+          [|
+            Sqldb.Value.Int Int64.max_int;
+            Sqldb.Value.Text "z\xc3\xa9";
+            Sqldb.Value.Null;
+            Sqldb.Value.Blob "wre";
+          |];
+        ];
+      affected = 0;
+      server_rows = 3;
+    }
+
+let golden_reply_frame_hex =
+  "575245318f000000e8e26ec20204000000020000006964040000006e616d650500000073636f726504000000626c6f62"
+  ^ "03000000040000000101000000000000000303000000616e6e020000000000000440040200000000ff040000000"
+  ^ "1feffffffffffffff0002000000000000c0bf04000000000400000001ffffffffffffff7f03030000007ac3a900"
+  ^ "04030000007772650000000003000000"
+
+let test_golden_reply_frame () =
+  let framed = Wire.frame (Wire.encode_response golden_reply) in
+  Alcotest.(check string) "frame bytes" golden_reply_frame_hex (Stdx.Bytes_util.to_hex framed);
+  check_bool "decodes back" true
+    (Wire.decode_response (String.sub framed Wire.header_bytes (String.length framed - Wire.header_bytes))
+    = Ok golden_reply)
+
 (* ---------------- wire: adversarial decode ---------------- *)
 
 (* Feed exact byte prefixes through a real pipe so the blocking reader
@@ -474,6 +509,74 @@ let test_server_control_requests () =
                   check_bool "stats dump includes server counters" true
                     (contains text "server.requests_total"))))
 
+(* A reply too large for one frame must not be written as one: the
+   client would reject it unread and lose its place in the stream.
+   Seventeen rows carrying a 1 MiB value each make [SELECT *] larger
+   than [Wire.max_frame]; the daemon answers [Failed] instead, and the
+   same session goes on to serve the next statement. An oversized
+   request is refused before it is written. *)
+let test_server_oversized_reply_fails_cleanly () =
+  with_temp_dir (fun dir ->
+      let schema =
+        Sqldb.Schema.create
+          [
+            { name = "id"; ty = Sqldb.Value.TInt; nullable = false };
+            { name = "name"; ty = Sqldb.Value.TText; nullable = false };
+            { name = "note"; ty = Sqldb.Value.TText; nullable = false };
+          ]
+      in
+      let n_rows = 17 in
+      let rows =
+        List.init n_rows (fun i ->
+            [|
+              Sqldb.Value.Int (Int64.of_int i);
+              Sqldb.Value.Text "big";
+              Sqldb.Value.Text (String.make (1 lsl 20) (Char.chr (97 + i)));
+            |])
+      in
+      let store = Store.Engine.open_dir ~dir:(Filename.concat dir "store") () in
+      let edb =
+        Store.Engine.create_encrypted store ~name:"big" ~plain_schema:schema ~key_column:"id"
+          ~encrypted_columns:[ "name" ] ~kind:(Wre.Scheme.Poisson 10.0)
+          ~master:(Crypto.Keys.generate (Stdx.Prng.create 3L))
+          ~dist_of:(Wre.Dist_est.of_rows ~schema ~columns:[ "name" ] (List.to_seq rows))
+          ~seed:4L ()
+      in
+      List.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) rows;
+      let cfg =
+        { (Daemon.default_config ~socket_path:(Filename.concat dir "big.sock")) with window_ns = 0.0 }
+      in
+      match Daemon.start cfg store with
+      | Error e -> Alcotest.failf "daemon refused to start: %s" e
+      | Ok d ->
+          Fun.protect
+            ~finally:(fun () ->
+              Daemon.stop d;
+              Store.Engine.close store)
+            (fun () ->
+              let c = Result.get_ok (Client.connect ~socket_path:(Daemon.socket_path d) ()) in
+              Fun.protect
+                ~finally:(fun () -> Client.close c)
+                (fun () ->
+                  let contains hay needle =
+                    let nh = String.length hay and nn = String.length needle in
+                    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+                    go 0
+                  in
+                  (match Client.query c "SELECT * FROM big WHERE name = 'big'" with
+                  | Ok _ -> Alcotest.fail "a reply over max_frame was delivered"
+                  | Error m ->
+                      check_bool ("oversized reply names its size and the limit: " ^ m) true
+                        (contains m "exceeds limit" && contains m (string_of_int Wire.max_frame)));
+                  (match Client.query c "SELECT id FROM big WHERE name = 'big'" with
+                  | Ok p -> check_int "same session serves the next statement" n_rows (List.length p.rows)
+                  | Error m -> Alcotest.failf "session broken after an oversized reply: %s" m);
+                  let huge = "SELECT id FROM big WHERE name = '" ^ String.make Wire.max_frame 'x' ^ "'" in
+                  (match Client.query c huge with
+                  | Ok _ -> Alcotest.fail "a request over max_frame was sent"
+                  | Error m -> check_bool ("oversized request refused: " ^ m) true (contains m "exceeds limit"));
+                  check_bool "session still in step after a refused request" true (Client.ping c = Ok ()))))
+
 let test_server_requires_encrypted_tables () =
   with_temp_dir (fun dir ->
       let store = Store.Engine.open_dir ~dir:(Filename.concat dir "empty") () in
@@ -495,6 +598,7 @@ let () =
           Alcotest.test_case "stream truncation/corruption" `Quick test_adversarial_stream;
           Alcotest.test_case "length bounds" `Quick test_adversarial_lengths;
           Alcotest.test_case "payload shapes" `Quick test_adversarial_payloads;
+          Alcotest.test_case "golden reply frame" `Quick test_golden_reply_frame;
         ] );
       ( "admission",
         [
@@ -517,6 +621,8 @@ let () =
             test_server_insert_durable_across_restart;
           Alcotest.test_case "ping/stats" `Quick test_server_control_requests;
           Alcotest.test_case "refuses plain store" `Quick test_server_requires_encrypted_tables;
+          Alcotest.test_case "oversized reply fails cleanly" `Quick
+            test_server_oversized_reply_fails_cleanly;
         ] );
       ( "wire_properties",
         q [ qcheck_request_roundtrip; qcheck_response_roundtrip; qcheck_frame_roundtrip ] );

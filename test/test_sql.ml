@@ -562,6 +562,111 @@ let test_proxy_decrypts_only_read_columns () =
   check_bool "updated rows intact" true
     (List.for_all (fun row -> row.(2) = Value.Text "sea" && row.(3) <> Value.Null) r.rows)
 
+(* ---------------- Proxy: what the executor fetches ---------------- *)
+
+(* The [make_proxy_edb] table with [age] also range-indexed, so a range
+   predicate takes the traversal plan. *)
+let make_range_proxy_edb kind =
+  let db = Database.create () in
+  let dist_of =
+    Wre.Dist_est.of_rows ~schema:plain_schema ~columns:[ "name"; "city" ] (List.to_seq people)
+  in
+  let ages = Array.of_list (List.map (fun p -> match p.(3) with Value.Int a -> a | _ -> 0L) people) in
+  let master = Crypto.Keys.of_raw ~k0:(String.make 16 'p') ~k1:(String.make 32 'q') in
+  let edb =
+    Wre.Encrypted_db.create ~db ~name:"people" ~plain_schema ~key_column:"id"
+      ~encrypted_columns:[ "name"; "city" ] ~range_columns:[ ("age", 8) ]
+      ~range_training:(fun _ -> ages) ~kind ~master ~dist_of ~seed:5L ()
+  in
+  List.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) people;
+  (Wre.Proxy.create edb, edb)
+
+(* The distinct sets of non-NULL encrypted-schema positions across the
+   rows the executor fetched. *)
+let fetched_position_sets (exec : Executor.result) =
+  List.sort_uniq compare
+    (List.map
+       (fun row ->
+         List.filter (fun p -> row.(p) <> Value.Null) (List.init (Array.length row) Fun.id))
+       (Array.to_list exec.rows))
+
+let enc_positions edb names =
+  List.map (Schema.column_index (Wre.Encrypted_db.encrypted_schema edb)) names
+
+(* Run [stmt] through the proxy, and the server side of [select_sql]
+   (a SELECT with the same WHERE) with [All_columns], each from a cold
+   buffer pool, so the two stats differ only in transfer. *)
+let against_all_columns proxy edb ~select_sql stmt =
+  let pager = Read_view.pager (Wre.Encrypted_db.freeze edb) in
+  let s = match ok (Sql.parse select_sql) with Sql.Select s -> s | _ -> Alcotest.fail "not a SELECT" in
+  let server = (ok (Wre.Proxy.rewrite_select proxy s)).Wre.Proxy.server_predicate in
+  Pager.drop_caches pager;
+  let view = Wre.Encrypted_db.freeze edb in
+  let full =
+    match Wre.Proxy.range_cover_for proxy ~table:s.table s.where with
+    | Some (col, roots) ->
+        Executor.run_traverse view
+          ~tree:(Wre.Encrypted_db.range_tree edb col)
+          ~tag_column:(Wre.Encrypted_db.rtag_column col)
+          ~roots ~projection:Executor.All_columns server
+    | None -> Executor.run_view view ~projection:Executor.All_columns server
+  in
+  Pager.drop_caches pager;
+  let r = ok (Wre.Proxy.execute proxy stmt) in
+  (r, Option.get r.exec, full)
+
+let check_fetch ~what edb (exec : Executor.result) (full : Executor.result) names =
+  check_bool (what ^ ": fetched rows") true (exec.row_ids = full.row_ids && Array.length exec.rows > 0);
+  check_bool (what ^ ": exact fetched positions") true
+    (fetched_position_sets exec = [ enc_positions edb names ]);
+  check_int (what ^ ": page touches") (full.stats.hits + full.stats.misses)
+    (exec.stats.hits + exec.stats.misses);
+  check_int (what ^ ": rows examined") full.stats.rows_examined exec.stats.rows_examined;
+  check_bool (what ^ ": less modeled transfer") true (exec.stats.sim_ns < full.stats.sim_ns)
+
+let test_proxy_fetches_only_read_cells () =
+  let proxy, edb = make_proxy_edb (Wre.Scheme.Bucketized 10.0) in
+  let where = " FROM people WHERE name = 'ann'" in
+  let _, exec, full = against_all_columns proxy edb ~select_sql:("SELECT *" ^ where) ("SELECT id" ^ where) in
+  check_fetch ~what:"SELECT id" edb exec full [ "id"; "name_data" ];
+  let _, exec, full = against_all_columns proxy edb ~select_sql:("SELECT *" ^ where) ("SELECT *" ^ where) in
+  check_fetch ~what:"SELECT *" edb exec full [ "id"; "name_data"; "city_data"; "age_data" ];
+  let where = " FROM people WHERE name = 'cat' AND age >= 40" in
+  let r, exec, full = against_all_columns proxy edb ~select_sql:("SELECT *" ^ where) ("DELETE" ^ where) in
+  check_bool "DELETE deleted" true (r.affected > 0);
+  check_fetch ~what:"DELETE" edb exec full [ "name_data"; "age_data" ];
+  let r, exec, full =
+    against_all_columns proxy edb ~select_sql:"SELECT * FROM people WHERE name = 'bob'"
+      "UPDATE people SET city = 'sea' WHERE name = 'bob'"
+  in
+  check_bool "UPDATE updated" true (r.affected > 0);
+  check_fetch ~what:"UPDATE" edb exec full [ "id"; "name_data"; "city_data"; "age_data" ];
+  let updated = ok (Wre.Proxy.execute proxy "SELECT * FROM people WHERE name = 'bob'") in
+  check_bool "UPDATE rewrote whole rows" true
+    (List.for_all
+       (fun row -> row.(2) = Value.Text "sea" && Array.for_all (fun v -> v <> Value.Null) row)
+       updated.rows);
+  let proxy, edb = make_range_proxy_edb (Wre.Scheme.Bucketized 10.0) in
+  let sql = "SELECT id FROM people WHERE age BETWEEN 30 AND 39" in
+  let r, exec, full = against_all_columns proxy edb ~select_sql:sql sql in
+  check_bool "range traversal plan" true (exec.plan = Executor.Range_traverse "age_rtag");
+  check_int "range rows"
+    (List.length
+       (List.filter (fun p -> match p.(3) with Value.Int a -> a >= 30L && a <= 39L | _ -> false) people))
+    (List.length r.rows);
+  check_fetch ~what:"range traversal" edb exec full [ "id"; "age_data" ];
+  (* An unknown residual column fails before the executor runs: no
+     full scan of the table for a statement that cannot succeed. *)
+  let queries = Obs.Metrics.counter "executor.queries_total" in
+  let before = Obs.Metrics.counter_value queries in
+  check_bool "unknown residual column" true
+    (Wre.Proxy.execute proxy "SELECT id FROM people WHERE nope = 3"
+    = Error "residual predicate references an unknown column");
+  check_bool "unknown projected column" true
+    (Wre.Proxy.execute proxy "SELECT nope FROM people WHERE name = 'ann'"
+    = Error "projected column does not exist");
+  check_int "neither reached the executor" before (Obs.Metrics.counter_value queries)
+
 let test_proxy_in_list_on_encrypted_column () =
   let proxy = make_proxy (Wre.Scheme.Poisson 100.0) in
   let r = ok (Wre.Proxy.execute proxy "SELECT id FROM people WHERE name IN ('ann', 'cat')") in
@@ -587,7 +692,7 @@ let pets =
         Value.Text (if i mod 2 = 0 then "dog" else "cat");
       |])
 
-let make_join_proxy kind =
+let make_join_proxy_edbs kind =
   let db = Database.create () in
   let master = Crypto.Keys.of_raw ~k0:(String.make 16 'p') ~k1:(String.make 32 'q') in
   let dist_people =
@@ -606,7 +711,11 @@ let make_join_proxy kind =
   in
   List.iter (fun r -> ignore (Wre.Encrypted_db.insert ep r)) people;
   List.iter (fun r -> ignore (Wre.Encrypted_db.insert et r)) pets;
-  Wre.Proxy.create_multi [ ep; et ]
+  (Wre.Proxy.create_multi [ ep; et ], ep, et)
+
+let make_join_proxy kind =
+  let proxy, _, _ = make_join_proxy_edbs kind in
+  proxy
 
 (* The plaintext oracle for the same two tables. *)
 let join_reference sql =
@@ -668,6 +777,46 @@ let test_proxy_join_decrypts_on_columns () =
   check_bool "WHERE join matches plaintext" true
     (sorted_rows r.rows = sorted_rows (join_reference sql).rows);
   check_int "WHERE column decrypted on its side only" (rows + distinct r fst) cols
+
+(* Each side fetches exactly its ON, WHERE and projected columns: the
+   join's modeled transfer is its 16 bytes per candidate pair plus, for
+   each distinct row, the projected tuple of exactly those cells. *)
+let test_proxy_join_fetches_read_columns () =
+  let proxy, ep, et = make_join_proxy_edbs (Wre.Scheme.Bucketized 10.0) in
+  let transfer f = counter_delta "pager.bytes_transferred_total" f in
+  let read_bytes edb ids names =
+    let view = Wre.Encrypted_db.freeze edb in
+    let positions = Array.of_list (enc_positions edb names) in
+    snd (transfer (fun () -> List.iter (fun id -> ignore (Read_view.read_cols view id positions)) ids))
+  in
+  List.iter
+    (fun (sql, left, right) ->
+      let r, bytes = transfer (fun () -> ok (Wre.Proxy.execute proxy sql)) in
+      check_bool ("join matches plaintext: " ^ sql) true
+        (sorted_rows r.rows = sorted_rows (join_reference sql).rows);
+      let pairs = (Option.get r.join_exec).Join.pairs in
+      let distinct side = List.sort_uniq compare (Array.to_list (Array.map side pairs)) in
+      let expected =
+        (16 * Array.length pairs) + read_bytes ep (distinct fst) left + read_bytes et (distinct snd) right
+      in
+      check_int ("fetched cells: " ^ sql) expected bytes;
+      check_bool ("fewer than whole rows: " ^ sql) true
+        (bytes
+        < (16 * Array.length pairs)
+          + read_bytes ep (distinct fst) [ "id"; "name_tag"; "name_data"; "city_tag"; "city_data"; "age_data" ]
+          + read_bytes et (distinct snd) [ "id"; "owner_tag"; "owner_data"; "species_tag"; "species_data" ]))
+    [
+      ( "SELECT people.id, pets.id FROM people JOIN pets ON people.name = pets.owner",
+        [ "id"; "name_data" ],
+        [ "id"; "owner_data" ] );
+      ( "SELECT pets.id FROM people JOIN pets ON people.name = pets.owner WHERE people.age >= 30",
+        [ "name_data"; "age_data" ],
+        [ "id"; "owner_data" ] );
+      ( "SELECT people.city FROM people JOIN pets ON people.name = pets.owner WHERE pets.species = \
+         'dog'",
+        [ "name_data"; "city_data" ],
+        [ "owner_data"; "species_data" ] );
+    ]
 
 let test_proxy_join_residual_where_and_limit () =
   let proxy = make_join_proxy (Wre.Scheme.Bucketized 10.0) in
@@ -1030,10 +1179,12 @@ let () =
           Alcotest.test_case "limit decrypts lazily" `Quick test_proxy_limit_decrypts_lazily;
           Alcotest.test_case "decrypts only read columns" `Quick
             test_proxy_decrypts_only_read_columns;
+          Alcotest.test_case "fetches only read cells" `Quick test_proxy_fetches_only_read_cells;
           Alcotest.test_case "IN-list on encrypted column" `Quick
             test_proxy_in_list_on_encrypted_column;
           Alcotest.test_case "join matches plaintext" `Quick test_proxy_join_matches_plaintext;
           Alcotest.test_case "join decrypts ON columns" `Quick test_proxy_join_decrypts_on_columns;
+          Alcotest.test_case "join fetches read columns" `Quick test_proxy_join_fetches_read_columns;
           Alcotest.test_case "join residual where + limit" `Quick
             test_proxy_join_residual_where_and_limit;
           Alcotest.test_case "join bucketized verifies FPs" `Quick

@@ -81,15 +81,57 @@ let reference_state n =
 
 (* ---------------- crc32 ---------------- *)
 
+(* The textbook byte-at-a-time reflected CRC-32 over boxed [int32]s,
+   kept as the reference the sliced implementation must equal. *)
+let reference_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let reference_crc_update crc s =
+  let c = ref (Int32.lognot crc) in
+  String.iter
+    (fun ch ->
+      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
+      c := Int32.logxor reference_crc_table.(i) (Int32.shift_right_logical !c 8))
+    s;
+  Int32.lognot !c
+
 let test_crc32_vector () =
-  (* The standard IEEE 802.3 check value. *)
+  (* The standard IEEE 802.3 check values. *)
   check_bool "check vector" true (Store.Crc32.digest "123456789" = 0xCBF43926l);
+  check_bool "fox vector" true
+    (Store.Crc32.digest "The quick brown fox jumps over the lazy dog" = 0x414FA339l);
   check_bool "empty" true (Store.Crc32.digest "" = 0l)
 
 let test_crc32_incremental () =
   let whole = Store.Crc32.digest "header-payload" in
   let inc = Store.Crc32.update (Store.Crc32.digest "header-") "payload" in
   check_bool "incremental = whole" true (whole = inc)
+
+(* Random strings of 0-300 bytes (every alignment and tail length of
+   the 8-byte step), a random starting CRC, and random split points
+   chaining [update] calls: always the reference's value. *)
+let qcheck_crc32_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      triple (string_size (0 -- 300)) ui32 (list_size (0 -- 4) (0 -- 300)))
+  in
+  QCheck.Test.make ~name:"sliced crc32 = byte-at-a-time reference" ~count:500 (QCheck.make gen)
+    (fun (s, crc0, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> min c n) cuts) in
+      let rec chain crc pos = function
+        | [] -> Store.Crc32.update crc (String.sub s pos (n - pos))
+        | cut :: rest -> chain (Store.Crc32.update crc (String.sub s pos (cut - pos))) cut rest
+      in
+      Store.Crc32.update crc0 s = reference_crc_update crc0 s
+      && chain crc0 0 cuts = reference_crc_update crc0 s
+      && Store.Crc32.digest s = reference_crc_update 0l s)
 
 (* ---------------- codec ---------------- *)
 
@@ -109,6 +151,52 @@ let test_codec_scalars () =
   check_bool "float" true (Store.Codec.get_float c = 3.25);
   Alcotest.(check string) "str" "hé\x00llo" (Store.Codec.get_str c);
   check_bool "at end" true (Store.Codec.at_end c)
+
+(* The word-wide readers and writers at the edges of their ranges,
+   with the exact little-endian bytes pinned. *)
+let test_codec_integer_edges () =
+  let hex_of f =
+    let b = Buffer.create 8 in
+    f b;
+    Stdx.Bytes_util.to_hex (Buffer.contents b)
+  in
+  List.iter
+    (fun (n, hex) ->
+      let h = hex_of (fun b -> Store.Codec.put_u32 b n) in
+      Alcotest.(check string) (Printf.sprintf "u32 %d bytes" n) hex h;
+      check_int (Printf.sprintf "u32 %d" n) n
+        (Store.Codec.get_u32 (Store.Codec.cursor (Stdx.Bytes_util.of_hex h))))
+    [
+      (0, "00000000");
+      (0x7FFFFFFF, "ffffff7f");
+      (0x80000000, "00000080");
+      (0xFFFFFFFF, "ffffffff");
+      (0x01020304, "04030201");
+    ];
+  List.iter
+    (fun (v, hex) ->
+      let h = hex_of (fun b -> Store.Codec.put_u64 b v) in
+      Alcotest.(check string) (Printf.sprintf "u64 %Ld bytes" v) hex h;
+      check_bool (Printf.sprintf "u64 %Ld" v) true
+        (Store.Codec.get_u64 (Store.Codec.cursor (Stdx.Bytes_util.of_hex h)) = v))
+    [
+      (Int64.min_int, "0000000000000080");
+      (-1L, "ffffffffffffffff");
+      (Int64.max_int, "ffffffffffffff7f");
+      (0x0102030405060708L, "0807060504030201");
+    ];
+  check_bool "negative put_u32 raises Corrupt" true
+    (match Store.Codec.put_u32 (Buffer.create 4) (-1) with
+    | exception Store.Codec.Corrupt _ -> true
+    | () -> false);
+  check_bool "short u32 raises Corrupt" true
+    (match Store.Codec.get_u32 (Store.Codec.cursor "\x01\x02\x03") with
+    | exception Store.Codec.Corrupt _ -> true
+    | _ -> false);
+  check_bool "short u64 raises Corrupt" true
+    (match Store.Codec.get_u64 (Store.Codec.cursor "\x01\x02\x03\x04\x05\x06\x07") with
+    | exception Store.Codec.Corrupt _ -> true
+    | _ -> false)
 
 let test_codec_truncation_rejected () =
   let b = Buffer.create 16 in
@@ -738,6 +826,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "scalars" `Quick test_codec_scalars;
+          Alcotest.test_case "integer edges" `Quick test_codec_integer_edges;
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
           Alcotest.test_case "table snapshot" `Quick test_codec_table_snapshot_roundtrip;
           Alcotest.test_case "record ops" `Quick test_record_roundtrip;
@@ -784,5 +873,5 @@ let () =
           Alcotest.test_case "wal append under interrupts" `Quick
             test_wal_append_under_interrupts;
         ] );
-      ("properties", q [ qcheck_codec_value_roundtrip ]);
+      ("properties", q [ qcheck_codec_value_roundtrip; qcheck_crc32_matches_reference ]);
     ]

@@ -81,7 +81,7 @@ let make_queries ~dist_of ~n =
     ~n ()
 
 (* Creation cost = wall-clock client work (crypto and row building)
-   plus the simulated write I/O for every dirtied page (heap +
+   plus the modeled write I/O for every dirtied page (heap +
    indexes), matching the paper's end-to-end load measurement. *)
 let creation_seconds ~pager ~total_bytes ~wall_ns =
   let pages = float_of_int total_bytes /. float_of_int (Pager.config pager).page_size in

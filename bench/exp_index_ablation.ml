@@ -17,8 +17,8 @@ let run ~rows:n_rows ~n_queries () =
         "configuration";
         "load wall (s)";
         "index MB";
-        "cold SELECT ID total (ms)";
-        "cold SELECT * total (ms)";
+        "cold SELECT ID modeled total (ms)";
+        "cold SELECT * modeled total (ms)";
       ]
   in
   let build ~tag_index ~tag_algo label =

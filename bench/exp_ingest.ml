@@ -72,9 +72,7 @@ let checkpoint_streaming table =
       let view = Sqldb.Table.freeze table in
       let (), ns =
         Stdx.Clock.time_it (fun () ->
-            Store.Snapshot.write_views ~dir ~last_lsn:0L
-              ~pager:(Sqldb.Pager.config (Sqldb.Table.pager table))
-              ~views:[ view ] ~wre:[])
+            Store.Snapshot.write_views ~dir ~last_lsn:0L ~views:[ view ] ~wre:[])
       in
       let bytes =
         match Store.Io.read_file (Store.Snapshot.path ~dir) with

@@ -8,8 +8,9 @@
      Fig 7: warm cache,  SELECT *
 
    Each scheme's database is built once and reused for all four
-   figures; the reported metric is the simulated-storage latency
-   (misses x disk + CPU), the axis the paper's figures vary. *)
+   figures; the reported metric is the modeled storage latency
+   (misses x disk + CPU, derived from the pager's counts), the axis the
+   paper's figures vary, and every heading says so. *)
 
 type series = {
   name : string;
@@ -114,7 +115,7 @@ let write_query_json ~rows ~n_queries =
 
 let run ~rows:n_rows ~n_queries () =
   Bench_util.heading
-    (Printf.sprintf "Figures 4-7: query latency, %d rows, %d queries per protocol" n_rows
+    (Printf.sprintf "Figures 4-7: modeled query latency, %d rows, %d queries per protocol" n_rows
        n_queries);
   (* Clean registry so BENCH_query.json reflects only this run. *)
   Obs.Metrics.reset_all ();
@@ -122,10 +123,10 @@ let run ~rows:n_rows ~n_queries () =
   let dist_of = Bench_util.dist_of_rows rows in
   let queries = Bench_util.make_queries ~dist_of ~n:n_queries in
   let all = List.map (run_scheme ~rows ~dist_of ~queries) Bench_util.schemes_for_latency in
-  print_figure "Figure 4: cold cache, SELECT ID" (fun s -> s.fig4) all;
-  print_figure "Figure 5: cold cache, SELECT *" (fun s -> s.fig5) all;
-  print_figure "Figure 6: warm cache, SELECT ID" (fun s -> s.fig6) all;
-  print_figure "Figure 7: warm cache, SELECT *" (fun s -> s.fig7) all;
+  print_figure "Figure 4: cold cache, SELECT ID, modeled ms" (fun s -> s.fig4) all;
+  print_figure "Figure 5: cold cache, SELECT *, modeled ms" (fun s -> s.fig5) all;
+  print_figure "Figure 6: warm cache, SELECT ID, modeled ms" (fun s -> s.fig6) all;
+  print_figure "Figure 7: warm cache, SELECT *, modeled ms" (fun s -> s.fig7) all;
   (* The paper's headline: Poisson within ~27% of plaintext. *)
   (match
      ( List.find_opt (fun s -> s.name = "plaintext") all,
@@ -133,9 +134,9 @@ let run ~rows:n_rows ~n_queries () =
    with
   | Some p, Some w ->
       Printf.printf
-        "\nSELECT * totals vs plaintext (paper claim: Poisson within ~27%%):\n\
-        \  cold: plaintext %.1f ms, poisson-100 %.1f ms (+%.0f%%)\n\
-        \  warm: plaintext %.1f ms, poisson-100 %.1f ms (+%.0f%%)\n"
+        "\nSELECT * modeled totals vs plaintext (paper claim: Poisson within ~27%%):\n\
+        \  cold: plaintext %.1f modeled ms, poisson-100 %.1f modeled ms (+%.0f%%)\n\
+        \  warm: plaintext %.1f modeled ms, poisson-100 %.1f modeled ms (+%.0f%%)\n"
         p.cold_total_ms w.cold_total_ms
         (100.0 *. ((w.cold_total_ms /. p.cold_total_ms) -. 1.0))
         p.warm_total_ms w.warm_total_ms

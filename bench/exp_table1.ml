@@ -49,7 +49,10 @@ let run ~rows:n_rows () =
     Bench_util.creation_seconds ~pager:(Sqldb.Table.pager enc_table) ~total_bytes:e_tot
       ~wall_ns:enc_wall
   in
-  let t2 = Stdx.Table_fmt.create [ "Load"; "client wall (s)"; "incl. write I/O (s)"; "per row (us)" ] in
+  let t2 =
+    Stdx.Table_fmt.create
+      [ "Load"; "client wall (s)"; "incl. modeled write I/O (s)"; "per row (us)" ]
+  in
   Stdx.Table_fmt.add_row t2
     [
       "plaintext";

@@ -65,7 +65,7 @@ let () =
           (Array.map (fun v -> (v, Dist.Empirical.count d v)) (Dist.Empirical.support d)))
       ~n:30 ()
   in
-  Printf.printf "\ncold-cache SELECT * latency (simulated I/O model):\n";
+  Printf.printf "\ncold-cache SELECT * latency (modeled I/O):\n";
   Printf.printf "  %-8s %-22s %7s %12s %12s\n" "column" "value" "rows" "plain(ms)" "wre(ms)";
   List.iter
     (fun (q : Sparta.Query_gen.query) ->

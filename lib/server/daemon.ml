@@ -8,7 +8,6 @@ let m_sessions = Obs.Metrics.counter "server.sessions_total"
 let m_active = Obs.Metrics.gauge "server.sessions_active"
 let m_requests = Obs.Metrics.counter "server.requests_total"
 let m_rejected = Obs.Metrics.counter "server.frames_rejected_total"
-let m_makespan = Obs.Metrics.counter "server.batch_makespan_sim_ns_total"
 
 type config = {
   socket_path : string;
@@ -46,39 +45,18 @@ let response_of_result = function
         { Wire.columns = q.columns; rows = q.rows; affected = q.affected; server_rows = q.server_rows }
   | Error m -> Wire.Failed { message = m }
 
-let sim_ns_of = function
-  | Ok { Wre.Proxy.exec = Some e; _ } -> e.Sqldb.Executor.stats.Sqldb.Pager.sim_ns
-  | Ok { Wre.Proxy.join_exec = Some j; _ } -> j.Sqldb.Join.stats.Sqldb.Pager.sim_ns
-  | _ -> 0.0
-
 (* Execute one coalesced read batch: freeze the epoch once, fan the
-   queries over the pool. The modeled cost of the batch is its critical
-   path — the largest per-domain sum of simulated storage nanoseconds —
-   which the exp_server benchmark divides into queries/second. *)
+   queries over the pool. *)
 let run_read_batch pool edbs payloads =
   (* Freeze the primary table's epoch once for the whole batch; queries
      on other tables (and joins, which freeze their own pair) fall back
      to a per-query freeze inside the proxy. *)
   let view = Wre.Encrypted_db.freeze (List.hd edbs) in
-  let out =
-    Stdx.Task_pool.parallel_init pool (Array.length payloads) (fun i ->
-        let proxy, sql = payloads.(i) in
-        let r = Wre.Proxy.execute_snapshot ~view proxy sql in
-        (response_of_result r, (Domain.self () :> int), sim_ns_of r))
-  in
-  let busy = Hashtbl.create 8 in
-  Array.iter
-    (fun (_, d, s) ->
-      Hashtbl.replace busy d (s +. Option.value ~default:0.0 (Hashtbl.find_opt busy d)))
-    out;
-  let makespan = Hashtbl.fold (fun _ s acc -> Float.max s acc) busy 0.0 in
-  Obs.Metrics.add m_makespan (int_of_float makespan);
-  Array.map (fun (r, _, _) -> r) out
+  Stdx.Task_pool.parallel_init pool (Array.length payloads) (fun i ->
+      let proxy, sql = payloads.(i) in
+      response_of_result (Wre.Proxy.execute_snapshot ~view proxy sql))
 
-let run_mutation (proxy, sql) =
-  let r = Wre.Proxy.execute proxy sql in
-  Obs.Metrics.add m_makespan (int_of_float (sim_ns_of r));
-  response_of_result r
+let run_mutation (proxy, sql) = response_of_result (Wre.Proxy.execute proxy sql)
 
 let classify sql =
   match Sqldb.Sql.parse sql with

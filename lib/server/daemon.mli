@@ -17,11 +17,7 @@
 
     Metrics: [server.sessions_total], [server.sessions_active],
     [server.requests_total], [server.frames_rejected_total], plus the
-    {!Admission} instruments and
-    [server.batch_makespan_sim_ns_total] — the modeled (simulated
-    storage clock) critical-path nanoseconds summed over batches,
-    which is what the [exp_server] benchmark turns into modeled
-    queries/second. *)
+    {!Admission} instruments. *)
 
 type config = {
   socket_path : string;

@@ -5,8 +5,7 @@ type t = {
   mutable journal : Journal.hook option;
 }
 
-let create ?config () =
-  { pager = Pager.create ?config (); catalog = Hashtbl.create 8; journal = None }
+let create () = { pager = Pager.create (); catalog = Hashtbl.create 8; journal = None }
 
 let pager t = t.pager
 

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?config:Pager.config -> unit -> t
+val create : unit -> t
 val pager : t -> Pager.t
 
 val create_table : t -> name:string -> schema:Schema.t -> Table.t

@@ -7,7 +7,7 @@ type config = {
   cpu_transfer_ns_per_byte : float;
 }
 
-let default_config =
+let cost_model =
   {
     page_size = 8192;
     io_miss_ns = 200_000.0;
@@ -24,73 +24,87 @@ let m_misses = Obs.Metrics.counter "pager.page_misses_total"
 let m_rows = Obs.Metrics.counter "pager.rows_examined_total"
 let m_probes = Obs.Metrics.counter "pager.index_probes_total"
 let m_bytes = Obs.Metrics.counter "pager.bytes_transferred_total"
-let m_sim = Obs.Metrics.counter "pager.sim_ns_total"
 let g_cached = Obs.Metrics.gauge "pager.cached_pages"
 
 type rel = { id : int; name : string }
 
 (* Instance totals are atomics so that concurrent snapshot readers on
-   worker domains keep hit/miss accounting exact; the buffer-pool set
+   worker domains keep the accounting exact; the buffer-pool set
    itself (a hashtable) and rel allocation are guarded by [lock].
-   The simulated clock is a float accumulated by CAS on its bit
-   pattern — each charge lands exactly once, in some order. *)
+   Only events are counted — the modeled clock is derived from the
+   counts when stats are read. *)
 type t = {
-  cfg : config;
   lock : Mutex.t;
   cache : (int * int, unit) Hashtbl.t;
   mutable next_rel : int;
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
   n_rows : int Atomic.t;
-  acc_sim_bits : int64 Atomic.t;
+  n_probes : int Atomic.t;
+  n_bytes : int Atomic.t;
 }
 
-(* Per-domain cumulative charges, across all pager instances. A query
-   measures its own cost as a before/after delta of the charges made
+type stats = {
+  hits : int;
+  misses : int;
+  rows_examined : int;
+  probes : int;
+  bytes : int;
+  sim_ns : float;
+}
+
+(* The one place the cost model is applied. Every term is an integer
+   number of nanoseconds, so the sum is exact below 2^53 ns. *)
+let make_stats ~hits ~misses ~rows_examined ~probes ~bytes =
+  let m = cost_model in
+  {
+    hits;
+    misses;
+    rows_examined;
+    probes;
+    bytes;
+    sim_ns =
+      (float_of_int misses *. m.io_miss_ns)
+      +. (float_of_int rows_examined *. m.cpu_row_ns)
+      +. (float_of_int probes *. m.cpu_probe_ns)
+      +. (float_of_int bytes *. m.cpu_transfer_ns_per_byte);
+  }
+
+(* Per-domain cumulative counts, across all pager instances. A query
+   measures its own cost as a before/after delta of the counts made
    *on its domain*: with the parallel executor, each fanned-out task
    measures its own domain-local delta and the caller sums them, so
    per-query stats stay exact even when unrelated queries run
    concurrently on other domains. *)
-type stats = { hits : int; misses : int; rows_examined : int; sim_ns : float }
-
 type local = {
   mutable l_hits : int;
   mutable l_misses : int;
   mutable l_rows : int;
-  mutable l_sim : float;
+  mutable l_probes : int;
+  mutable l_bytes : int;
 }
 
 let local_key =
-  Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0; l_rows = 0; l_sim = 0.0 })
+  Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0; l_rows = 0; l_probes = 0; l_bytes = 0 })
 
 let local_stats () =
   let l = Domain.DLS.get local_key in
-  { hits = l.l_hits; misses = l.l_misses; rows_examined = l.l_rows; sim_ns = l.l_sim }
+  make_stats ~hits:l.l_hits ~misses:l.l_misses ~rows_examined:l.l_rows ~probes:l.l_probes
+    ~bytes:l.l_bytes
 
-let add_sim t ns =
-  let l = Domain.DLS.get local_key in
-  l.l_sim <- l.l_sim +. ns;
-  let rec cas () =
-    let old = Atomic.get t.acc_sim_bits in
-    let next = Int64.bits_of_float (Int64.float_of_bits old +. ns) in
-    if not (Atomic.compare_and_set t.acc_sim_bits old next) then cas ()
-  in
-  cas ();
-  Obs.Metrics.add m_sim (int_of_float ns)
-
-let create ?(config = default_config) () =
+let create () =
   {
-    cfg = config;
     lock = Mutex.create ();
     cache = Hashtbl.create 4096;
     next_rel = 0;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
     n_rows = Atomic.make 0;
-    acc_sim_bits = Atomic.make (Int64.bits_of_float 0.0);
+    n_probes = Atomic.make 0;
+    n_bytes = Atomic.make 0;
   }
 
-let config t = t.cfg
+let config (_ : t) = cost_model
 
 let make_rel t ~name =
   Mutex.lock t.lock;
@@ -117,7 +131,6 @@ let touch t rel page =
   else begin
     l.l_misses <- l.l_misses + 1;
     Atomic.incr t.n_misses;
-    add_sim t t.cfg.io_miss_ns;
     Obs.Metrics.incr m_misses;
     Obs.Metrics.set_gauge g_cached cached
   end
@@ -126,15 +139,18 @@ let charge_rows t n =
   let l = Domain.DLS.get local_key in
   l.l_rows <- l.l_rows + n;
   ignore (Atomic.fetch_and_add t.n_rows n);
-  add_sim t (float_of_int n *. t.cfg.cpu_row_ns);
   Obs.Metrics.add m_rows n
 
 let charge_probe t =
-  add_sim t t.cfg.cpu_probe_ns;
+  let l = Domain.DLS.get local_key in
+  l.l_probes <- l.l_probes + 1;
+  Atomic.incr t.n_probes;
   Obs.Metrics.incr m_probes
 
 let charge_transfer t n =
-  add_sim t (float_of_int n *. t.cfg.cpu_transfer_ns_per_byte);
+  let l = Domain.DLS.get local_key in
+  l.l_bytes <- l.l_bytes + n;
+  ignore (Atomic.fetch_and_add t.n_bytes n);
   Obs.Metrics.add m_bytes n
 
 let drop_caches t =
@@ -144,38 +160,26 @@ let drop_caches t =
   Obs.Metrics.set_gauge g_cached 0
 
 let stats t =
-  {
-    hits = Atomic.get t.n_hits;
-    misses = Atomic.get t.n_misses;
-    rows_examined = Atomic.get t.n_rows;
-    sim_ns = Int64.float_of_bits (Atomic.get t.acc_sim_bits);
-  }
+  make_stats ~hits:(Atomic.get t.n_hits) ~misses:(Atomic.get t.n_misses)
+    ~rows_examined:(Atomic.get t.n_rows) ~probes:(Atomic.get t.n_probes)
+    ~bytes:(Atomic.get t.n_bytes)
 
 let reset_stats t =
-  Atomic.set t.n_hits 0;
-  Atomic.set t.n_misses 0;
-  Atomic.set t.n_rows 0;
-  Atomic.set t.acc_sim_bits (Int64.bits_of_float 0.0)
+  List.iter (fun a -> Atomic.set a 0) [ t.n_hits; t.n_misses; t.n_rows; t.n_probes; t.n_bytes ]
 
 let sim_ms s = s.sim_ns /. 1e6
 
 let diff_stats a b =
-  {
-    hits = b.hits - a.hits;
-    misses = b.misses - a.misses;
-    rows_examined = b.rows_examined - a.rows_examined;
-    sim_ns = b.sim_ns -. a.sim_ns;
-  }
+  make_stats ~hits:(b.hits - a.hits) ~misses:(b.misses - a.misses)
+    ~rows_examined:(b.rows_examined - a.rows_examined) ~probes:(b.probes - a.probes)
+    ~bytes:(b.bytes - a.bytes)
 
 let sum_stats a b =
-  {
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    rows_examined = a.rows_examined + b.rows_examined;
-    sim_ns = a.sim_ns +. b.sim_ns;
-  }
+  make_stats ~hits:(a.hits + b.hits) ~misses:(a.misses + b.misses)
+    ~rows_examined:(a.rows_examined + b.rows_examined) ~probes:(a.probes + b.probes)
+    ~bytes:(a.bytes + b.bytes)
 
-let zero_stats = { hits = 0; misses = 0; rows_examined = 0; sim_ns = 0.0 }
+let zero_stats = make_stats ~hits:0 ~misses:0 ~rows_examined:0 ~probes:0 ~bytes:0
 
 let map_measured ?pool items f =
   let self = (Domain.self () :> int) in

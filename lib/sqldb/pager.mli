@@ -4,11 +4,13 @@
     storage behaviour: a cold run pays a random read for every page not
     in the OS/Postgres caches, a warm run pays almost none. The engine
     here keeps all data in memory, so it models that axis explicitly: a
-    set of cached [(relation, page)] pairs, a simulated latency charged
-    on every miss, and a CPU charge per row examined. Real wall-clock
-    time of the executor is measured separately; the *simulated* clock
-    is what reproduces the paper's cold/warm shapes on a machine with
-    no spinning disks.
+    set of cached [(relation, page)] pairs, plus integer counts of page
+    hits and misses, rows examined, index probes and bytes transferred.
+    The pager keeps no clock: the modeled latency [sim_ns] is derived
+    from the counts, through one fixed cost model, whenever stats are
+    read. Real wall-clock time of the executor is measured separately;
+    the {e modeled} clock is what reproduces the paper's cold/warm
+    shapes on a machine with no spinning disks.
 
     Benchmarks reproduce the paper's two scenarios by calling
     {!drop_caches} before each query (cold) or leaving the cache alone
@@ -18,19 +20,19 @@ type t
 
 type config = {
   page_size : int;  (** bytes per page; 8192 like PostgreSQL *)
-  io_miss_ns : float;  (** simulated latency per page miss *)
-  cpu_row_ns : float;  (** simulated CPU per row examined *)
-  cpu_probe_ns : float;  (** simulated CPU per index probe (one per tag in an IN-list) *)
+  io_miss_ns : float;  (** modeled latency per page miss *)
+  cpu_row_ns : float;  (** modeled CPU per row examined *)
+  cpu_probe_ns : float;  (** modeled CPU per index probe (one per tag in an IN-list) *)
   cpu_transfer_ns_per_byte : float;  (** network/serialization cost for returned bytes *)
 }
 
-val default_config : config
-(** 8 KiB pages, 200 µs per miss (10k-RPM array random read), 150 ns
-    per row, 5 µs per index probe, 1 ns per returned byte (≈1 Gbps
-    wire, paper §VI-A). *)
+val create : unit -> t
 
-val create : ?config:config -> unit -> t
 val config : t -> config
+(** The cost model, the same constant for every pager: 8 KiB pages,
+    200 µs per miss (10k-RPM array random read), 150 ns per row, 5 µs
+    per index probe, 1 ns per returned byte (≈1 Gbps wire, paper
+    §VI-A). *)
 
 type rel
 (** A relation (heap or index) with its own page number space. *)
@@ -42,21 +44,31 @@ val touch : t -> rel -> int -> unit
 (** Access one page: cache hit or miss-and-fill. *)
 
 val charge_rows : t -> int -> unit
-(** CPU charge for examining [n] rows. *)
+(** Count [n] rows examined. *)
 
 val charge_probe : t -> unit
-(** CPU charge for one B-tree descent — what makes a 1,000-tag WRE
-    query slower than a single-tag plaintext query even when every
-    page is cached (the warm-cache ordering of Figs. 6–7). *)
+(** Count one index descent — what makes a 1,000-tag WRE query slower
+    than a single-tag plaintext query even when every page is cached
+    (the warm-cache ordering of Figs. 6–7). *)
 
 val charge_transfer : t -> int -> unit
-(** Wire charge for returning [n] bytes. *)
+(** Count [n] bytes returned over the wire. *)
 
 val drop_caches : t -> unit
 (** Empty the buffer pool (the paper's
     [echo 3 > /proc/sys/vm/drop_caches] plus Postgres restart). *)
 
-type stats = { hits : int; misses : int; rows_examined : int; sim_ns : float }
+type stats = {
+  hits : int;
+  misses : int;
+  rows_examined : int;
+  probes : int;
+  bytes : int;  (** bytes transferred *)
+  sim_ns : float;
+      (** modeled latency, derived from the counts:
+          [misses·io_miss_ns + rows_examined·cpu_row_ns +
+          probes·cpu_probe_ns + bytes·cpu_transfer_ns_per_byte] *)
+}
 
 val stats : t -> stats
 (** Whole-instance totals. Counters are atomic, so the totals stay
@@ -64,10 +76,10 @@ val stats : t -> stats
     number of [touch] calls made so far. *)
 
 val reset_stats : t -> unit
-(** Zero the counters without touching the cache contents. *)
+(** Zero all five counts without touching the cache contents. *)
 
 val local_stats : unit -> stats
-(** Cumulative charges made by the *calling domain*, across all pager
+(** Cumulative counts made by the *calling domain*, across all pager
     instances. Per-query costing takes a before/after delta of this —
     with the parallel executor each fanned-out task measures its own
     domain-local delta and the caller sums them, so concurrent queries

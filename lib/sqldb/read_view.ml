@@ -32,9 +32,6 @@ type t = {
   cur_fill : int;
   data_bytes : int;
   live_bytes : int;
-  rm_cur_page : int;
-  rm_cur_fill : int;
-  rm_data_bytes : int;
   dict_overhead_bytes : int;
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
@@ -42,11 +39,11 @@ type t = {
 }
 
 let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
-    ~cur_page ~cur_fill ~data_bytes ~live_bytes ~rm_cur_page ~rm_cur_fill ~rm_data_bytes
-    ~dict_overhead_bytes ~reclaimed ~row_bytes ~indexes =
+    ~cur_page ~cur_fill ~data_bytes ~live_bytes ~dict_overhead_bytes ~reclaimed ~row_bytes
+    ~indexes =
   { epoch; name; schema; pager; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
-    cur_page; cur_fill; data_bytes; live_bytes; rm_cur_page; rm_cur_fill; rm_data_bytes;
-    dict_overhead_bytes; reclaimed; row_bytes; indexes }
+    cur_page; cur_fill; data_bytes; live_bytes; dict_overhead_bytes; reclaimed; row_bytes;
+    indexes }
 
 let epoch t = t.epoch
 let name t = t.name
@@ -133,9 +130,6 @@ let cur_page t = t.cur_page
 let cur_fill t = t.cur_fill
 let data_bytes t = t.data_bytes
 let live_bytes t = t.live_bytes
-let rm_cur_page t = t.rm_cur_page
-let rm_cur_fill t = t.rm_cur_fill
-let rm_data_bytes t = t.rm_data_bytes
 let dict_overhead_bytes t = t.dict_overhead_bytes
 
 (* Columnar internals, for the checkpoint serializer: everything the

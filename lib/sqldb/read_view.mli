@@ -36,9 +36,6 @@ val make :
   cur_fill:int ->
   data_bytes:int ->
   live_bytes:int ->
-  rm_cur_page:int ->
-  rm_cur_fill:int ->
-  rm_data_bytes:int ->
   dict_overhead_bytes:int ->
   reclaimed:Value.t array ->
   row_bytes:(Value.t array -> int) ->
@@ -74,7 +71,7 @@ val peek_row : t -> int -> Value.t array
 val read_row : t -> int -> Value.t array
 (** The row with heap page touch, row and transfer charges. Transfer is
     charged at the logical (row-format) tuple size, like the pre-
-    columnar engine, so simulated query costs are layout-independent. *)
+    columnar engine, so modeled query costs are layout-independent. *)
 
 val read_cols : t -> int -> int array -> Value.t array
 (** [read_cols v id positions]: the row with only the cells at
@@ -99,12 +96,9 @@ val cur_page : t -> int
 val cur_fill : t -> int
 val data_bytes : t -> int
 val live_bytes : t -> int
-val rm_cur_page : t -> int
-val rm_cur_fill : t -> int
-val rm_data_bytes : t -> int
-(** Heap-cursor and accounting state at freeze time ([rm_*] is the
-    row-format shadow layout), so a physical checkpoint taken from the
-    view ([Table.snapshot_of_view]) restores byte-identically. *)
+(** Heap-cursor and accounting state at freeze time, so a physical
+    checkpoint taken from the view ([Table.snapshot_of_view]) restores
+    byte-identically. *)
 
 val dict_overhead_bytes : t -> int
 (** Dictionary-resident bytes across all columns at freeze time. *)

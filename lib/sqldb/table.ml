@@ -25,13 +25,6 @@ type t = {
   mutable cur_fill : int; (* bytes used on the current heap page *)
   mutable data_bytes : int; (* physical tuple bytes, live + dead-but-unvacuumed *)
   mutable live_bytes : int; (* physical tuple bytes of live rows only *)
-  (* Row-format shadow accounting: the page cursor the pre-columnar
-     engine (24-byte tuple headers, values inline) would be at. Costs
-     nothing per row and gives benchmarks an honest like-for-like
-     baseline for the dictionary compression ratio. *)
-  mutable rm_cur_page : int;
-  mutable rm_cur_fill : int;
-  mutable rm_data_bytes : int;
   indexes : (string, Table_index.t) Hashtbl.t;
   mutable journal : Journal.hook option;
   (* Epoch-based copy-on-write reads: every mutation runs under
@@ -71,7 +64,7 @@ let mutate t f =
       f ())
 
 let page_header = 24
-let row_tuple_header = 24 (* row-format shadow: full header + null bitmap *)
+let row_tuple_header = 24 (* row format: full header + null bitmap *)
 let col_tuple_header = 8 (* columnar tuple: visibility word only *)
 let line_pointer = 4
 let maxalign n = (n + 7) land lnot 7
@@ -94,9 +87,6 @@ let create pager ~name ~schema =
     cur_fill = 0;
     data_bytes = 0;
     live_bytes = 0;
-    rm_cur_page = 0;
-    rm_cur_fill = 0;
-    rm_data_bytes = 0;
     indexes = Hashtbl.create 4;
     journal = None;
     writer = Mutex.create ();
@@ -111,9 +101,8 @@ let pager t = t.pager
 let n_cols t = Array.length t.cols
 
 (* Logical (row-format) tuple size — unchanged from the row-storage
-   engine: read/transfer charges and the row-model shadow accounting
-   both use it, so simulated query costs do not depend on the physical
-   layout. *)
+   engine: read/transfer charges and the row-model baseline both use
+   it, so modeled query costs do not depend on the physical layout. *)
 let tuple_bytes schema row =
   let data = Array.fold_left (fun acc v -> acc + Value.heap_bytes v) 0 row in
   let null_bitmap = if Array.exists (fun v -> v = Value.Null) row then (Schema.arity schema + 7) / 8 else 0 in
@@ -164,13 +153,6 @@ let append_row t row =
   t.cur_fill <- t.cur_fill + bytes;
   t.data_bytes <- t.data_bytes + bytes;
   t.live_bytes <- t.live_bytes + bytes;
-  let rm = tuple_bytes t.schema row in
-  if t.rm_cur_fill + rm > usable && t.rm_cur_fill > 0 then begin
-    t.rm_cur_page <- t.rm_cur_page + 1;
-    t.rm_cur_fill <- 0
-  end;
-  t.rm_cur_fill <- t.rm_cur_fill + rm;
-  t.rm_data_bytes <- t.rm_data_bytes + rm;
   let id = Stdx.Vec.length t.live in
   Stdx.Vec.push t.row_pages t.cur_page;
   Stdx.Vec.push t.row_sizes bytes;
@@ -279,9 +261,6 @@ let vacuum t =
     t.cur_fill <- 0;
     t.data_bytes <- 0;
     t.live_bytes <- 0;
-    t.rm_cur_page <- 0;
-    t.rm_cur_fill <- 0;
-    t.rm_data_bytes <- 0;
     let usable = (Pager.config t.pager).page_size - page_header in
     for id = 0 to n - 1 do
       if Stdx.Vec.get t.live id then begin
@@ -293,13 +272,6 @@ let vacuum t =
         t.cur_fill <- t.cur_fill + bytes;
         t.data_bytes <- t.data_bytes + bytes;
         t.live_bytes <- t.live_bytes + bytes;
-        let rm = tuple_bytes t.schema (peek_row t id) in
-        if t.rm_cur_fill + rm > usable && t.rm_cur_fill > 0 then begin
-          t.rm_cur_page <- t.rm_cur_page + 1;
-          t.rm_cur_fill <- 0
-        end;
-        t.rm_cur_fill <- t.rm_cur_fill + rm;
-        t.rm_data_bytes <- t.rm_data_bytes + rm;
         Array.iteri (fun c col -> Stdx.Vec.push ids'.(c) (Stdx.Vec.get col.ids id)) t.cols;
         Stdx.Vec.push sizes' bytes
       end
@@ -356,7 +328,27 @@ let total_bytes t = heap_bytes t + index_bytes t
 let avg_row_bytes t =
   if live_count t = 0 then 0.0 else float_of_int t.live_bytes /. float_of_int (live_count t)
 
-let row_model_pages t = if t.rm_data_bytes = 0 then 0 else t.rm_cur_page + 1
+(* The row-format baseline, computed when asked: every unreclaimed
+   slot (live or dead-but-unvacuumed) in id order, at its row-format
+   size, packed into pages the way the pre-columnar engine filled
+   them. Insertion appends in id order and vacuum repacks the live
+   slots in id order, so this is the page count that engine would
+   hold for the same history. *)
+let row_model_pages t =
+  let usable = page_size t - page_header in
+  let pages = ref 0 and fill = ref 0 in
+  for id = 0 to row_count t - 1 do
+    if not (is_reclaimed_slot t id) then begin
+      let bytes = tuple_bytes t.schema (peek_row t id) in
+      if !pages = 0 || !fill + bytes > usable then begin
+        incr pages;
+        fill := 0
+      end;
+      fill := !fill + bytes
+    end
+  done;
+  !pages
+
 let row_model_bytes t = row_model_pages t * page_size t
 
 type column_stats = {
@@ -439,8 +431,7 @@ let build_view t =
     ~cols ~n
     ~live:(Array.init n (Stdx.Vec.get t.live))
     ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
-    ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes ~rm_cur_page:t.rm_cur_page
-    ~rm_cur_fill:t.rm_cur_fill ~rm_data_bytes:t.rm_data_bytes
+    ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes
     ~dict_overhead_bytes:(dict_overhead_bytes t) ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
@@ -497,9 +488,6 @@ type snapshot = {
   s_cur_fill : int;
   s_data_bytes : int;
   s_live_bytes : int;
-  s_rm_cur_page : int;
-  s_rm_cur_fill : int;
-  s_rm_data_bytes : int;
   s_indexes : (string * Table_index.kind) list;
 }
 
@@ -527,9 +515,6 @@ let snapshot_of_view v =
     s_cur_fill = Read_view.cur_fill v;
     s_data_bytes = Read_view.data_bytes v;
     s_live_bytes = Read_view.live_bytes v;
-    s_rm_cur_page = Read_view.rm_cur_page v;
-    s_rm_cur_fill = Read_view.rm_cur_fill v;
-    s_rm_data_bytes = Read_view.rm_data_bytes v;
     s_indexes = List.map (fun (col, idx) -> (col, Table_index.kind idx)) (Read_view.indexes v);
   }
 
@@ -560,9 +545,6 @@ let of_snapshot pager s =
   t.cur_fill <- s.s_cur_fill;
   t.data_bytes <- s.s_data_bytes;
   t.live_bytes <- s.s_live_bytes;
-  t.rm_cur_page <- s.s_rm_cur_page;
-  t.rm_cur_fill <- s.s_rm_cur_fill;
-  t.rm_data_bytes <- s.s_rm_data_bytes;
   (* Rebuild indexes directly: dead-but-unvacuumed tuples keep their
      entries (as live tables do), reclaimed slots have none. Bypasses
      [create_index] so no journal events fire during restore. *)

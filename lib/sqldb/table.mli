@@ -8,7 +8,7 @@
     back to raw storage, accounted inline. The page assignment is what
     makes the cold-cache `SELECT *` experiments faithful: rows matching
     one search tag were inserted at random times, so fetching them
-    touches that many distinct heap pages. Simulated query costs are
+    touches that many distinct heap pages. Modeled query costs are
     layout-independent — read/transfer charges use the logical
     (row-format) tuple size throughout. *)
 
@@ -113,7 +113,9 @@ val row_model_pages : t -> int
 val row_model_bytes : t -> int
 (** What the pre-columnar row-format engine (24-byte tuple headers,
     values inline) would occupy for the same rows — the like-for-like
-    baseline for the dictionary compression ratio. *)
+    baseline for the dictionary compression ratio. Computed when asked,
+    O(rows × columns): every unreclaimed slot in id order, at its
+    row-format size, packed into [page_size − 24]-byte pages. *)
 
 type column_stats = {
   st_column : string;
@@ -161,9 +163,6 @@ type snapshot = {
   s_cur_fill : int;
   s_data_bytes : int;
   s_live_bytes : int;
-  s_rm_cur_page : int;
-  s_rm_cur_fill : int;
-  s_rm_data_bytes : int;
   s_indexes : (string * Table_index.kind) list;  (** sorted by column *)
 }
 (** Physical table state as checkpointed by the storage engine: the

@@ -101,9 +101,6 @@ type table_writer = {
   w_cur_fill : int;
   w_data_bytes : int;
   w_live_bytes : int;
-  w_rm_cur_page : int;
-  w_rm_cur_fill : int;
-  w_rm_data_bytes : int;
   w_indexes : (string * Table_index.kind) list;
 }
 
@@ -125,9 +122,6 @@ let writer_of_snapshot (s : Table.snapshot) =
     w_cur_fill = s.s_cur_fill;
     w_data_bytes = s.s_data_bytes;
     w_live_bytes = s.s_live_bytes;
-    w_rm_cur_page = s.s_rm_cur_page;
-    w_rm_cur_fill = s.s_rm_cur_fill;
-    w_rm_data_bytes = s.s_rm_data_bytes;
     w_indexes = s.s_indexes;
   }
 
@@ -149,9 +143,6 @@ let writer_of_view v =
     w_cur_fill = Read_view.cur_fill v;
     w_data_bytes = Read_view.data_bytes v;
     w_live_bytes = Read_view.live_bytes v;
-    w_rm_cur_page = Read_view.rm_cur_page v;
-    w_rm_cur_fill = Read_view.rm_cur_fill v;
-    w_rm_data_bytes = Read_view.rm_data_bytes v;
     w_indexes = List.map (fun (col, idx) -> (col, Table_index.kind idx)) (Read_view.indexes v);
   }
 
@@ -210,9 +201,6 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   flush ();
   put_u64 b (Int64.of_int w.w_data_bytes);
   put_u64 b (Int64.of_int w.w_live_bytes);
-  put_u32 b w.w_rm_cur_page;
-  put_u32 b w.w_rm_cur_fill;
-  put_u64 b (Int64.of_int w.w_rm_data_bytes);
   put_u32 b (List.length w.w_indexes);
   List.iter
     (fun (col, kind) ->
@@ -301,7 +289,10 @@ let index_kind_of_code = function
 
 let get_fixed c width = match width with 1 -> get_u8 c | 2 -> get_u16 c | _ -> get_u32 c
 
-let get_table_snapshot c =
+(* WRESNAP2 tables carry three more integers after the live bytes —
+   the row-format baseline's page cursor, fill and byte total (u32, u32,
+   u64). The baseline is computed on demand, so they are skipped. *)
+let get_table ~legacy c =
   let s_name = get_str c in
   let s_schema = get_schema c in
   let n = get_u32 c in
@@ -339,9 +330,7 @@ let get_table_snapshot c =
   let s_row_sizes = Array.init n (fun _ -> get_u32 c) in
   let s_data_bytes = Int64.to_int (get_u64 c) in
   let s_live_bytes = Int64.to_int (get_u64 c) in
-  let s_rm_cur_page = get_u32 c in
-  let s_rm_cur_fill = get_u32 c in
-  let s_rm_data_bytes = Int64.to_int (get_u64 c) in
+  if legacy then skip c 16;
   let n_idx = get_u32 c in
   if n_idx > remaining c then corrupt "index count %d exceeds input" n_idx;
   let s_indexes =
@@ -361,8 +350,8 @@ let get_table_snapshot c =
     s_cur_fill;
     s_data_bytes;
     s_live_bytes;
-    s_rm_cur_page;
-    s_rm_cur_fill;
-    s_rm_data_bytes;
     s_indexes;
   }
+
+let get_table_snapshot c = get_table ~legacy:false c
+let get_table_snapshot_v2 c = get_table ~legacy:true c

@@ -58,3 +58,8 @@ val get_value : cursor -> Sqldb.Value.t
 val get_row : cursor -> Sqldb.Value.t array
 val get_schema : cursor -> Sqldb.Schema.t
 val get_table_snapshot : cursor -> Sqldb.Table.snapshot
+
+val get_table_snapshot_v2 : cursor -> Sqldb.Table.snapshot
+(** A table in the [WRESNAP2] layout, which also held the row-format
+    baseline's counters (16 bytes after the live bytes); they are
+    skipped. *)

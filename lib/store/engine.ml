@@ -88,10 +88,7 @@ let checkpoint t =
         | None -> cfg)
       t.wre_configs
   in
-  Snapshot.write_views ~dir:t.dir
-    ~last_lsn:(Int64.pred (Wal.next_lsn t.wal))
-    ~pager:(Pager.config (Database.pager t.db))
-    ~views ~wre;
+  Snapshot.write_views ~dir:t.dir ~last_lsn:(Int64.pred (Wal.next_lsn t.wal)) ~views ~wre;
   Wal.reset t.wal;
   t.ops_since_checkpoint <- 0;
   Obs.Metrics.incr m_checkpoints
@@ -126,29 +123,26 @@ let log_mutation t (m : Journal.mutation) =
     | _ -> ()
   end
 
-let open_dir ?pager_config ?(group_commit = 1) ?checkpoint_every ~dir () =
+let open_dir ?(group_commit = 1) ?checkpoint_every ~dir () =
   let result, duration_ns =
     Stdx.Clock.time_it @@ fun () ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let snap = Snapshot.load ~dir in
-    let db, last_lsn =
-      match snap with
-      | None -> (Database.create ?config:pager_config (), 0L)
-      | Some s ->
-          let db = Database.create ~config:s.Snapshot.pager () in
-          List.iter (fun ts -> ignore (Database.restore_table db ts)) s.tables;
-          (db, s.last_lsn)
-    in
+    let db = Database.create () in
     let edbs = ref [] in
     let configs = ref [] in
-    (match snap with
-    | None -> ()
-    | Some s ->
-        List.iter
-          (fun (cfg : Record.wre_config) ->
-            edbs := (cfg.table_name, attach_wre ~db cfg) :: !edbs;
-            configs := (cfg.table_name, cfg) :: !configs)
-          s.wre);
+    let last_lsn =
+      match snap with
+      | None -> 0L
+      | Some s ->
+          List.iter (fun ts -> ignore (Database.restore_table db ts)) s.tables;
+          List.iter
+            (fun (cfg : Record.wre_config) ->
+              edbs := (cfg.table_name, attach_wre ~db cfg) :: !edbs;
+              configs := (cfg.table_name, cfg) :: !configs)
+            s.wre;
+          s.last_lsn
+    in
     let replayed = ref 0 in
     let wal_path = Snapshot.wal_path ~dir in
     let max_lsn, valid_len =

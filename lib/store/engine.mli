@@ -29,7 +29,6 @@ type recovery = {
 }
 
 val open_dir :
-  ?pager_config:Sqldb.Pager.config ->
   ?group_commit:int ->
   ?checkpoint_every:int ->
   dir:string ->
@@ -38,9 +37,7 @@ val open_dir :
 (** Open (creating the directory and empty log on first use) and
     recover. [group_commit] (default 1) = appends per fsync;
     [checkpoint_every n] checkpoints automatically after every [n]
-    logged operations (default: manual checkpoints only).
-    [pager_config] applies only to a fresh store — an existing
-    snapshot's configuration wins. *)
+    logged operations (default: manual checkpoints only). *)
 
 val db : t -> Sqldb.Database.t
 val dir : t -> string

@@ -1,6 +1,5 @@
 type t = {
   last_lsn : int64;
-  pager : Sqldb.Pager.config;
   tables : Sqldb.Table.snapshot list;
   wre : Record.wre_config list;
 }
@@ -13,8 +12,16 @@ exception Corrupt_snapshot of string
    whole database twice over. V2 writes [magic | body | u32 crc]: the
    CRC is computed incrementally while the body streams out through a
    bounded buffer and lands in a footer. The atomic tmp-rename publish
-   is unchanged, so a torn write still leaves the old snapshot. *)
-let magic = "WRESNAP2"
+   is unchanged, so a torn write still leaves the old snapshot.
+
+   Format 3 drops what format 2 stored for the modeled clock and the
+   row-format baseline, now a constant and computed on demand: the
+   pager cost model after the LSN (a u32 and four floats, 36 bytes)
+   and three row-model integers per table (16 bytes). Format 2 still
+   loads, skipping those fields. *)
+let magic = "WRESNAP3"
+let magic_v2 = "WRESNAP2"
+let v2_cost_model_bytes = 36
 
 let path ~dir = Filename.concat dir "snapshot.bin"
 let wal_path ~dir = Filename.concat dir "wal.bin"
@@ -36,18 +43,13 @@ let sink_drain s =
 
 let sink_flush s = if Buffer.length s.buf >= flush_threshold then sink_drain s
 
-let write_stream ~dir ~last_lsn ~(pager : Sqldb.Pager.config) ~table_writers ~wre =
+let write_stream ~dir ~last_lsn ~table_writers ~wre =
   let dst = path ~dir in
   let tmp = dst ^ ".tmp" in
   let f = Io.open_trunc tmp in
   Io.write ~point:"snapshot.write" f magic;
   let s = { file = f; buf = Buffer.create (flush_threshold + 4096); crc = Crc32.digest "" } in
   Codec.put_u64 s.buf last_lsn;
-  Codec.put_u32 s.buf pager.page_size;
-  Codec.put_float s.buf pager.io_miss_ns;
-  Codec.put_float s.buf pager.cpu_row_ns;
-  Codec.put_float s.buf pager.cpu_probe_ns;
-  Codec.put_float s.buf pager.cpu_transfer_ns_per_byte;
   Codec.put_u32 s.buf (List.length table_writers);
   List.iter (fun w -> Codec.put_table_writer ~flush:(fun () -> sink_flush s) s.buf w) table_writers;
   Codec.put_u32 s.buf (List.length wre);
@@ -62,42 +64,36 @@ let write_stream ~dir ~last_lsn ~(pager : Sqldb.Pager.config) ~table_writers ~wr
   Io.fsync_dir ~point:"dir.fsync" dir
 
 let write ~dir t =
-  write_stream ~dir ~last_lsn:t.last_lsn ~pager:t.pager
-    ~table_writers:(List.map Codec.writer_of_snapshot t.tables)
-    ~wre:t.wre
+  write_stream ~dir ~last_lsn:t.last_lsn
+    ~table_writers:(List.map Codec.writer_of_snapshot t.tables) ~wre:t.wre
 
 (* The checkpoint path: stream straight from frozen views, so the
    snapshot record (rows × columns of boxed values) is never
    materialized — peak memory is the spill buffer. *)
-let write_views ~dir ~last_lsn ~pager ~views ~wre =
-  write_stream ~dir ~last_lsn ~pager ~table_writers:(List.map Codec.writer_of_view views) ~wre
+let write_views ~dir ~last_lsn ~views ~wre =
+  write_stream ~dir ~last_lsn ~table_writers:(List.map Codec.writer_of_view views) ~wre
 
-let decode_body body =
+let decode_body ~legacy body =
   let c = Codec.cursor body in
   let last_lsn = Codec.get_u64 c in
-  let page_size = Codec.get_u32 c in
-  let io_miss_ns = Codec.get_float c in
-  let cpu_row_ns = Codec.get_float c in
-  let cpu_probe_ns = Codec.get_float c in
-  let cpu_transfer_ns_per_byte = Codec.get_float c in
-  let pager =
-    { Sqldb.Pager.page_size; io_miss_ns; cpu_row_ns; cpu_probe_ns; cpu_transfer_ns_per_byte }
-  in
+  if legacy then Codec.skip c v2_cost_model_bytes;
+  let get_table = if legacy then Codec.get_table_snapshot_v2 else Codec.get_table_snapshot in
   let n_tables = Codec.get_u32 c in
-  let tables = List.init n_tables (fun _ -> Codec.get_table_snapshot c) in
+  let tables = List.init n_tables (fun _ -> get_table c) in
   let n_wre = Codec.get_u32 c in
   let wre = List.init n_wre (fun _ -> Record.get_wre_config c) in
   if not (Codec.at_end c) then raise (Codec.Corrupt "trailing bytes after snapshot");
-  { last_lsn; pager; tables; wre }
+  { last_lsn; tables; wre }
 
 let load ~dir =
   match Io.read_file (path ~dir) with
   | None -> None
   | Some data -> (
-      if String.length data < 12 || String.sub data 0 8 <> magic then
-        raise (Corrupt_snapshot "bad magic");
+      let m = if String.length data < 12 then "" else String.sub data 0 8 in
+      if m <> magic && m <> magic_v2 then raise (Corrupt_snapshot "bad magic");
+      let legacy = m = magic_v2 in
       let body = String.sub data 8 (String.length data - 12) in
       let c = Codec.cursor (String.sub data (String.length data - 4) 4) in
       let crc = Int32.of_int (Codec.get_u32 c) in
       if Crc32.digest body <> crc then raise (Corrupt_snapshot "checksum mismatch");
-      try Some (decode_body body) with Codec.Corrupt e -> raise (Corrupt_snapshot e))
+      try Some (decode_body ~legacy body) with Codec.Corrupt e -> raise (Corrupt_snapshot e))

@@ -1,10 +1,10 @@
 (** Checkpoint snapshots.
 
-    A snapshot is the complete durable state at one LSN: the pager
-    configuration, the {e physical} snapshot of every table (row ids,
-    tombstones, page layout, index definitions), and the client-side
-    WRE state of every encrypted table (keys, profiled distributions,
-    range boundaries, PRNG stream position).
+    A snapshot is the complete durable state at one LSN: the
+    {e physical} snapshot of every table (row ids, tombstones, page
+    layout, index definitions), and the client-side WRE state of every
+    encrypted table (keys, profiled distributions, range boundaries,
+    PRNG stream position).
 
     Publication is atomic: the body is streamed to [snapshot.bin.tmp]
     through a bounded spill buffer (peak writer memory is ~256 KiB
@@ -12,14 +12,16 @@
     and the directory is synced. A crash at any point leaves either
     the old snapshot or the new one — a leftover [.tmp] is ignored by
     {!load}. The file is [magic | body | u32 CRC-of-body] (the CRC is
-    a footer so it can be computed while streaming); a {e published}
-    snapshot that fails either check is a hard error
+    a footer so it can be computed while streaming), and the magic is
+    [WRESNAP3]. {!load} also reads [WRESNAP2] files, whose body
+    additionally held the pager cost model after the LSN and three
+    row-format counters per table; those fields are skipped. A
+    {e published} snapshot that fails either check is a hard error
     ({!Corrupt_snapshot}), unlike a torn WAL tail, because the rename
     protocol never legitimately produces one. *)
 
 type t = {
   last_lsn : int64;  (** every WAL record with LSN ≤ this is reflected *)
-  pager : Sqldb.Pager.config;
   tables : Sqldb.Table.snapshot list;
   wre : Record.wre_config list;
 }
@@ -38,7 +40,6 @@ val write : dir:string -> t -> unit
 val write_views :
   dir:string ->
   last_lsn:int64 ->
-  pager:Sqldb.Pager.config ->
   views:Sqldb.Read_view.t list ->
   wre:Record.wre_config list ->
   unit
@@ -49,4 +50,5 @@ val write_views :
 
 val load : dir:string -> t option
 (** [None] when no snapshot has ever been published; raises
-    {!Corrupt_snapshot} when one exists but does not verify. *)
+    {!Corrupt_snapshot} when one exists but does not verify, or carries
+    a magic other than [WRESNAP3] or [WRESNAP2]. *)

@@ -524,16 +524,173 @@ let test_snapshot_stream_equals_record () =
       let t2 = Sqldb.Table.create pager ~name:"t2" ~schema:plain_schema in
       (* empty-table edge *)
       let views = [ Sqldb.Table.freeze t1; Sqldb.Table.freeze t2 ] in
-      let last_lsn = 42L and pager_cfg = Sqldb.Pager.config pager in
-      Store.Snapshot.write_views ~dir ~last_lsn ~pager:pager_cfg ~views ~wre:[];
+      let last_lsn = 42L in
+      Store.Snapshot.write_views ~dir ~last_lsn ~views ~wre:[];
       let streamed = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
       let tables = List.map Sqldb.Table.snapshot_of_view views in
-      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn; pager = pager_cfg; tables; wre = [] };
+      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn; tables; wre = [] };
       let recorded = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
       check_bool "identical bytes" true (String.equal streamed recorded);
       let loaded = Option.get (Store.Snapshot.load ~dir) in
       check_bool "decodes to the frozen state" true (loaded.Store.Snapshot.tables = tables);
       check_bool "lsn preserved" true (loaded.Store.Snapshot.last_lsn = last_lsn))
+
+(* ---------------- WRESNAP2 compatibility ---------------- *)
+
+(* The checkpoint history behind the golden snapshot below: plain table
+   "p" (index on name; 12 inserts, ids 3 and 7 deleted, vacuum, 4 more
+   inserts, id 13 deleted) and encrypted table "t" (the fixtures' keys,
+   scheme and seed; 10 inserts, ids 1 and 6 deleted, vacuum, 4 more
+   inserts, id 11 deleted), then one checkpoint. *)
+let build_compat_store dir =
+  let store = Store.Engine.open_dir ~dir () in
+  let p = Sqldb.Database.create_table (Store.Engine.db store) ~name:"p" ~schema:plain_schema in
+  ignore (Sqldb.Table.create_index p ~column:"name");
+  for i = 0 to 11 do
+    ignore (Sqldb.Table.insert p (op_row i))
+  done;
+  ignore (Sqldb.Table.delete p 3);
+  ignore (Sqldb.Table.delete p 7);
+  Sqldb.Table.vacuum p;
+  for i = 12 to 15 do
+    ignore (Sqldb.Table.insert p (op_row i))
+  done;
+  ignore (Sqldb.Table.delete p 13);
+  let edb =
+    Store.Engine.create_encrypted store ~name:"t" ~plain_schema ~key_column:"id"
+      ~encrypted_columns:[ "name" ] ~kind ~master:(master ()) ~dist_of:(fun _ -> dist) ~seed:5L
+      ()
+  in
+  for i = 0 to 9 do
+    ignore (Wre.Encrypted_db.insert edb (op_row i))
+  done;
+  let t = Wre.Encrypted_db.table edb in
+  ignore (Sqldb.Table.delete t 1);
+  ignore (Sqldb.Table.delete t 6);
+  Sqldb.Table.vacuum t;
+  for i = 10 to 13 do
+    ignore (Wre.Encrypted_db.insert edb (op_row i))
+  done;
+  ignore (Sqldb.Table.delete t 11);
+  Store.Engine.checkpoint store;
+  Store.Engine.close store
+
+(* [build_compat_store]'s snapshot.bin as the format-2 writer published
+   it: the pager cost model after the LSN, three row-format counters
+   per table. *)
+let golden_v2_snapshot_hex =
+  "575245534e4150322c000000000000000020000000000000006a08410000000000c06240000000000088b340"
+  ^ "000000000000f03f020000000100000070020000000200000069640000040000006e616d6502001000000002"
+  ^ "0000001000000003010000000000000000030101000000000000000301020000000000000000030104000000"
+  ^ "0000000003010500000000000000030106000000000000000003010800000000000000030109000000000000"
+  ^ "0003010a0000000000000003010b0000000000000003010c0000000000000003010d0000000000000003010e"
+  ^ "0000000000000003010f000000000000001000000000000000010102030005060700090a0b0c0d0e0f100400"
+  ^ "0000030305000000616c696365030303000000626f620303050000006361726f6c0303040000006461766510"
+  ^ "00000000000000010102030001020300010203040102030477df000000001801000000000000000000000000"
+  ^ "0000000000001400000014000000140000000000000014000000140000001400000000000000140000001400"
+  ^ "0000140000001400000014000000140000001400000014000000180100000000000004010000000000000000"
+  ^ "000068020000680200000000000001000000040000006e616d65000100000074030000000200000069640000"
+  ^ "080000006e616d655f7461670000090000006e616d655f6461746103000e000000030000000e000000030100"
+  ^ "0000000000000000030102000000000000000301030000000000000003010400000000000000030105000000"
+  ^ "000000000003010700000000000000030108000000000000000301090000000000000003010a000000000000"
+  ^ "0003010b0000000000000003010c0000000000000003010d000000000000000e000000000000000101000304"
+  ^ "05060008090a0b0c0d0e0a0000000301292ba0de7766a152000301d420ad5aa84935b90301b762ee5186d4ed"
+  ^ "0e0301b58b9d186805c5ea030142e3b8621e368e28030125908f6d8e90627e0301a21ec0d9d626c95103018e"
+  ^ "853e6726c690e103012d97b7e4cfec71e80e0000000000000001010003040506000708090a0705090e000000"
+  ^ "030415000000aebbbbf0ccb148a6c53b93de201e51d24b2f15d87900030415000000b3f53772f95f9fffc356"
+  ^ "c6449da22640abfb6ab4240304140000009f237f952ce05790b04b9decaac031dfd3292ff903041500000060"
+  ^ "c070408efe157b8f7683057f7350b86d981303a3030413000000c5623e677431a10ee3a85617e060c0e4c482"
+  ^ "f90003041400000064f4f4223d0c0eae9d7a0e8c420455591cc9a2d00304150000004a45c97ec86f5090aa84"
+  ^ "72d289addd9887472fcb950304130000008da049168234c447373167f8cdc936956649420304150000003119"
+  ^ "9c877492af7124b758a791e66b24096b0be3d203041400000086af1258c1d1bedf0b33f7363e23dd080e4e10"
+  ^ "da030415000000ab6fc2eae64f0890c6a05959d862530919fb859cb0030413000000d59c12bb18fc3dc11c8f"
+  ^ "329e773e24bc5b49620e00000000000000010100030405060008090a0b0c0d0ebd3700000000f00000000000"
+  ^ "0000000000000000000000001400000000000000140000001400000014000000140000000000000014000000"
+  ^ "140000001400000014000000140000001400000014000000f000000000000000dc0000000000000000000000"
+  ^ "3003000030030000000000000200000002000000696400080000006e616d655f746167000100000001000000"
+  ^ "740a000000706f6973736f6e2d323000000010000000143f56d58f2534c96096a8d7f327af3420000000b4ea"
+  ^ "c855eba744597e86d8313d4e6290c315422a60abd260dc75617725700adb0200000002000000696400000400"
+  ^ "00006e616d65020002000000696401000000040000006e616d6501000000040000006e616d65040000000500"
+  ^ "0000616c6963650400000003000000626f6203000000050000006361726f6c02000000040000006461766501"
+  ^ "0000000000000020000000c2382fda4093a7660e7c77faa4d483eccc53779db38a8d57eb2b9a9d94db7e047c"
+  ^ "2a6ae4"
+
+(* Statements over the restored store and the rows the format-2 build
+   answered them with. *)
+let golden_v2_answers =
+  [
+    (`Enc "SELECT * FROM t WHERE name = 'alice'", "0,'alice';4,'alice';8,'alice';12,'alice'");
+    (`Enc "SELECT id FROM t WHERE name = 'bob'", "5;9;13");
+    ( `Enc "SELECT * FROM t WHERE name = 'carol' OR name = 'dave'",
+      "2,'carol';3,'dave';7,'dave';10,'carol'" );
+    (`Plain "SELECT * FROM p WHERE name = 'alice'", "0,'alice';4,'alice';8,'alice';12,'alice'");
+    (`Plain "SELECT id FROM p WHERE name = 'dave'", "11;15");
+    ( `Plain "SELECT * FROM p",
+      "0,'alice';1,'bob';2,'carol';4,'alice';5,'bob';6,'carol';8,'alice';9,'bob';10,'carol';"
+      ^ "11,'dave';12,'alice';14,'carol';15,'dave'" );
+  ]
+
+let render_rows rows =
+  String.concat ";"
+    (List.map
+       (fun r -> String.concat "," (Array.to_list (Array.map Sqldb.Sql.print_value r)))
+       rows)
+
+(* A store the format-2 writer checkpointed opens and answers as it
+   did; re-checkpointed it becomes WRESNAP3, exactly the dropped fields
+   shorter, reloads to the tables' snapshots, and equals what this
+   writer checkpoints for the same history. *)
+let test_v2_snapshot_opens () =
+  with_temp_dir (fun dir ->
+      let v2 = Stdx.Bytes_util.of_hex golden_v2_snapshot_hex in
+      let f = Store.Io.open_trunc (Store.Snapshot.path ~dir) in
+      Store.Io.write f v2;
+      Store.Io.close f;
+      let store = Store.Engine.open_dir ~dir () in
+      let db = Store.Engine.db store in
+      let proxy = Wre.Proxy.create (Option.get (Store.Engine.encrypted store "t")) in
+      List.iter
+        (fun (stmt, expected) ->
+          let sql, r =
+            match stmt with
+            | `Enc sql ->
+                (sql, Result.map (fun q -> q.Wre.Proxy.rows) (Wre.Proxy.execute proxy sql))
+            | `Plain sql -> (sql, Result.map (fun q -> q.Sqldb.Sql.rows) (Sqldb.Sql.execute db sql))
+          in
+          Alcotest.(check (result string string)) sql (Ok expected) (Result.map render_rows r))
+        golden_v2_answers;
+      (* The row-format baseline of both tables, as the format-2 build
+         reported it. *)
+      List.iter
+        (fun name ->
+          check_int (name ^ " row-model bytes") 8192
+            (Sqldb.Table.row_model_bytes (Sqldb.Database.table db name)))
+        [ "p"; "t" ];
+      Store.Engine.checkpoint store;
+      let v3 = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
+      Alcotest.(check string) "magic" "WRESNAP3" (String.sub v3 0 8);
+      check_int "36 + 16 x tables bytes shorter" (String.length v2 - (36 + (16 * 2)))
+        (String.length v3);
+      let loaded = Option.get (Store.Snapshot.load ~dir) in
+      check_int "tables" 2 (List.length loaded.Store.Snapshot.tables);
+      List.iter
+        (fun (ts : Sqldb.Table.snapshot) ->
+          check_bool (ts.s_name ^ " reloads to its snapshot") true
+            (ts = Sqldb.Table.snapshot (Sqldb.Database.table db ts.s_name)))
+        loaded.Store.Snapshot.tables;
+      Store.Engine.close store;
+      with_temp_dir (fun fresh ->
+          build_compat_store fresh;
+          check_bool "same bytes as this writer's checkpoint of the history" true
+            (Store.Io.read_file (Store.Snapshot.path ~dir:fresh) = Some v3));
+      (* Any other magic is still a hard error. *)
+      let f = Store.Io.open_trunc (Store.Snapshot.path ~dir) in
+      Store.Io.write f ("WRESNAP1" ^ String.sub v3 8 (String.length v3 - 8));
+      Store.Io.close f;
+      check_bool "unknown magic rejected" true
+        (match Store.Snapshot.load ~dir with
+        | exception Store.Snapshot.Corrupt_snapshot _ -> true
+        | _ -> false))
 
 let test_atomic_write_text_crash_safe () =
   with_temp_dir (fun dir ->
@@ -853,6 +1010,7 @@ let () =
           Alcotest.test_case "tmp ignored" `Quick test_snapshot_tmp_ignored;
           Alcotest.test_case "corrupt rejected" `Quick test_corrupt_snapshot_rejected;
           Alcotest.test_case "stream = record" `Quick test_snapshot_stream_equals_record;
+          Alcotest.test_case "WRESNAP2 store opens" `Quick test_v2_snapshot_opens;
           Alcotest.test_case "atomic_write_text" `Quick test_atomic_write_text_crash_safe;
         ] );
       ( "failpoints",

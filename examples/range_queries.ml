@@ -32,14 +32,18 @@ let () =
           ~seed:4L ()
       in
       Array.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) rows;
+      let proxy = Wre.Proxy.create edb in
       List.iter
         (fun (lo, hi) ->
-          let found, raw =
-            Wre.Encrypted_db.search_range edb ~column:"income" ~lo:(Some lo) ~hi:(Some hi)
-          in
-          Printf.printf "%8d %10Ld-%-11Ld %12d %12d %14d\n" buckets lo hi (List.length found)
-            (Array.length raw.row_ids)
-            (Array.length raw.row_ids - List.length found))
+          match
+            Wre.Proxy.execute proxy
+              (Printf.sprintf "SELECT id FROM main WHERE income BETWEEN %Ld AND %Ld" lo hi)
+          with
+          | Error e -> failwith e
+          | Ok r ->
+              let found = List.length r.rows in
+              Printf.printf "%8d %10Ld-%-11Ld %12d %12d %14d\n" buckets lo hi found r.server_rows
+                (r.server_rows - found))
         [ (30_000L, 60_000L); (100_000L, 120_000L); (400_000L, 480_000L) ])
     [ 8; 32; 128 ];
   Printf.printf

@@ -124,12 +124,16 @@ let build_encryptors ~fallback ?tag_algo ~master ~kind ~dist_of encrypted_column
 
 (* The ESEDS boundary trees are a pure function of (master, column,
    boundaries) — see {!Range_struct} — so both {!create} and {!attach}
-   derive them from whatever range indexes they just built; no extra
+   derive them from whatever range indexes they just built and register
+   each with the table, which expands query covers over it; no extra
    persistence beyond the checkpointed boundaries. *)
-let build_range_structs ~master range_indexes =
+let build_range_structs ~master ~table range_indexes =
   let structs = Hashtbl.create (Hashtbl.length range_indexes) in
   Hashtbl.iter
-    (fun c ri -> Hashtbl.replace structs c (Range_struct.of_index ~master ~column:c ri))
+    (fun c ri ->
+      let rs = Range_struct.of_index ~master ~column:c ri in
+      Table.set_range_tree table ~column:(rtag_column c) (Range_struct.tree rs);
+      Hashtbl.replace structs c rs)
     range_indexes;
   structs
 
@@ -166,7 +170,7 @@ let make ~fallback ?tag_algo ~table ~plain_schema ~key_column ~encrypted_columns
     encryptors;
     g;
     range_indexes;
-    range_structs = build_range_structs ~master range_indexes;
+    range_structs = build_range_structs ~master ~table range_indexes;
     enc_schema;
     slots;
   }
@@ -379,10 +383,6 @@ let range_index t column =
 
 let range_columns t = Hashtbl.fold (fun c _ acc -> c :: acc) t.range_indexes []
 
-let range_predicate t ~column ~lo ~hi =
-  let tags = Range_index.tags_for_range (range_index t column) ~lo ~hi in
-  Predicate.In (rtag_column column, List.map (fun tag -> Value.Int tag) tags)
-
 let range_struct t column =
   match Hashtbl.find_opt t.range_structs column with
   | Some rs -> rs
@@ -390,6 +390,11 @@ let range_struct t column =
 
 let range_tree t column = Range_struct.tree (range_struct t column)
 let range_cover t ~column ~lo ~hi = Range_struct.cover (range_struct t column) ~lo ~hi
+
+let range_predicate t ~column ~lo ~hi =
+  let cover = range_cover t ~column ~lo ~hi in
+  Predicate.In
+    (rtag_column column, Array.to_list (Array.map (fun r -> Value.Int r) cover.Range_struct.roots))
 
 let blob_of = function
   | Value.Blob ct -> ct
@@ -470,57 +475,3 @@ let search_rows ?pool ?view t ~column m =
         Executor.run_view ?pool (view_or_freeze ?view t) ~projection:Executor.All_columns pred)
   in
   decrypt_and_filter ?pool t ~column m result
-
-(* Back half of a range search, shared by the flat and traversal
-   plans: decrypt the server's bucket superset and keep the rows truly
-   inside the inclusive range (edge-bucket false positives drop out). *)
-let decrypt_in_range t ~column ~lo ~hi (result : Executor.result) =
-  let col_pos = Schema.column_index t.plain_schema column in
-  let in_range v =
-    match v with
-    | Value.Int x ->
-        (match lo with None -> true | Some l -> Int64.compare x l >= 0)
-        && (match hi with None -> true | Some h -> Int64.compare x h <= 0)
-    | _ -> false
-  in
-  let decrypted =
-    phase h_decrypt "query.decrypt" (fun () ->
-        Array.to_list (Array.map (decrypt_row t) result.rows))
-  in
-  let rows =
-    phase h_filter "query.filter" (fun () ->
-        List.filter (fun row -> in_range row.(col_pos)) decrypted)
-  in
-  (rows, result)
-
-(* Range search over a bucketized INT column: server returns every row
-   in the overlapping buckets; the client decrypts and keeps the rows
-   actually inside the range (edge-bucket false positives drop out). *)
-let search_range t ~column ~lo ~hi =
-  Obs.Trace.with_span "edb.search_range" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> range_predicate t ~column ~lo ~hi) in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run_view (freeze t) ~projection:Executor.All_columns pred)
-  in
-  decrypt_in_range t ~column ~lo ~hi result
-
-(* Same query through the ESEDS plan: ship the O(log B) canonical-cover
-   roots, let the server expand them over the boundary tree (DESIGN.md
-   §5k). The server predicate passed for the candidate re-check is the
-   flat rtag IN-list — traversal leaves equal the flat tags by
-   construction, so both plans return byte-identical results. *)
-let search_range_traverse ?pool ?view t ~column ~lo ~hi =
-  Obs.Trace.with_span "edb.search_range_traverse" @@ fun () ->
-  let rs = range_struct t column in
-  let cover, pred =
-    phase h_rewrite "query.rewrite" (fun () ->
-        (Range_struct.cover rs ~lo ~hi, range_predicate t ~column ~lo ~hi))
-  in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run_traverse ?pool (view_or_freeze ?view t) ~tree:(Range_struct.tree rs)
-          ~tag_column:(rtag_column column) ~roots:cover.Range_struct.roots
-          ~projection:Executor.All_columns pred)
-  in
-  decrypt_in_range t ~column ~lo ~hi result

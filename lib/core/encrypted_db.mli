@@ -197,16 +197,13 @@ val range_index : t -> string -> Range_index.t
 
 val range_predicate :
   t -> column:string -> lo:int64 option -> hi:int64 option -> Sqldb.Predicate.t
-(** The rtag IN-list a range compiles to. *)
-
-val search_range :
-  t ->
-  column:string ->
-  lo:int64 option ->
-  hi:int64 option ->
-  Sqldb.Value.t array list * Sqldb.Executor.result
-(** Decrypted rows truly inside the inclusive range, plus the raw
-    server result (a superset: whole buckets). *)
+(** The server leg an inclusive range compiles to:
+    [col_rtag IN (cover roots)], the {!range_cover} root pseudonyms,
+    never bucket tags. The table holds the column's boundary tree, so
+    the executor expands the roots into the overlapped buckets' tags
+    (the {!Range_index.tags_for_range} list) before planning, wherever
+    the leg sits — bare, ANDed or under OR. The server answer is whole
+    buckets; edge-bucket false positives are the client's to filter. *)
 
 (* ESEDS encrypted boundary trees (extension; see {!Range_struct} and
    DESIGN.md §5k). *)
@@ -217,23 +214,11 @@ val range_struct : t -> string -> Range_struct.t
     and {!attach}. Raises for non-range columns. *)
 
 val range_tree : t -> string -> Sqldb.Range_tree.t
-(** The pseudonymous node table the server traverses. *)
+(** The pseudonymous node table the server traverses. {!create} and
+    {!attach} register it with the table for the column's rtag column
+    ([Sqldb.Table.set_range_tree]). *)
 
 val range_cover :
   t -> column:string -> lo:int64 option -> hi:int64 option -> Range_struct.cover
 (** The O(log B) canonical-cover roots a range query ships instead of
     the flat tag IN-list. *)
-
-val search_range_traverse :
-  ?pool:Stdx.Task_pool.t ->
-  ?view:Sqldb.Read_view.t ->
-  t ->
-  column:string ->
-  lo:int64 option ->
-  hi:int64 option ->
-  Sqldb.Value.t array list * Sqldb.Executor.result
-(** {!search_range} through the [Range_traverse] plan: ships cover
-    roots, server expands them over the boundary tree and probes the
-    rtag index, client filters edge-bucket false positives after
-    decryption. Byte-identical rows to {!search_range}
-    at any domain count. *)

@@ -57,8 +57,6 @@ let m_insert = Obs.Metrics.counter "proxy.insert_total"
 let m_update = Obs.Metrics.counter "proxy.update_total"
 let m_delete = Obs.Metrics.counter "proxy.delete_total"
 let m_full_scan = Obs.Metrics.counter "proxy.full_scan_total"
-let m_range_traverse = Obs.Metrics.counter "proxy.range_traverse_total"
-let m_range_flat = Obs.Metrics.counter "proxy.range_flat_total"
 let m_edge_fp = Obs.Metrics.counter "range.edge_fp_rows_total"
 let m_pairs_verified = Obs.Metrics.counter "join.pairs_verified_total"
 let h_parse = Obs.Metrics.histogram "query.parse_ns"
@@ -90,7 +88,9 @@ let rec simplify = function
    when it is:
    - Eq/In on an encrypted (searchable) column -> rewritten to tags;
    - Eq/In/Range on the plaintext key column -> passed through;
-   - Range/Eq on a range-indexed column -> rewritten to rtag buckets. *)
+   - Range/Eq on a range-indexed column -> rewritten to its cover leg
+     (rtag IN the canonical-cover roots), at conjunctive position and
+     under OR alike. *)
 let rec split edb key_column = function
   | Predicate.True -> Ok (Predicate.True, Predicate.True)
   | Predicate.And ps ->
@@ -138,8 +138,8 @@ let rec split edb key_column = function
       Ok (p, Predicate.True)
   | Predicate.Range (col, lo, hi) as p
     when List.mem col (Encrypted_db.range_columns edb) -> (
-      (* Bucketized range rewrite: overlapping buckets server-side, the
-         true range client-side. *)
+      (* Range rewrite: the cover roots server-side (the server expands
+         them to the overlapped buckets), the true range client-side. *)
       let bound = function
         | None -> Ok None
         | Some (Value.Int x) -> Ok (Some x)
@@ -281,12 +281,11 @@ let decrypt_filter_limit ?pool ?mask edb eval ?limit (exec : Executor.result) =
   end;
   List.rev !kept
 
-(* The ESEDS plan applies when the predicate pins a range column at
-   conjunctive position: a bare Range (or point-Eq) leg with integer
-   bounds, or such a leg of a top-level AND. Under OR/NOT the flat
-   rtag rewrite stays in charge — a traversal serves one contiguous
-   canonical cover, not a union of them. *)
-let rec traversal_leg edb = function
+(* The range leg at conjunctive position — a bare Range (or point-Eq)
+   leg with integer bounds, or such a leg of a top-level AND — the one
+   whose edge-bucket false positives the residual pass counts and whose
+   cover {!range_cover_for} reports. *)
+let rec conjunctive_range_leg edb = function
   | Predicate.Range (col, lo, hi) when List.mem col (Encrypted_db.range_columns edb) -> (
       let bound = function
         | None -> Some None
@@ -298,26 +297,17 @@ let rec traversal_leg edb = function
       | _ -> None)
   | Predicate.Eq (col, Value.Int x) when List.mem col (Encrypted_db.range_columns edb) ->
       Some (col, Some x, Some x)
-  | Predicate.And ps -> List.find_map (traversal_leg edb) ps
+  | Predicate.And ps -> List.find_map (conjunctive_range_leg edb) ps
   | _ -> None
-
-(* Whether any part of the predicate touches a range column — the flat
-   fallback counter's guard, so traverse/flat totals partition range
-   queries. *)
-let rec uses_range_column edb = function
-  | Predicate.Range (col, _, _) | Predicate.Eq (col, _) ->
-      List.mem col (Encrypted_db.range_columns edb)
-  | Predicate.And ps | Predicate.Or ps -> List.exists (uses_range_column edb) ps
-  | Predicate.Not p -> uses_range_column edb p
-  | Predicate.True | Predicate.In _ -> false
 
 (* The plain columns a statement reads, as a [decrypt_row] mask:
    [None] (every column) for [`Star] — SELECT * and UPDATE, which
    re-encrypts whole rows — else the named columns plus those the
-   residual filter and the traversal's edge-bucket accounting read.
-   The named columns are checked first, so an unknown projected column
-   fails before the executor runs. *)
-let read_mask plain_schema ~reads ~residual ~traversal =
+   residual filter reads (every range leg stays in the residual, so
+   edge-bucket accounting needs no column of its own). The named
+   columns are checked first, so an unknown projected column fails
+   before the executor runs. *)
+let read_mask plain_schema ~reads ~residual =
   match reads with
   | `Star -> Ok None
   | `Columns cols -> (
@@ -327,7 +317,6 @@ let read_mask plain_schema ~reads ~residual ~traversal =
       | exception Not_found -> Error "projected column does not exist"
       | () ->
           List.iter set (Predicate.columns residual);
-          Option.iter (fun (c, _, _) -> set c) traversal;
           Ok (Some mask))
 
 (* Shared SELECT/DELETE/UPDATE front half: run the rewritten server
@@ -342,25 +331,19 @@ let read_mask plain_schema ~reads ~residual ~traversal =
    UPDATE too, because mutations are caller-serialized (the server
    admission queue single-threads writes).
 
-   Range predicates at conjunctive position take the [Range_traverse]
-   plan: the query ships O(log B) cover roots, the server expands them
-   over the encrypted boundary tree, and the residual pass counts
-   edge-bucket false positives into [range.edge_fp_rows_total]. The
-   traversal's candidate set equals the flat rtag IN-list's, so results
-   stay byte-identical to the flat plan at any domain count. *)
+   Range legs ship their cover roots wherever they sit; the executor
+   expands them over the table's boundary tree. For the range leg at
+   conjunctive position the residual pass counts edge-bucket false
+   positives into [range.edge_fp_rows_total]. *)
 let fetch_matching ?pool ?view edb ?limit ~reads where =
   match rewrite edb where with
   | Error e -> Error e
   | Ok (server, residual) -> (
-      let traversal = traversal_leg edb where in
-      (match traversal with
-      | Some _ -> Obs.Metrics.incr m_range_traverse
-      | None -> if uses_range_column edb where then Obs.Metrics.incr m_range_flat);
       let plain_schema = Encrypted_db.plain_schema edb in
       match Predicate.compile plain_schema residual with
       | exception Not_found -> Error "residual predicate references an unknown column"
       | eval -> (
-          match read_mask plain_schema ~reads ~residual ~traversal with
+          match read_mask plain_schema ~reads ~residual with
           | Error e -> Error e
           | Ok mask -> (
               let projection = Executor.Columns (Encrypted_db.fetch_positions ?mask edb) in
@@ -371,19 +354,12 @@ let fetch_matching ?pool ?view edb ?limit ~reads where =
                       | Some v when Read_view.name v = table_name edb -> v
                       | Some _ | None -> Encrypted_db.freeze edb
                     in
-                    match traversal with
-                    | Some (col, lo, hi) ->
-                        let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in
-                        Executor.run_traverse ?pool v
-                          ~tree:(Encrypted_db.range_tree edb col)
-                          ~tag_column:(Encrypted_db.rtag_column col)
-                          ~roots:cover.Range_struct.roots ~projection server
-                    | None -> Executor.run_view ?pool v ~projection server)
+                    Executor.run_view ?pool v ~projection server)
               with
               | exception Not_found -> Error "predicate references an unknown column"
               | exec ->
                   let eval =
-                    match traversal with
+                    match conjunctive_range_leg edb where with
                     | None -> eval
                     | Some (col, lo, hi) ->
                         (* Edge-bucket false-positive accounting, fused
@@ -400,14 +376,14 @@ let fetch_matching ?pool ?view edb ?limit ~reads where =
                   in
                   Ok (decrypt_filter_limit ?pool ?mask edb eval ?limit exec, exec))))
 
-(* The cover a statement's range leg would ship — (column, root
-   pseudonyms) — for tests and the leakage experiment's transcript
-   capture. [None] when the flat rewrite stays in charge. *)
+(* The cover the statement's range leg at conjunctive position ships —
+   (column, root pseudonyms) — for tests and the leakage experiment's
+   transcript capture. *)
 let range_cover_for t ~table where =
   match edb_for t table with
   | None -> None
   | Some edb -> (
-      match traversal_leg edb where with
+      match conjunctive_range_leg edb where with
       | None -> None
       | Some (col, lo, hi) ->
           let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in

@@ -11,13 +11,16 @@
     - equality / IN on an encrypted column → [col_tag IN (tags…)];
     - predicates on the plaintext key column pass through;
     - [BETWEEN] / [<=] / [>=] / strict [<] [>] / point equality on a
-      range-indexed INT column → the ESEDS [Range_traverse] plan when
-      the leg sits at conjunctive position (the query ships O(log B)
-      canonical-cover roots; the server expands them over the
-      encrypted boundary tree, DESIGN.md §5k), the flat
-      [col_rtag IN (…)] bucket rewrite otherwise (range under OR/NOT);
-      either way the true range stays in the residual, which filters
-      edge-bucket false positives ([range.edge_fp_rows_total]);
+      range-indexed INT column → its cover leg
+      [col_rtag IN (cover roots)] ({!Encrypted_db.range_predicate}):
+      the query ships O(log B) canonical-cover root pseudonyms, never
+      bucket tags, and the executor expands them over the table's
+      encrypted boundary tree into an index access labelled
+      [Range_traverse] (DESIGN.md §5k). The same leg ships bare, ANDed
+      and under OR. The true range stays in the residual, which
+      filters edge-bucket false positives, counted for the range leg
+      at conjunctive position ([range.edge_fp_rows_total]). A range
+      under NOT is not server-checkable (below);
     - a disjunction whose legs are {e all} server-checkable → the OR of
       the per-leg rewrites (a tag-list union the executor answers as a
       deduplicated union of index lookups); the original plaintext OR
@@ -90,13 +93,14 @@ val rewrite_join :
 
 val range_cover_for :
   t -> table:string -> Sqldb.Predicate.t -> (string * int64 array) option
-(** The ESEDS cover a statement's range leg ships — the range column
-    and the canonical-cover root pseudonyms — when the predicate pins
-    a range column at conjunctive position (bare or ANDed
-    [BETWEEN]/[<=]/[>=]/point equality with integer bounds). [None]
-    when the flat rtag IN-list rewrite stays in charge (range leg
-    under OR/NOT, non-integer bounds, no range leg). Exposed for
-    tests and the range-leakage experiment's transcript capture. *)
+(** The ESEDS cover the statement's range leg at conjunctive position
+    ships — the range column and the canonical-cover root pseudonyms —
+    when the predicate pins a range column there (bare or ANDed
+    [BETWEEN]/[<=]/[>=]/point equality with integer bounds); the
+    executor serves that leg first. [None] for a range leg only under
+    OR or NOT, non-integer bounds, or no range leg: an OR's cover legs
+    are in {!rewrite_select}'s [server_predicate]. Exposed for tests
+    and the range-leakage experiment's transcript capture. *)
 
 type query_result = {
   columns : string list;
@@ -137,7 +141,8 @@ val execute : t -> string -> (query_result, string) result
 
     Each statement decrypts only the columns it reads (visible as the
     [edb.columns_decrypted_total] counter): a SELECT its projected
-    columns, the residual's columns and a traversed range column; a
+    columns and the residual's columns (which name every range leg's
+    column); a
     DELETE its residual's columns; [SELECT *] and UPDATE, which
     re-encrypts whole rows, every column. The executor fetches only
     the cells those decrypts read ({!Encrypted_db.fetch_positions},

@@ -27,10 +27,58 @@ let m_candidates = Obs.Metrics.counter "executor.candidates_total"
 let m_returned = Obs.Metrics.counter "executor.rows_returned_total"
 let h_wall = Obs.Metrics.histogram "executor.wall_ns"
 
+(* Cover expansion (DESIGN.md §5k). A range query names its buckets by
+   canonical-cover roots of the column's boundary tree. On a column
+   whose view holds a tree, each IN value that names a node becomes the
+   leaf bucket tags below it; a value that names no node stands for
+   itself — node pseudonyms and bucket tags come from different PRF
+   keys, so a flat bucket IN-list passes through unchanged. The second
+   component is [None] unless some IN leg sits on a tree-backed column:
+   then it counts the roots expanded, nodes visited and leaf tags
+   produced. *)
+type expansion = { roots : int; visited : int; leaves : int }
+
+let expand_covers view p =
+  let seen = ref false and roots = ref 0 and visited = ref 0 and leaves = ref 0 in
+  let expand tree v =
+    match v with
+    | Value.Int root -> (
+        match Range_tree.traverse tree ~root with
+        | Some (tags, n) ->
+            incr roots;
+            visited := !visited + n;
+            leaves := !leaves + Array.length tags;
+            Array.to_list (Array.map (fun tag -> Value.Int tag) tags)
+        | None -> [ v ])
+    | _ -> [ v ]
+  in
+  let rec go p =
+    match p with
+    | Predicate.In (c, vs) -> (
+        match Read_view.range_tree view ~column:c with
+        | None -> p
+        | Some tree ->
+            seen := true;
+            Predicate.In (c, List.concat_map (expand tree) vs))
+    | Predicate.And ps -> Predicate.And (List.map go ps)
+    | Predicate.Or ps -> Predicate.Or (List.map go ps)
+    | Predicate.Not q -> Predicate.Not (go q)
+    | Predicate.True | Predicate.Eq _ | Predicate.Range _ -> p
+  in
+  let p = go p in
+  (p, if !seen then Some { roots = !roots; visited = !visited; leaves = !leaves } else None)
+
+(* Whether [p] is, or conjunctively holds, an IN leg on a tree-backed
+   column: the range leg a conjunction serves first. *)
+let rec has_cover view = function
+  | Predicate.In (c, _) -> Option.is_some (Read_view.range_tree view ~column:c)
+  | Predicate.And ps -> List.exists (has_cover view) ps
+  | Predicate.True | Predicate.Eq _ | Predicate.Range _ | Predicate.Or _ | Predicate.Not _ -> false
+
 (* The first Eq/In/Range leg over an indexed column, searched shallowly
-   through conjunctions. The access is a superset of the leg it serves
-   (exact for a pure leg), so callers re-check the full predicate when
-   the plan does not cover it alone. *)
+   through conjunctions, range legs first. The access is a superset of
+   the leg it serves (exact for a pure leg), so callers re-check the
+   full predicate when the plan does not cover it alone. *)
 let rec indexable view p =
   let index_of col = Read_view.index_on view ~column:col in
   match p with
@@ -41,7 +89,9 @@ let rec indexable view p =
       match index_of col with
       | Some idx when Table_index.kind idx = Table_index.Btree -> Some (col, `Range (idx, lo, hi))
       | Some _ | None -> None)
-  | Predicate.And ps -> List.find_map (indexable view) ps
+  | Predicate.And ps ->
+      let covers, rest = List.partition (has_cover view) ps in
+      List.find_map (indexable view) (covers @ rest)
   | Predicate.True | Predicate.Or _ | Predicate.Not _ -> None
 
 (* A disjunction is index-servable when every leg is: the candidate set
@@ -78,11 +128,14 @@ let plan_of view p =
           | Some [] | None -> P_seq)
       | _ -> P_seq)
 
-let explain view p =
-  match plan_of view p with
+(* An index access on a tree-backed column is the range plan. *)
+let kind_of view = function
+  | P_index (col, _) when Option.is_some (Read_view.range_tree view ~column:col) -> Range_traverse col
   | P_index (col, _) -> Index_scan col
   | P_or pairs -> Or_index_scan (List.map fst pairs)
   | P_seq -> Seq_scan
+
+let explain view p = kind_of view (plan_of view (fst (expand_covers view p)))
 
 let plan_label = function
   | Index_scan c -> "index(" ^ c ^ ")"
@@ -105,7 +158,7 @@ let seq_scan view =
    Residual filtering on peeked rows is free of heap charges: an
    index-only scan does not touch the heap — visibility-map style —
    matching the paper's SELECT ID behaviour. *)
-let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ?(attrs = []) (plan, candidate_ids) =
+let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs (plan, candidate_ids) =
   let candidate_ids = Read_view.live_only view candidate_ids in
   let row_ids =
     if recheck then
@@ -163,6 +216,7 @@ let run_view ?pool view ~projection p =
   Obs.Trace.with_span "executor.run_view" @@ fun () ->
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
+  let p, expansion = expand_covers view p in
   let eval = Predicate.compile (Read_view.schema view) p in
   let probes_of : access -> (unit -> int array option) list = function
     | `Eq (idx, v) -> [ (fun () -> Some (Table_index.lookup idx v)) ]
@@ -183,13 +237,14 @@ let run_view ?pool view ~projection p =
     in
     (planned, foreign)
   in
+  let plan = plan_of view p in
   let planned, foreign =
-    match plan_of view p with
-    | P_index (col, access) ->
-        run_probes (Index_scan col) (probes_of access) ~union:(match access with `In _ -> true | _ -> false)
+    match plan with
+    | P_index (_, access) ->
+        run_probes (kind_of view plan) (probes_of access)
+          ~union:(match access with `In _ -> true | _ -> false)
     | P_or pairs ->
-        run_probes
-          (Or_index_scan (List.map fst pairs))
+        run_probes (kind_of view plan)
           (List.concat_map (fun (_, access) -> probes_of access) pairs)
           ~union:true
     | P_seq -> (seq_scan view, Pager.zero_stats)
@@ -198,61 +253,33 @@ let run_view ?pool view ~projection p =
      whole predicate. An OR plan always re-checks: each leg's access may
      over-approximate its leg. *)
   let recheck =
-    match (fst planned, p) with
-    | Index_scan col, (Predicate.Eq (c, _) | Predicate.In (c, _) | Predicate.Range (c, _, _)) -> c <> col
+    match (fst planned, plan, p) with
+    | Seq_scan, _, _ -> true
+    | _, P_index (col, _), (Predicate.Eq (c, _) | Predicate.In (c, _) | Predicate.Range (c, _, _)) ->
+        c <> col
     | _ -> true
   in
-  finish view ~projection ~eval ~recheck ~before ~foreign ~t0 planned
-
-(* The ESEDS range plan (DESIGN.md §5k): the query ships the canonical
-   cover of a range as O(log B) encrypted-tree roots; the server
-   expands each root through [Range_tree.traverse] to its leaf bucket
-   tags and probes the rtag index. One task per subtree root fans
-   across the pool; each root's probe set is a sorted+deduplicated
-   lookup and roots combine through a sort + dedup union, so the
-   candidate set — and hence [row_ids]/[rows] — is byte-identical at
-   any domain count, the same determinism contract as [run_view].
-   Candidates are always re-checked against the full server predicate,
-   which both filters conjunctive companions and keeps the traversal
-   interchangeable with the flat tag IN-list plan. *)
-let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
-  Obs.Metrics.incr m_queries;
-  Obs.Trace.with_span "executor.run_traverse" @@ fun () ->
-  let before = Pager.local_stats () in
-  let t0 = Stdx.Clock.now_ns () in
-  let eval = Predicate.compile (Read_view.schema view) p in
-  let planned, foreign, nodes_visited, leaf_probes =
-    match Read_view.index_on view ~column:tag_column with
-    | None ->
-        (* No rtag index on this view: degrade to a sequential scan;
-           the shared tail re-checks the predicate over every row. *)
-        (seq_scan view, Pager.zero_stats, 0, 0)
-    | Some idx ->
-        let outcomes, foreign =
-          Pager.map_measured ?pool roots (fun root ->
-              match Range_tree.traverse tree ~root with
-              | None ->
-                  (* Unknown root pseudonym: an empty subtree, not an
-                     error — traversal stays total for any query. *)
-                  ([||], 0, 0)
-              | Some (leaf_tags, visited) ->
-                  let keys = List.map (fun tag -> Value.Int tag) (Array.to_list leaf_tags) in
-                  (Table_index.lookup_many idx keys, visited, Array.length leaf_tags))
-        in
-        let id_arrays = Array.to_list (Array.map (fun (ids, _, _) -> ids) outcomes) in
-        let visited = Array.fold_left (fun acc (_, v, _) -> acc + v) 0 outcomes in
-        let leaves = Array.fold_left (fun acc (_, _, l) -> acc + l) 0 outcomes in
-        ((Range_traverse tag_column, Postings.union_ids id_arrays), foreign, visited, leaves)
+  let attrs =
+    match expansion with
+    | None -> []
+    | Some e ->
+        Obs.Metrics.add m_trav_nodes e.visited;
+        Obs.Metrics.add m_trav_leaves e.leaves;
+        Obs.Metrics.observe h_trav_roots (float_of_int e.roots);
+        Obs.Metrics.observe h_trav_leaves (float_of_int e.leaves);
+        [
+          ("roots", string_of_int e.roots);
+          ("nodes_visited", string_of_int e.visited);
+          ("leaf_probes", string_of_int e.leaves);
+        ]
   in
-  Obs.Metrics.add m_trav_nodes nodes_visited;
-  Obs.Metrics.add m_trav_leaves leaf_probes;
-  Obs.Metrics.observe h_trav_roots (float_of_int (Array.length roots));
-  Obs.Metrics.observe h_trav_leaves (float_of_int leaf_probes);
-  finish view ~projection ~eval ~recheck:true ~before ~foreign ~t0
-    ~attrs:
-      [
-        ("roots", string_of_int (Array.length roots));
-        ("nodes_visited", string_of_int nodes_visited);
-        ("leaf_probes", string_of_int leaf_probes);
-      ]
-    planned
+  finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs planned
+
+(* Kept for callers that ship the cover apart from the predicate: the
+   same plan as [run_view] over the cover leg ANDed with [p]. *)
+let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
+  match Read_view.range_tree view ~column:tag_column with
+  | Some t when t == tree ->
+      let cover = Predicate.In (tag_column, Array.to_list (Array.map (fun r -> Value.Int r) roots)) in
+      run_view ?pool view ~projection (Predicate.And [ cover; p ])
+  | Some _ | None -> invalid_arg "Executor.run_traverse: tree is not the view's tree for tag_column"

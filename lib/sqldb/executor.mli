@@ -9,16 +9,27 @@
 
     Planning: an [Eq]/[In] predicate over an indexed column becomes an
     index (multi-)lookup; a conjunction uses the first indexable leg
-    and filters the rest; a disjunction whose legs are all indexable
-    becomes a deduplicated union of index lookups (the WRE proxy's
-    server-side OR of tag IN-lists); anything else is a sequential
-    scan.
+    (a cover leg first, below) and filters the rest; a disjunction
+    whose legs are all indexable becomes a deduplicated union of index
+    lookups (the WRE proxy's server-side OR of tag IN-lists); anything
+    else is a sequential scan.
+
+    Cover legs: a range query ships [rtag IN (cover roots)], pseudonyms
+    of nodes of the column's ESEDS boundary tree (DESIGN.md §5k). On a
+    column whose view holds a tree ({!Read_view.range_tree}), planning
+    first expands each [In] value that names a node into the leaf
+    bucket tags below it ({!Range_tree.traverse}); a value that names
+    no node stands for itself, so a flat bucket-tag IN-list is
+    unchanged. An index access on such a column is labelled
+    [Range_traverse], whether the leg is bare, ANDed or an OR leg's.
+    The expansion feeds the [range.*] counters and histograms.
 
     Every plan runs against a frozen {!Read_view} ({!Table.freeze}) —
     the only read path — and feeds the process-wide [Obs.Metrics]
     registry (plan counts, candidate/returned rows, a wall-time
-    histogram) and, when tracing is on, emits an [executor.run_view] or
-    [executor.run_traverse] span with an [executor.plan] event. *)
+    histogram) and, when tracing is on, emits an [executor.run_view]
+    span with an [executor.plan] event (carrying [roots],
+    [nodes_visited] and [leaf_probes] when a cover leg was expanded). *)
 
 type projection =
   | Row_ids  (** SELECT ID *)
@@ -34,7 +45,8 @@ type plan_kind =
   | Or_index_scan of string list
       (** union of per-leg index lookups, one column per OR leg *)
   | Range_traverse of string
-      (** ESEDS boundary-tree walk probing the named rtag column *)
+      (** index access on the named rtag column, whose cover roots were
+          expanded over its boundary tree *)
   | Seq_scan
 
 type result = {
@@ -46,7 +58,8 @@ type result = {
 }
 
 val explain : Read_view.t -> Predicate.t -> plan_kind
-(** The plan that {!run_view} would choose, without executing. *)
+(** The plan that {!run_view} would choose, cover expansion included,
+    without executing. *)
 
 val run_join :
   ?pool:Stdx.Task_pool.t ->
@@ -84,15 +97,9 @@ val run_traverse :
   projection:projection ->
   Predicate.t ->
   result
-(** The ESEDS range plan: expand each canonical-cover root of [roots]
-    through [Range_tree.traverse] into leaf bucket tags, probe the
-    B-tree/hash index on [tag_column] (the rtag column) for each, and
-    re-check the full server predicate over the candidates. One task
-    per subtree root fans across [pool]; per-root probe results are
-    sorted + deduplicated and roots combine through a sort + dedup
-    union, so the result is byte-identical at any domain count and to
-    the flat tag IN-list plan over the same range. Unknown root
-    pseudonyms expand to nothing (total, never an error); a view with
-    no index on [tag_column] degrades to a filtered sequential scan.
-    Feeds the [range.*] Obs counters (nodes visited, leaf probes) and
-    histograms (cover roots, probes per query). *)
+(** {!run_view} over [tag_column IN roots] ANDed with the predicate:
+    the cover leg is served first, so the plan is
+    [Range_traverse tag_column] when the view indexes that column.
+    For callers that hold a cover apart from the predicate. Raises
+    [Invalid_argument] unless [tree] is the view's tree for
+    [tag_column]. *)

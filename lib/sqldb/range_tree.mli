@@ -11,8 +11,9 @@
     reveals (quantified by {!Attacks.Range_leakage}).
 
     This module is crypto-free by design: tag derivation lives on the
-    client side in [Wre.Range_struct]; the executor consumes the table
-    through {!traverse} when running a [Range_traverse] plan. *)
+    client side in [Wre.Range_struct]. The table holds each range
+    column's tree ({!Table.set_range_tree}), and the executor expands a
+    query's cover roots through {!traverse} before planning. *)
 
 type node = {
   tag : int64;  (** PRF pseudonym of the node (interval identity) *)

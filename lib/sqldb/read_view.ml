@@ -36,14 +36,15 @@ type t = {
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
   indexes : (string * Table_index.t) list; (* postings roots at freeze time, sorted by column *)
+  range_trees : (string * Range_tree.t) list; (* boundary trees by rtag column *)
 }
 
 let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
     ~cur_page ~cur_fill ~data_bytes ~live_bytes ~dict_overhead_bytes ~reclaimed ~row_bytes
-    ~indexes =
+    ~indexes ~range_trees =
   { epoch; name; schema; pager; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
     cur_page; cur_fill; data_bytes; live_bytes; dict_overhead_bytes; reclaimed; row_bytes;
-    indexes }
+    indexes; range_trees }
 
 let epoch t = t.epoch
 let name t = t.name
@@ -125,6 +126,7 @@ let index_on t ~column =
   List.assoc_opt column t.indexes
 
 let indexes t = t.indexes
+let range_tree t ~column = List.assoc_opt column t.range_trees
 
 let cur_page t = t.cur_page
 let cur_fill t = t.cur_fill

@@ -40,6 +40,7 @@ val make :
   reclaimed:Value.t array ->
   row_bytes:(Value.t array -> int) ->
   indexes:(string * Table_index.t) list ->
+  range_trees:(string * Range_tree.t) list ->
   t
 (** Constructor for [Table.freeze] — not meant for direct use. *)
 
@@ -89,6 +90,11 @@ val index_on : t -> column:string -> Table_index.t option
 (** The index on [column] as it stood at freeze time, if any. *)
 
 val indexes : t -> (string * Table_index.t) list
+
+val range_tree : t -> column:string -> Range_tree.t option
+(** The boundary tree registered for the rtag column [column]
+    ([Table.set_range_tree]) when the view was frozen, if any — what
+    the executor expands a range query's cover roots over. *)
 
 val row_page : t -> int -> int
 

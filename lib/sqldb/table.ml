@@ -26,6 +26,9 @@ type t = {
   mutable data_bytes : int; (* physical tuple bytes, live + dead-but-unvacuumed *)
   mutable live_bytes : int; (* physical tuple bytes of live rows only *)
   indexes : (string, Table_index.t) Hashtbl.t;
+  mutable range_trees : (string * Range_tree.t) list;
+      (* boundary trees by rtag column; not journaled — the client
+         registers them again from checkpointed boundaries on attach *)
   mutable journal : Journal.hook option;
   (* Epoch-based copy-on-write reads: every mutation runs under
      [writer], bumps [epoch] and invalidates the cached frozen view;
@@ -88,6 +91,7 @@ let create pager ~name ~schema =
     data_bytes = 0;
     live_bytes = 0;
     indexes = Hashtbl.create 4;
+    range_trees = [];
     journal = None;
     writer = Mutex.create ();
     writer_holder = Atomic.make (-1);
@@ -305,6 +309,9 @@ let create_index ?(kind = Table_index.Btree) t ~column =
 
 let index_on t ~column = Hashtbl.find_opt t.indexes column
 
+let set_range_tree t ~column tree =
+  mutate t (fun () -> t.range_trees <- (column, tree) :: List.remove_assoc column t.range_trees)
+
 (* Storage accounting: tuple pages plus the pages the resident column
    dictionaries occupy. Query-cost page touches model only the tuple
    pages — dictionary pages are hot by construction (every materialize
@@ -437,6 +444,7 @@ let build_view t =
     ~indexes:
       (Hashtbl.fold (fun col idx acc -> (col, Table_index.snapshot idx) :: acc) t.indexes []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+    ~range_trees:t.range_trees
 
 (* Publish the current epoch as an immutable read view. Cached: the
    one copy (the visibility bitmap — the columnar storage and the index

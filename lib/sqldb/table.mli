@@ -77,12 +77,20 @@ val create_index : ?kind:Table_index.kind -> t -> column:string -> Table_index.t
 
 val index_on : t -> column:string -> Table_index.t option
 
+val set_range_tree : t -> column:string -> Range_tree.t -> unit
+(** Register (or replace) the boundary tree of the rtag column
+    [column], under the writer lock; views frozen afterwards carry it
+    ({!Read_view.range_tree}), and the executor expands a range query's
+    cover roots over it. Not journaled and not in {!snapshot}: the tree
+    is a pure function of the client's checkpointed range boundaries,
+    so the client registers it again when it attaches. *)
+
 (* Epoch-based snapshot reads. *)
 
 val epoch : t -> int
 (** Mutation epoch: 0 at creation, bumped by every successful (or
     attempted) mutation — insert, batch, delete, update, vacuum,
-    index creation. *)
+    index creation, range-tree registration. *)
 
 val freeze : t -> Read_view.t
 (** Publish the current epoch as an immutable {!Read_view.t} — the only

@@ -450,8 +450,8 @@ let run_join_workload ~pool ~kind ~seed =
    conjunctive position must take the [Range_traverse] plan and still
    agree with the plaintext oracle and the flat-era semantics — byte-
    identical between sequential and parallel, sub-multiset under
-   LIMIT. OR'd ranges keep the flat rtag rewrite; inverted and strict
-   bounds must stay total. *)
+   LIMIT. Every range leg, OR'd ones included, ships cover roots and
+   never a bucket tag; inverted and strict bounds must stay total. *)
 
 let range_schema =
   Schema.create
@@ -468,6 +468,7 @@ let range_buckets = 8
 
 type range_targets = {
   r_plain : Database.t;
+  r_edb : Wre.Encrypted_db.t;
   r_proxy : Wre.Proxy.t;
   r_next_id : int ref;
   r_names : string array;
@@ -511,6 +512,7 @@ let build_range ~kind ~seed =
   List.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) rows;
   ( {
       r_plain;
+      r_edb = edb;
       r_proxy = Wre.Proxy.create edb;
       r_next_id = ref n_range_rows;
       r_names = present rows 1 names;
@@ -555,7 +557,7 @@ let gen_range_where t prng =
   | 2 -> (Printf.sprintf "%s AND %s" (gen_range_other t prng) (gen_range_atom prng), true)
   | 3 -> (Printf.sprintf "%s AND %s" (gen_range_atom prng) (gen_range_atom prng), true)
   | _ ->
-      (* Range under OR: the flat rtag rewrite stays in charge. *)
+      (* Range under OR: its cover ships inside the server OR. *)
       (Printf.sprintf "%s OR %s" (gen_range_atom prng) (gen_range_other t prng), false)
 
 let gen_range_statement t prng =
@@ -594,10 +596,12 @@ let gen_range_statement t prng =
       in
       R_select { rs_projection; rs_where; rs_limit; rs_traverse }
 
-(* The three-way oracle, plus a plan assertion: a conjunctive range
+(* The three-way oracle, plus two plan assertions: a conjunctive range
    SELECT must actually execute as [Range_traverse score_rtag] — this
    is what stops the traversal path from silently regressing to the
-   flat plan (or a full scan). *)
+   flat plan (or a full scan) — and every [score_rtag] value a SELECT's
+   server predicate names, at conjunctive position or under OR, must be
+   a boundary-tree node: the server never sees a bucket tag. *)
 let run_range_workload ~pool ~kind ~seed =
   let t, prng = build_range ~kind ~seed in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -605,6 +609,25 @@ let run_range_workload ~pool ~kind ~seed =
     match r.Wre.Proxy.exec with
     | Some e -> e.Executor.plan = Executor.Range_traverse "score_rtag"
     | None -> false
+  in
+  let tree = Wre.Encrypted_db.range_tree t.r_edb "score" in
+  let rec rtag_values = function
+    | Predicate.In ("score_rtag", vs) -> vs
+    | Predicate.Eq ("score_rtag", v) -> [ v ]
+    | Predicate.And ps | Predicate.Or ps -> List.concat_map rtag_values ps
+    | Predicate.Not p -> rtag_values p
+    | Predicate.True | Predicate.Eq _ | Predicate.In _ | Predicate.Range _ -> []
+  in
+  let ships_only_nodes sql =
+    match Sql.parse sql with
+    | Ok (Sql.Select s) -> (
+        match Wre.Proxy.rewrite_select t.r_proxy s with
+        | Ok rw ->
+            List.for_all
+              (function Value.Int tag -> Range_tree.mem tree ~tag | _ -> false)
+              (rtag_values rw.Wre.Proxy.server_predicate)
+        | Error _ -> false)
+    | Ok _ | Error _ -> false
   in
   let rec steps i =
     if i >= n_range_statements then Ok ()
@@ -633,7 +656,9 @@ let run_range_workload ~pool ~kind ~seed =
               Wre.Proxy.execute_snapshot ~pool t.r_proxy sql )
           with
           | Ok p, Ok s, Ok par -> (
-              if rs_traverse && not (took_traverse s) then
+              if not (ships_only_nodes sql) then
+                fail "server predicate of %S names a score_rtag value that is no tree node" sql
+              else if rs_traverse && not (took_traverse s) then
                 fail "encrypted %S did not take the Range_traverse plan" sql
               else if rs_traverse && not (took_traverse par) then
                 fail "parallel %S did not take the Range_traverse plan" sql

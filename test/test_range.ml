@@ -158,8 +158,9 @@ let test_make_validation () =
 (* ---------------- Executor byte-identity ---------------- *)
 
 (* [run_traverse] over a cover must return exactly what [run_view]
-   returns for the flat rtag IN-list, at any pool size — the executor-
-   level version of the proxy contract the differential oracle checks. *)
+   returns for the flat rtag IN-list, at any pool size, and so must an
+   OR of covers against the OR of the flat lists — the executor-level
+   version of the proxy contract the differential oracle checks. *)
 let test_executor_traverse_matches_flat () =
   let schema =
     Schema.create
@@ -181,6 +182,7 @@ let test_executor_traverse_matches_flat () =
            [| Value.Int (Int64.of_int i); Value.Int v; Value.Int (Wre.Range_index.tag_of_value ri v) |]))
     training;
   ignore (Table.create_index t ~column:"v_rtag");
+  Table.set_range_tree t ~column:"v_rtag" (Wre.Range_struct.tree rs);
   let view = Table.freeze t in
   let ranges =
     [ (Some 4L, Some 50L); (Some 0L, Some 0L); (None, Some 30L); (Some 80L, None); (None, None) ]
@@ -205,7 +207,51 @@ let test_executor_traverse_matches_flat () =
       in
       check_bool "parallel traverse byte-identical" true
         (par.Executor.rows = seq.Executor.rows && par.Executor.row_ids = seq.Executor.row_ids))
-    ranges
+    ranges;
+  (* A range under OR ships an OR of covers; the view's tree expands
+     each leg, so it answers exactly the OR of the flat IN-lists. *)
+  let ints = List.map (fun g -> Value.Int g) in
+  let cover (lo, hi) =
+    let roots = (Wre.Range_struct.cover rs ~lo ~hi).Wre.Range_struct.roots in
+    Predicate.In ("v_rtag", ints (Array.to_list roots))
+  in
+  let flat (lo, hi) = Predicate.In ("v_rtag", ints (Wre.Range_index.tags_for_range ri ~lo ~hi)) in
+  let legs = [ (Some 4L, Some 50L); (Some 30L, Some 80L) ] in
+  let flat_or =
+    Executor.run_view view ~projection:Executor.All_columns (Predicate.Or (List.map flat legs))
+  in
+  List.iter
+    (fun domains ->
+      Stdx.Task_pool.with_pool ~domains @@ fun pool ->
+      let covers =
+        Executor.run_view ~pool view ~projection:Executor.All_columns
+          (Predicate.Or (List.map cover legs))
+      in
+      check_bool "OR of covers ids = OR of flat lists" true
+        (covers.Executor.row_ids = flat_or.Executor.row_ids);
+      check_bool "OR of covers rows = OR of flat lists" true
+        (covers.Executor.rows = flat_or.Executor.rows))
+    [ 1; 4 ]
+
+(* [run_traverse] never ignores its [tree]: one that is not the view's
+   tree for the column, or no registered tree at all, is refused. *)
+let test_traverse_refuses_foreign_tree () =
+  let schema = Schema.create [ { name = "v_rtag"; ty = TInt; nullable = false } ] in
+  let t = Database.create_table (Database.create ()) ~name:"vals" ~schema in
+  let tree () = Wre.Range_struct.tree (Wre.Range_struct.create ~master ~column:"v" ~boundaries:[| 1L |]) in
+  let mine = tree () in
+  let refused tree =
+    match
+      Executor.run_traverse (Table.freeze t) ~tree ~tag_column:"v_rtag" ~roots:[||]
+        ~projection:Executor.Row_ids Predicate.True
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "no tree registered" true (refused mine);
+  Table.set_range_tree t ~column:"v_rtag" mine;
+  check_bool "an equal but different tree" true (refused (tree ()));
+  check_bool "the view's tree" false (refused mine)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -225,5 +271,7 @@ let () =
         [
           Alcotest.test_case "traversal matches flat plan" `Quick
             test_executor_traverse_matches_flat;
+          Alcotest.test_case "run_traverse refuses a foreign tree" `Quick
+            test_traverse_refuses_foreign_tree;
         ] );
     ]

@@ -667,6 +667,44 @@ let test_proxy_fetches_only_read_cells () =
     = Error "projected column does not exist");
   check_int "neither reached the executor" before (Obs.Metrics.counter_value queries)
 
+(* [Executor.explain] returns the plan [run_view] runs, cover
+   expansion included, for every range shape the proxy ships. *)
+let test_proxy_explain_matches_run () =
+  let proxy, edb = make_range_proxy_edb (Wre.Scheme.Poisson 100.0) in
+  List.iter
+    (fun (where, plan) ->
+      let sql = "SELECT * FROM people WHERE " ^ where in
+      let s = match ok (Sql.parse sql) with Sql.Select s -> s | _ -> Alcotest.fail "not a SELECT" in
+      let server = (ok (Wre.Proxy.rewrite_select proxy s)).Wre.Proxy.server_predicate in
+      let exec = Option.get (ok (Wre.Proxy.execute proxy sql)).exec in
+      check_bool (where ^ ": explain = run") true
+        (Executor.explain (Wre.Encrypted_db.freeze edb) server = exec.plan);
+      check_bool (where ^ ": plan") true (exec.plan = plan))
+    [
+      ("age BETWEEN 30 AND 39", Executor.Range_traverse "age_rtag");
+      ("name = 'ann' AND age BETWEEN 30 AND 39", Executor.Range_traverse "age_rtag");
+      ( "age BETWEEN 20 AND 25 OR age BETWEEN 50 AND 55",
+        Executor.Or_index_scan [ "age_rtag"; "age_rtag" ] );
+      ("age BETWEEN 30 AND 39 OR name = 'ann'", Executor.Or_index_scan [ "age_rtag"; "name_tag" ]);
+      ("name = 'ann'", Executor.Index_scan "name_tag");
+    ]
+
+(* [range.edge_fp_rows_total] counts the decrypted rows of the range
+   leg at conjunctive position that fall outside the true range: for a
+   bare BETWEEN, every server row the client drops. A range under OR
+   counts none. *)
+let test_proxy_counts_edge_fps () =
+  let proxy, _ = make_range_proxy_edb (Wre.Scheme.Poisson 100.0) in
+  let edge_fps sql =
+    counter_delta "range.edge_fp_rows_total" (fun () -> ok (Wre.Proxy.execute proxy sql))
+  in
+  let r, fps = edge_fps "SELECT id FROM people WHERE age BETWEEN 30 AND 39" in
+  check_int "bare BETWEEN: server rows minus result rows" (r.server_rows - List.length r.rows) fps;
+  check_bool "edge buckets returned false positives" true (fps > 0);
+  let r, fps = edge_fps "SELECT id FROM people WHERE age BETWEEN 30 AND 39 OR age BETWEEN 50 AND 52" in
+  check_bool "range under OR returned false positives" true (r.server_rows > List.length r.rows);
+  check_int "range under OR counts none" 0 fps
+
 let test_proxy_in_list_on_encrypted_column () =
   let proxy = make_proxy (Wre.Scheme.Poisson 100.0) in
   let r = ok (Wre.Proxy.execute proxy "SELECT id FROM people WHERE name IN ('ann', 'cat')") in
@@ -1180,6 +1218,8 @@ let () =
           Alcotest.test_case "decrypts only read columns" `Quick
             test_proxy_decrypts_only_read_columns;
           Alcotest.test_case "fetches only read cells" `Quick test_proxy_fetches_only_read_cells;
+          Alcotest.test_case "explain matches run" `Quick test_proxy_explain_matches_run;
+          Alcotest.test_case "counts edge-bucket FPs" `Quick test_proxy_counts_edge_fps;
           Alcotest.test_case "IN-list on encrypted column" `Quick
             test_proxy_in_list_on_encrypted_column;
           Alcotest.test_case "join matches plaintext" `Quick test_proxy_join_matches_plaintext;

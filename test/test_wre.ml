@@ -638,10 +638,22 @@ let make_range_edb () =
   edb
 
 let test_range_search_exact () =
-  let edb = make_range_edb () in
+  let proxy = Wre.Proxy.create (make_range_edb ()) in
   List.iter
     (fun (lo, hi) ->
-      let rows, raw = Wre.Encrypted_db.search_range edb ~column:"income" ~lo ~hi in
+      let where =
+        match (lo, hi) with
+        | Some l, Some h -> Printf.sprintf "income BETWEEN %Ld AND %Ld" l h
+        | None, Some h -> Printf.sprintf "income <= %Ld" h
+        | Some l, None -> Printf.sprintf "income >= %Ld" l
+        | None, None -> Printf.sprintf "income <= %Ld" Int64.max_int
+      in
+      let r =
+        match Wre.Proxy.execute proxy ("SELECT * FROM t WHERE " ^ where) with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      let rows = r.Wre.Proxy.rows in
       let expected =
         List.length
           (List.filter
@@ -658,7 +670,7 @@ let test_range_search_exact () =
            (match lo with None -> "-inf" | Some v -> Int64.to_string v)
            (match hi with None -> "+inf" | Some v -> Int64.to_string v))
         expected (List.length rows);
-      check_bool "server superset" true (Array.length raw.row_ids >= List.length rows))
+      check_bool "server superset" true (r.Wre.Proxy.server_rows >= List.length rows))
     [ (Some 2000L, Some 5000L); (None, Some 3000L); (Some 8000L, None); (None, None) ]
 
 let test_range_through_proxy () =

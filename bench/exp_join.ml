@@ -55,7 +55,6 @@ let time_runs iters f =
 
 type row_result = {
   scheme : string;
-  domains : int;
   candidate_pairs : int;
   result_rows : int;
   p50_ms : float;
@@ -87,13 +86,8 @@ let run_scheme ~kind ~left_rows ~right_rows ~iters =
   let eb = mk "b" dist_b right_rows in
   let proxy = Wre.Proxy.create_multi [ ea; eb ] in
   let sql = "SELECT * FROM a JOIN b ON a.lname = b.lname" in
-  let join_at domains =
-    if domains = 1 then fun () -> Result.get_ok (Wre.Proxy.execute proxy sql)
-    else fun () ->
-      Stdx.Task_pool.with_pool ~domains (fun pool ->
-          Result.get_ok (Wre.Proxy.execute_snapshot ~pool proxy sql))
-  in
-  let reference = join_at 1 () in
+  let join () = Result.get_ok (Wre.Proxy.execute proxy sql) in
+  let reference = join () in
   let jr = Option.get reference.Wre.Proxy.join_exec in
   (* Ship-both-tables baseline: full decrypt of both tables through the
      proxy, then a plaintext hash join client-side. *)
@@ -121,20 +115,16 @@ let run_scheme ~kind ~left_rows ~right_rows ~iters =
     Array.map (fun m -> (m, Dist.Empirical.count dist_a m * Dist.Empirical.count dist_b m)) actual
   in
   let leak = Attacks.Join_leakage.measure ~observed:jr.Join.bucket_pairs ~actual ~aux in
-  List.map
-    (fun domains ->
-      let p50, p99 = time_runs iters (fun () -> ignore (join_at domains () : Wre.Proxy.query_result)) in
-      {
-        scheme = Wre.Scheme.to_string kind;
-        domains;
-        candidate_pairs = Array.length jr.Join.pairs;
-        result_rows = List.length reference.Wre.Proxy.rows;
-        p50_ms = p50 /. 1e6;
-        p99_ms = p99 /. 1e6;
-        base_p50_ms = base_p50 /. 1e6;
-        leak;
-      })
-    [ 1; 4 ]
+  let p50, p99 = time_runs iters (fun () -> ignore (join () : Wre.Proxy.query_result)) in
+  {
+    scheme = Wre.Scheme.to_string kind;
+    candidate_pairs = Array.length jr.Join.pairs;
+    result_rows = List.length reference.Wre.Proxy.rows;
+    p50_ms = p50 /. 1e6;
+    p99_ms = p99 /. 1e6;
+    base_p50_ms = base_p50 /. 1e6;
+    leak;
+  }
 
 let run ~rows () =
   (* Join cost grows with candidate pairs (degree products), not rows;
@@ -169,12 +159,12 @@ let run ~rows () =
         |])
   in
   let results =
-    List.concat_map (fun kind -> run_scheme ~kind ~left_rows ~right_rows ~iters:9) schemes
+    List.map (fun kind -> run_scheme ~kind ~left_rows ~right_rows ~iters:9) schemes
   in
   let t =
     Stdx.Table_fmt.create
       [
-        "scheme"; "domains"; "cand pairs"; "rows"; "join p50 (ms)"; "join p99 (ms)";
+        "scheme"; "cand pairs"; "rows"; "join p50 (ms)"; "join p99 (ms)";
         "ship-both p50 (ms)"; "leak acc"; "leak pair-rec"; "leak l1";
       ]
   in
@@ -183,7 +173,6 @@ let run ~rows () =
       Stdx.Table_fmt.add_row t
         [
           r.scheme;
-          string_of_int r.domains;
           string_of_int r.candidate_pairs;
           string_of_int r.result_rows;
           Printf.sprintf "%.2f" r.p50_ms;
@@ -195,14 +184,12 @@ let run ~rows () =
         ])
     results;
   Stdx.Table_fmt.print t;
-  let flagship =
-    List.find (fun r -> r.scheme = "poisson-1000" && r.domains = 1) results
-  in
+  let flagship = List.find (fun r -> r.scheme = "poisson-1000") results in
   let join_beats_client_side = flagship.p50_ms < flagship.base_p50_ms in
   let metrics =
     List.concat_map
       (fun r ->
-        let k suffix = Printf.sprintf "%s_%s_%dd" suffix r.scheme r.domains in
+        let k suffix = Printf.sprintf "%s_%s" suffix r.scheme in
         [
           (k "join_qps", Printf.sprintf "%.2f" (1e3 /. r.p50_ms));
           (k "join_p50_ms", Printf.sprintf "%.3f" r.p50_ms);
@@ -225,6 +212,7 @@ let run ~rows () =
           json_obj
             [
               ("left_rows", string_of_int n);
+              ("cores", string_of_int (Domain.recommended_domain_count ()));
               ("right_rows", string_of_int (n / 10));
               ("shared_support", string_of_int (Array.length shared));
               ("on_column", "\"lname\"");

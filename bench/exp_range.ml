@@ -138,74 +138,56 @@ let run ~rows ~n_queries () =
   let trav_leak =
     Attacks.Range_leakage.measure ~n_tokens:(Array.length nodes) ~transcripts:!trav_ts
   in
-  (* Server-side latency of both plans over the same frozen view, at 1
-     and 4 domains, asserting byte-identical answers throughout. The
-     traversal is what the proxy ships (the cover leg, expanded by the
-     executor over the table's tree); the flat IN-list is the reference. *)
+  (* Server-side latency of both plans over the same frozen view,
+     asserting byte-identical answers throughout. The traversal is what
+     the proxy ships (the cover leg, expanded by the executor over the
+     table's tree); the flat IN-list is the reference. *)
   let view = Wre.Encrypted_db.freeze edb in
-  let run_pair ?pool (lo, hi) =
+  let run_pair (lo, hi) =
     let tags = Wre.Range_index.tags_for_range ri ~lo:(Some lo) ~hi:(Some hi) in
     let pred =
       Predicate.In (Wre.Encrypted_db.rtag_column "score", List.map (fun t -> Value.Int t) tags)
     in
     let cover = Wre.Encrypted_db.range_predicate edb ~column:"score" ~lo:(Some lo) ~hi:(Some hi) in
-    let flat = Executor.run_view ?pool view ~projection:Executor.Row_ids pred in
-    let trav = Executor.run_view ?pool view ~projection:Executor.Row_ids cover in
+    let flat = Executor.run_view view ~projection:Executor.Row_ids pred in
+    let trav = Executor.run_view view ~projection:Executor.Row_ids cover in
     assert (trav.Executor.plan = Executor.Range_traverse (Wre.Encrypted_db.rtag_column "score"));
     assert (trav.Executor.row_ids = flat.Executor.row_ids);
     (flat.Executor.wall_ns, trav.Executor.wall_ns)
   in
-  let measure ?pool () =
-    let fw = Array.make n_queries 0.0 and tw = Array.make n_queries 0.0 in
-    Array.iteri
-      (fun i q ->
-        let f, t = run_pair ?pool q in
-        fw.(i) <- f;
-        tw.(i) <- t)
-      queries;
-    Array.sort compare fw;
-    Array.sort compare tw;
-    (fw, tw)
-  in
-  let timings =
-    List.map
-      (fun domains ->
-        let fw, tw =
-          if domains = 1 then measure ()
-          else Stdx.Task_pool.with_pool ~domains (fun pool -> measure ~pool ())
-        in
-        (domains, fw, tw))
-      [ 1; 4 ]
-  in
+  let fw = Array.make n_queries 0.0 and tw = Array.make n_queries 0.0 in
+  Array.iteri
+    (fun i q ->
+      let f, t = run_pair q in
+      fw.(i) <- f;
+      tw.(i) <- t)
+    queries;
+  Array.sort compare fw;
+  Array.sort compare tw;
   let mean_flat = float_of_int !flat_tokens /. float_of_int n_queries in
   let mean_trav = float_of_int !trav_tokens /. float_of_int n_queries in
   let t =
     Stdx.Table_fmt.create
-      [ "plan"; "domains"; "tokens/query"; "p50 (ms)"; "p99 (ms)"; "pair acc"; "rank acc" ]
+      [ "plan"; "tokens/query"; "p50 (ms)"; "p99 (ms)"; "pair acc"; "rank acc" ]
   in
-  List.iter
-    (fun (domains, fw, tw) ->
-      Stdx.Table_fmt.add_row t
-        [
-          "flat-tags";
-          string_of_int domains;
-          Printf.sprintf "%.1f" mean_flat;
-          Printf.sprintf "%.3f" (percentile fw 50.0 /. 1e6);
-          Printf.sprintf "%.3f" (percentile fw 99.0 /. 1e6);
-          Printf.sprintf "%.3f" flat_leak.Attacks.Range_leakage.pair_accuracy;
-          Printf.sprintf "%.3f" flat_leak.Attacks.Range_leakage.rank_accuracy;
-        ];
-      Stdx.Table_fmt.add_row t
-        [
-          "traversal";
-          string_of_int domains;
-          Printf.sprintf "%.1f" mean_trav;
-          Printf.sprintf "%.3f" (percentile tw 50.0 /. 1e6);
-          Printf.sprintf "%.3f" (percentile tw 99.0 /. 1e6);
-          Printf.sprintf "%.3f" trav_leak.Attacks.Range_leakage.pair_accuracy;
-          Printf.sprintf "%.3f" trav_leak.Attacks.Range_leakage.rank_accuracy;
-        ])
-    timings;
+  Stdx.Table_fmt.add_row t
+    [
+      "flat-tags";
+      Printf.sprintf "%.1f" mean_flat;
+      Printf.sprintf "%.3f" (percentile fw 50.0 /. 1e6);
+      Printf.sprintf "%.3f" (percentile fw 99.0 /. 1e6);
+      Printf.sprintf "%.3f" flat_leak.Attacks.Range_leakage.pair_accuracy;
+      Printf.sprintf "%.3f" flat_leak.Attacks.Range_leakage.rank_accuracy;
+    ];
+  Stdx.Table_fmt.add_row t
+    [
+      "traversal";
+      Printf.sprintf "%.1f" mean_trav;
+      Printf.sprintf "%.3f" (percentile tw 50.0 /. 1e6);
+      Printf.sprintf "%.3f" (percentile tw 99.0 /. 1e6);
+      Printf.sprintf "%.3f" trav_leak.Attacks.Range_leakage.pair_accuracy;
+      Printf.sprintf "%.3f" trav_leak.Attacks.Range_leakage.rank_accuracy;
+    ];
   Stdx.Table_fmt.print t;
   (* The gate: fewer tokens on the wire, and no more order leaked than
      the flat baseline (small epsilon for attack nondeterminism across
@@ -216,19 +198,12 @@ let run ~rows ~n_queries () =
        <= flat_leak.Attacks.Range_leakage.pair_accuracy +. 0.05
   in
   let timing_metrics =
-    List.concat_map
-      (fun (domains, fw, tw) ->
-        [
-          (Printf.sprintf "flat_p50_ms_%dd" domains,
-           Printf.sprintf "%.4f" (percentile fw 50.0 /. 1e6));
-          (Printf.sprintf "flat_p99_ms_%dd" domains,
-           Printf.sprintf "%.4f" (percentile fw 99.0 /. 1e6));
-          (Printf.sprintf "traversal_p50_ms_%dd" domains,
-           Printf.sprintf "%.4f" (percentile tw 50.0 /. 1e6));
-          (Printf.sprintf "traversal_p99_ms_%dd" domains,
-           Printf.sprintf "%.4f" (percentile tw 99.0 /. 1e6));
-        ])
-      timings
+    [
+      ("flat_p50_ms", Printf.sprintf "%.4f" (percentile fw 50.0 /. 1e6));
+      ("flat_p99_ms", Printf.sprintf "%.4f" (percentile fw 99.0 /. 1e6));
+      ("traversal_p50_ms", Printf.sprintf "%.4f" (percentile tw 50.0 /. 1e6));
+      ("traversal_p99_ms", Printf.sprintf "%.4f" (percentile tw 99.0 /. 1e6));
+    ]
   in
   let json =
     json_obj

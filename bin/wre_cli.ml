@@ -451,13 +451,10 @@ let load_encrypted_csv db ~name ~input ~sidecar =
   List.iter (fun r -> ignore (Wre.Encrypted_db.insert_encrypted edb r)) enc_rows;
   Ok edb
 
-let query_csv input sidecar table input2 sidecar2 table2 sql domains tracing =
+let query_csv input sidecar table input2 sidecar2 table2 sql tracing =
   Obs.Trace.set_enabled tracing;
   let ( let* ) = Result.bind in
   let result =
-    let* () =
-      if domains >= 1 then Ok () else Error "--domains must be at least 1"
-    in
     let db = Sqldb.Database.create () in
     let* edb = load_encrypted_csv db ~name:table ~input ~sidecar in
     let* edbs =
@@ -469,12 +466,7 @@ let query_csv input sidecar table input2 sidecar2 table2 sql domains tracing =
       | _ -> Error "--input2 and --sidecar2 must be given together"
     in
     let proxy = Wre.Proxy.create_multi edbs in
-    let* r =
-      if domains = 1 then Wre.Proxy.execute proxy sql
-      else
-        Stdx.Task_pool.with_pool ~domains (fun pool ->
-            Wre.Proxy.execute_snapshot ~pool proxy sql)
-    in
+    let* r = Wre.Proxy.execute proxy sql in
     print_string (Sqldb.Csv.render (r.columns :: Sqldb.Csv.untyped_rows r.rows));
     Printf.eprintf "(%d rows; server handled %d encrypted rows)\n" (List.length r.rows)
       r.server_rows;
@@ -568,21 +560,11 @@ let query_csv_cmd =
              --input2/--sidecar2, a JOIN such as \"SELECT * FROM t JOIN t2 ON t.name = \
              t2.name\" (result headers are qualified: t.id, t.name, t2.id, …).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Serve the SELECT from a frozen snapshot view with $(docv) reader domains \
-             (index probes, JOIN bucket probes and decryption fan out; results are \
-             identical to the sequential path).")
-  in
   let doc = "Query one or two encrypted CSVs with plaintext SQL (rewriting proxy + decryption)." in
   Cmd.v (Cmd.info "query-csv" ~doc)
     Term.(
       ret
-        (const query_csv $ input $ sidecar $ table $ input2 $ sidecar2 $ table2 $ sql $ domains
-       $ trace_arg))
+        (const query_csv $ input $ sidecar $ table $ input2 $ sidecar2 $ table2 $ sql $ trace_arg))
 
 (* ---------------- init / open (durable store) ---------------- *)
 

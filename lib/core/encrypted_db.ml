@@ -324,12 +324,7 @@ let insert_batch ?pool ?(chunk_size = default_chunk_size) t rows =
   let n = Array.length rows in
   let encrypted =
     match pool with
-    | None -> Array.map (fun row -> encrypt_row t t.g row) rows
-    | Some pool when Stdx.Task_pool.domains pool <= 1 || n = 0 ->
-        (* Single-domain path: draw from the database PRNG row by row,
-           in order — byte-identical to sequential {!insert}. *)
-        Array.map (fun row -> encrypt_row t t.g row) rows
-    | Some pool ->
+    | Some pool when Stdx.Task_pool.domains pool > 1 && n > 0 ->
         (* Multi-domain path: one PRNG per chunk, split off the
            database PRNG in chunk order. The output depends only on
            the PRNG state and the chunk size — not on the domain
@@ -345,6 +340,10 @@ let insert_batch ?pool ?(chunk_size = default_chunk_size) t rows =
               Array.init len (fun j -> encrypt_row t g rows.(lo + j)))
         in
         Array.concat (Array.to_list chunks)
+    | Some _ | None ->
+        (* Single-domain path: draw from the database PRNG row by row,
+           in order — byte-identical to sequential {!insert}. *)
+        Array.map (fun row -> encrypt_row t t.g row) rows
   in
   Table.insert_batch t.table encrypted
 
@@ -370,11 +369,11 @@ let freeze t = Table.freeze t.table
 (* Every search runs over a view: the caller's, or one frozen now. *)
 let view_or_freeze ?view t = match view with Some v -> v | None -> freeze t
 
-let search_ids ?pool ?view t ~column m =
+let search_ids ?view t ~column m =
   Obs.Trace.with_span "edb.search_ids" @@ fun () ->
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
   phase h_exec "query.exec" (fun () ->
-      Executor.run_view ?pool (view_or_freeze ?view t) ~projection:Executor.Row_ids pred)
+      Executor.run_view (view_or_freeze ?view t) ~projection:Executor.Row_ids pred)
 
 let range_index t column =
   match Hashtbl.find_opt t.range_indexes column with
@@ -440,16 +439,13 @@ let decrypt_row ?mask t enc_row =
   Obs.Metrics.add m_columns_decrypted !decrypted;
   out
 
-(* Back half of a row search: decrypt every returned row (optionally
-   fanned over a pool — decryption is a pure read of the encryptor
-   tables plus AES-CTR, and [Task_pool.map_array] keeps results
-   index-ordered, so the output is identical to the sequential map),
-   then the bucketized client-side false-positive filter. *)
-let decrypt_and_filter ?pool t ~column m (result : Executor.result) =
+(* Back half of a row search: decrypt every returned row, then the
+   bucketized client-side false-positive filter. *)
+let decrypt_and_filter t ~column m (result : Executor.result) =
   let col_pos = Schema.column_index t.plain_schema column in
   let decrypted =
     phase h_decrypt "query.decrypt" (fun () ->
-        Array.to_list (Stdx.Task_pool.map_array ?pool result.rows (decrypt_row t)))
+        Array.to_list (Array.map (decrypt_row t) result.rows))
   in
   let rows =
     phase h_filter "query.filter" (fun () ->
@@ -467,11 +463,11 @@ let decrypt_and_filter ?pool t ~column m (result : Executor.result) =
   in
   (rows, result)
 
-let search_rows ?pool ?view t ~column m =
+let search_rows ?view t ~column m =
   Obs.Trace.with_span "edb.search_rows" @@ fun () ->
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
   let result =
     phase h_exec "query.exec" (fun () ->
-        Executor.run_view ?pool (view_or_freeze ?view t) ~projection:Executor.All_columns pred)
+        Executor.run_view (view_or_freeze ?view t) ~projection:Executor.All_columns pred)
   in
-  decrypt_and_filter ?pool t ~column m result
+  decrypt_and_filter t ~column m result

@@ -135,15 +135,12 @@ val insert_encrypted : t -> Sqldb.Value.t array -> int
 
 (* Searches run over a frozen epoch: the given [view] (freeze once,
    query many, from any domain while writers proceed) or one frozen at
-   call time. [pool] fans the per-tag index probes (and, for rows, the
-   decrypt pass — index-ordered, so rows come back in the same order at
-   any domain count). *)
+   call time. A search runs on the domain that calls it. *)
 
 val freeze : t -> Sqldb.Read_view.t
 (** {!Sqldb.Table.freeze} of the underlying encrypted table. *)
 
 val search_ids :
-  ?pool:Stdx.Task_pool.t ->
   ?view:Sqldb.Read_view.t ->
   t ->
   column:string ->
@@ -153,7 +150,6 @@ val search_ids :
     may include bucketized false positives). *)
 
 val search_rows :
-  ?pool:Stdx.Task_pool.t ->
   ?view:Sqldb.Read_view.t ->
   t ->
   column:string ->

@@ -205,75 +205,31 @@ let rewrite_select t (s : Sql.select) =
    — a LIMIT n query never decrypts more than it needs beyond the rows
    the residual rejects — so the two phases are accounted by summed
    per-row clock deltas and recorded as pre-measured trace spans. *)
-let decrypt_filter_limit ?pool ?mask edb eval ?limit (exec : Executor.result) =
+let decrypt_filter_limit ?mask edb eval ?limit (exec : Executor.result) =
   let start_ns = Stdx.Clock.now_ns () in
   let wanted = match limit with None -> max_int | Some n -> n in
   let kept = ref [] and n_kept = ref 0 in
   let decrypt_ns = ref 0.0 and filter_ns = ref 0.0 in
   let n = Array.length exec.rows in
-  let n_decrypted = ref 0 in
-  let parallel =
-    match pool with
-    | Some p when Stdx.Task_pool.domains p > 1 -> Some p
-    | Some _ | None -> None
-  in
-  (match parallel with
-  | None ->
-      (* Sequential path — also the 1-domain pool path, byte-identical
-         by construction: the loop below is exactly what ran before the
-         parallel stage existed. *)
-      let i = ref 0 in
-      while !i < n && !n_kept < wanted do
-        let t0 = Stdx.Clock.now_ns () in
-        let plain = Encrypted_db.decrypt_row ?mask edb exec.rows.(!i) in
-        let t1 = Stdx.Clock.now_ns () in
-        let keep = eval plain in
-        decrypt_ns := !decrypt_ns +. (t1 -. t0);
-        filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
-        if keep then begin
-          kept := (exec.row_ids.(!i), plain) :: !kept;
-          incr n_kept
-        end;
-        incr i
-      done;
-      n_decrypted := !i
-  | Some pool ->
-      (* Parallel path: decrypt fixed-size chunks across the pool, then
-         filter each chunk in index order until the limit is reached.
-         Survivors are identical to the sequential path (same rows,
-         same order, same stopping point); laziness holds at chunk
-         granularity — a LIMIT query over-decrypts at most one chunk
-         beyond what the sequential pass would have touched. *)
-      let chunk = 256 in
-      let i = ref 0 in
-      while !i < n && !n_kept < wanted do
-        let lo = !i in
-        let len = min chunk (n - lo) in
-        let t0 = Stdx.Clock.now_ns () in
-        let plains =
-          Stdx.Task_pool.parallel_init pool len (fun j ->
-              Encrypted_db.decrypt_row ?mask edb exec.rows.(lo + j))
-        in
-        let t1 = Stdx.Clock.now_ns () in
-        decrypt_ns := !decrypt_ns +. (t1 -. t0);
-        n_decrypted := !n_decrypted + len;
-        let j = ref 0 in
-        while !j < len && !n_kept < wanted do
-          let plain = plains.(!j) in
-          if eval plain then begin
-            kept := (exec.row_ids.(lo + !j), plain) :: !kept;
-            incr n_kept
-          end;
-          incr j
-        done;
-        filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
-        i := lo + len
-      done);
+  let i = ref 0 in
+  while !i < n && !n_kept < wanted do
+    let t0 = Stdx.Clock.now_ns () in
+    let plain = Encrypted_db.decrypt_row ?mask edb exec.rows.(!i) in
+    let t1 = Stdx.Clock.now_ns () in
+    let keep = eval plain in
+    decrypt_ns := !decrypt_ns +. (t1 -. t0);
+    filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
+    if keep then begin
+      kept := (exec.row_ids.(!i), plain) :: !kept;
+      incr n_kept
+    end;
+    incr i
+  done;
   Obs.Metrics.observe h_decrypt !decrypt_ns;
   Obs.Metrics.observe h_filter !filter_ns;
   if Obs.Trace.is_enabled () then begin
     Obs.Trace.add ~name:"proxy.decrypt"
-      ~attrs:[ ("rows_decrypted", string_of_int !n_decrypted) ]
+      ~attrs:[ ("rows_decrypted", string_of_int !i) ]
       ~start_ns ~dur_ns:!decrypt_ns ();
     Obs.Trace.add ~name:"proxy.residual_filter"
       ~attrs:[ ("kept", string_of_int !n_kept) ]
@@ -335,7 +291,7 @@ let read_mask plain_schema ~reads ~residual =
    expands them over the table's boundary tree. For the range leg at
    conjunctive position the residual pass counts edge-bucket false
    positives into [range.edge_fp_rows_total]. *)
-let fetch_matching ?pool ?view edb ?limit ~reads where =
+let fetch_matching ?view edb ?limit ~reads where =
   match rewrite edb where with
   | Error e -> Error e
   | Ok (server, residual) -> (
@@ -354,7 +310,7 @@ let fetch_matching ?pool ?view edb ?limit ~reads where =
                       | Some v when Read_view.name v = table_name edb -> v
                       | Some _ | None -> Encrypted_db.freeze edb
                     in
-                    Executor.run_view ?pool v ~projection server)
+                    Executor.run_view v ~projection server)
               with
               | exception Not_found -> Error "predicate references an unknown column"
               | exec ->
@@ -374,7 +330,7 @@ let fetch_matching ?pool ?view edb ?limit ~reads where =
                           if not (in_range row) then Obs.Metrics.incr m_edge_fp;
                           eval row
                   in
-                  Ok (decrypt_filter_limit ?pool ?mask edb eval ?limit exec, exec))))
+                  Ok (decrypt_filter_limit ?mask edb eval ?limit exec, exec))))
 
 (* The cover the statement's range leg at conjunctive position ships —
    (column, root pseudonyms) — for tests and the leakage experiment's
@@ -494,7 +450,7 @@ let join_masks el ~lidx er ~ridx combined_idxs =
    LIMIT survivors. Both freezes happen back to back: proxy mutations
    are caller-serialized (the server admission queue single-threads
    writes), so the pair of views is epoch-consistent. *)
-let execute_join ?pool t (j : Sql.join) =
+let execute_join t (j : Sql.join) =
   Obs.Metrics.incr m_join;
   match resolve_join t j with
   | Error e -> Error e
@@ -519,7 +475,7 @@ let execute_join ?pool t (j : Sql.join) =
                   let vr = Encrypted_db.freeze er in
                   let jr =
                     phase h_exec "proxy.join_server_exec" (fun () ->
-                        Executor.run_join ?pool ~left:vl ~right:vr
+                        Executor.run_join ~left:vl ~right:vr
                           ~on_left:(Encrypted_db.tag_column col_l)
                           ~on_right:(Encrypted_db.tag_column col_r)
                           (Join.Buckets (Array.map (fun (_, l, r) -> (l, r)) buckets)))
@@ -598,12 +554,12 @@ let execute_join ?pool t (j : Sql.join) =
                       join_exec = Some jr;
                     })))
 
-(* SELECTs and joins may use [pool] and [view]; DELETE and UPDATE find
-   their rows through a fresh freeze and run sequentially. *)
-let execute_stmt ?pool ?view t stmt =
+(* SELECTs may use [view]; DELETE and UPDATE find their rows through a
+   fresh freeze. *)
+let execute_stmt ?view t stmt =
   match stmt with
   | Sql.Create_table _ -> Error "the proxy does not rewrite CREATE TABLE"
-  | Sql.Select_join j -> execute_join ?pool t j
+  | Sql.Select_join j -> execute_join t j
   | Sql.Delete { table; where } -> (
       Obs.Metrics.incr m_delete;
       match edb_for t table with
@@ -693,14 +649,14 @@ let execute_stmt ?pool ?view t stmt =
       match edb_for t s.table with
       | None -> Error (Printf.sprintf "no such encrypted table %S" s.table)
       | Some edb -> (
-          match fetch_matching ?pool ?view edb ?limit:s.limit ~reads:s.projection s.where with
+          match fetch_matching ?view edb ?limit:s.limit ~reads:s.projection s.where with
           | Error e -> Error e
           | Ok (pairs, exec) -> Ok (select_result edb s pairs exec)))
 
-let execute_snapshot ?pool ?view t src =
+let execute_snapshot ?view t src =
   Obs.Trace.with_span "proxy.execute" @@ fun () ->
   match phase h_parse "proxy.parse" (fun () -> Sql.parse src) with
   | Error e -> Error e
-  | Ok stmt -> execute_stmt ?pool ?view t stmt
+  | Ok stmt -> execute_stmt ?view t stmt
 
 let execute t src = execute_snapshot t src

@@ -119,7 +119,7 @@ type query_result = {
 val execute : t -> string -> (query_result, string) result
 (** Parse plaintext SQL (SELECT / JOIN / INSERT / DELETE / UPDATE
     against the plaintext schema), run it through the encrypted
-    database — {!execute_snapshot} with no pool and no view. Every
+    database — {!execute_snapshot} with no view. Every
     statement that reads finds its rows through a frozen view
     ({!Encrypted_db.freeze}): a SELECT or JOIN to answer, a DELETE or
     UPDATE to pick the rows it then mutates on the live table —
@@ -159,18 +159,15 @@ val execute : t -> string -> (query_result, string) result
     columns the projection and the WHERE read of it. *)
 
 val execute_snapshot :
-  ?pool:Stdx.Task_pool.t ->
   ?view:Sqldb.Read_view.t ->
   t ->
   string ->
   (query_result, string) result
 (** {!execute}, with a SELECT served from the given [view] (freeze
     once, query many) when it snapshots the statement's table, else
-    from one frozen at call time. [pool] fans the per-tag index probes
-    and the decrypt/residual-filter/LIMIT pass across domains; chunked
-    decryption preserves row order and the LIMIT stopping point, so the
-    answer is the same at any domain count. A JOIN ignores [view] (a
-    single table's snapshot) and freezes its own epoch-consistent pair,
-    fanning the per-bucket probes over [pool]. DELETE and UPDATE ignore
-    both and freeze the current epoch: a batch's view may predate the
-    write. *)
+    from one frozen at call time. Safe to call from several domains at
+    once over one view — the server runs a read batch's statements that
+    way — and each statement runs whole on its calling domain. A JOIN
+    ignores [view] (a single table's snapshot) and freezes its own
+    epoch-consistent pair. DELETE and UPDATE ignore it and freeze the
+    current epoch: a batch's view may predate the write. *)

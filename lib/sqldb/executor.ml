@@ -151,14 +151,13 @@ let seq_scan view =
 (* The tail every plan shares: drop tombstoned candidates, re-check the
    predicate when the plan does not answer it exactly ([recheck]),
    project, and account — per-query stats (this domain's pager delta
-   since [before] plus the [foreign] deltas of probes that ran on other
-   domains), the executor.* metrics and the [executor.plan] trace event
-   ([attrs] go between its epoch and candidate counts).
+   since [before]), the executor.* metrics and the [executor.plan]
+   trace event ([attrs] go between its epoch and candidate counts).
 
    Residual filtering on peeked rows is free of heap charges: an
    index-only scan does not touch the heap — visibility-map style —
    matching the paper's SELECT ID behaviour. *)
-let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs (plan, candidate_ids) =
+let finish view ~projection ~eval ~recheck ~before ~t0 ~attrs (plan, candidate_ids) =
   let candidate_ids = Read_view.live_only view candidate_ids in
   let row_ids =
     if recheck then
@@ -175,7 +174,7 @@ let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs (plan, ca
     | Columns positions -> Array.map (fun id -> Read_view.read_cols view id positions) row_ids
   in
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) foreign in
+  let stats = Pager.diff_stats before (Pager.local_stats ()) in
   Obs.Metrics.incr
     (match plan with
     | Index_scan _ -> m_plan_index
@@ -195,59 +194,45 @@ let finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs (plan, ca
           ]);
   { row_ids; rows; plan; wall_ns; stats }
 
-(* The two-table plan: delegate to [Join], which owns bucket fan-out,
+(* The two-table plan: delegate to [Join], which owns bucket probing,
    pair normalization and the join.* metrics. Kept behind the executor
    so planning stays one surface. *)
 let run_join = Join.run
 
-(* The per-tag index probes of multi-key plans (the IN-list of a
-   rewritten WRE query, the legs of a server-side OR) optionally fan
-   across a task pool.
-
-   Determinism: probe results are combined index-ordered, and the union
-   is a sort + dedup, so [row_ids]/[rows] are identical regardless of
-   how probes are scheduled; with no pool (or a 1-domain pool) the
-   probes run in list order. Pager counts are also scheduling-
-   independent: the set of page touches is fixed by the plan, and the
-   pager's atomic accounting turns each distinct page into exactly one
-   miss no matter which domain gets there first. *)
-let run_view ?pool view ~projection p =
+let run_view view ~projection p =
   Obs.Metrics.incr m_queries;
   Obs.Trace.with_span "executor.run_view" @@ fun () ->
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
   let p, expansion = expand_covers view p in
   let eval = Predicate.compile (Read_view.schema view) p in
-  let probes_of : access -> (unit -> int array option) list = function
-    | `Eq (idx, v) -> [ (fun () -> Some (Table_index.lookup idx v)) ]
-    | `In (idx, vs) -> List.map (fun v () -> Some (Table_index.lookup idx v)) vs
-    | `Range (idx, lo, hi) -> [ (fun () -> Table_index.range idx ?lo ?hi ()) ]
+  (* One access's index lookups, in list order; [None] for a lookup
+     that cannot run (a range over a hash index). *)
+  let lookups : access -> int array option list = function
+    | `Eq (idx, v) -> [ Some (Table_index.lookup idx v) ]
+    | `In (idx, vs) -> List.map (fun v -> Some (Table_index.lookup idx v)) vs
+    | `Range (idx, lo, hi) -> [ Table_index.range idx ?lo ?hi () ]
   in
-  (* A single-access index plan returns its ids verbatim; multi-probe
-     plans (IN, OR) union with sort + dedup. A probe that cannot run
-     (range over a hash index) sends the query to a sequential scan. *)
-  let run_probes kind probes ~union =
-    let outcomes, foreign = Pager.map_measured ?pool (Array.of_list probes) (fun probe -> probe ()) in
-    let planned =
-      if Array.exists Option.is_none outcomes then seq_scan view
-      else
-        match Array.to_list (Array.map Option.get outcomes) with
-        | [ ids ] when not union -> (kind, ids)
-        | id_arrays -> (kind, Postings.union_ids id_arrays)
-    in
-    (planned, foreign)
+  (* A single-access index plan returns its ids verbatim; multi-key
+     plans (IN, OR) union with sort + dedup. A lookup that cannot run
+     sends the query to a sequential scan. *)
+  let combine kind outcomes ~union =
+    if List.exists Option.is_none outcomes then seq_scan view
+    else
+      match List.map Option.get outcomes with
+      | [ ids ] when not union -> (kind, ids)
+      | id_arrays -> (kind, Postings.union_ids id_arrays)
   in
   let plan = plan_of view p in
-  let planned, foreign =
+  let planned =
     match plan with
     | P_index (_, access) ->
-        run_probes (kind_of view plan) (probes_of access)
+        combine (kind_of view plan) (lookups access)
           ~union:(match access with `In _ -> true | _ -> false)
     | P_or pairs ->
-        run_probes (kind_of view plan)
-          (List.concat_map (fun (_, access) -> probes_of access) pairs)
+        combine (kind_of view plan) (List.concat_map (fun (_, access) -> lookups access) pairs)
           ~union:true
-    | P_seq -> (seq_scan view, Pager.zero_stats)
+    | P_seq -> seq_scan view
   in
   (* Index results need no re-check when a pure Eq/In/Range leg is the
      whole predicate. An OR plan always re-checks: each leg's access may
@@ -273,13 +258,13 @@ let run_view ?pool view ~projection p =
           ("leaf_probes", string_of_int e.leaves);
         ]
   in
-  finish view ~projection ~eval ~recheck ~before ~foreign ~t0 ~attrs planned
+  finish view ~projection ~eval ~recheck ~before ~t0 ~attrs planned
 
 (* Kept for callers that ship the cover apart from the predicate: the
    same plan as [run_view] over the cover leg ANDed with [p]. *)
-let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
+let run_traverse view ~tree ~tag_column ~roots ~projection p =
   match Read_view.range_tree view ~column:tag_column with
   | Some t when t == tree ->
       let cover = Predicate.In (tag_column, Array.to_list (Array.map (fun r -> Value.Int r) roots)) in
-      run_view ?pool view ~projection (Predicate.And [ cover; p ])
+      run_view view ~projection (Predicate.And [ cover; p ])
   | Some _ | None -> invalid_arg "Executor.run_traverse: tree is not the view's tree for tag_column"

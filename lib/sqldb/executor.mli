@@ -62,7 +62,6 @@ val explain : Read_view.t -> Predicate.t -> plan_kind
     without executing. *)
 
 val run_join :
-  ?pool:Stdx.Task_pool.t ->
   left:Read_view.t ->
   right:Read_view.t ->
   on_left:string ->
@@ -72,24 +71,19 @@ val run_join :
 (** The two-table join plan (see {!Join} for modes and contracts):
     [Equi] hash-joins on value equality, [Buckets] runs the tag-bucket
     join of the encrypted path — per-bucket postings from both views'
-    ON-column indexes, cross products fanned across [pool] in bucket
-    order, candidate pairs sorted + deduplicated, byte-identical to
-    the sequential run at 1 domain. *)
+    ON-column indexes, cross products in bucket order, candidate pairs
+    sorted + deduplicated. *)
 
-val run_view : ?pool:Stdx.Task_pool.t -> Read_view.t -> projection:projection -> Predicate.t -> result
+val run_view : Read_view.t -> projection:projection -> Predicate.t -> result
 (** Plan and run a single-table query against a frozen epoch snapshot
-    ({!Table.freeze}), safe to call from any domain. When [pool] is
-    given, the per-tag index probes of multi-key plans (rewritten WRE
-    IN-lists, server-side OR legs) fan out across its domains; results
-    are combined in index order and unions sort + dedup, so
-    [row_ids]/[rows] are identical regardless of scheduling, and with
-    no pool (or one domain) the probes run in list order. [stats] is
-    this query's own pager delta, exact even under concurrent queries:
-    probe tasks measure domain-local deltas that are summed into the
-    caller's window. *)
+    ({!Table.freeze}), safe to call from any domain. The whole query
+    runs on the calling domain: the index lookups of multi-key plans
+    (rewritten WRE IN-lists, server-side OR legs) run in list order and
+    unions sort + dedup. [stats] is the calling domain's
+    {!Pager.local_stats} delta over the query, exact even while other
+    domains run queries concurrently. *)
 
 val run_traverse :
-  ?pool:Stdx.Task_pool.t ->
   Read_view.t ->
   tree:Range_tree.t ->
   tag_column:string ->

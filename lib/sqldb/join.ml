@@ -21,9 +21,9 @@ let m_buckets = Obs.Metrics.counter "join.buckets_total"
 let m_candidates = Obs.Metrics.counter "join.pairs_candidate_total"
 let h_wall = Obs.Metrics.histogram "join.wall_ns"
 
-(* Sorted, deduplicated pair set: the canonical order every probe
-   schedule normalizes to, and what makes multiplicities exact when
-   bucketized tag sharing emits the same pair from several buckets. *)
+(* Sorted, deduplicated pair set: the canonical order the result
+   ships in, and what makes multiplicities exact when bucketized tag
+   sharing emits the same pair from several buckets. *)
 let normalize_pairs pairs =
   Array.sort (fun (a : int * int) b -> compare a b) pairs;
   let n = Array.length pairs in
@@ -66,8 +66,8 @@ let run_equi ~left ~right ~on_left ~on_right ~build_left =
 
 (* Per-side posting lookup for bucket keys: the ON-column index when
    one exists, else one value->ids table built by a single scan before
-   the fan-out (read-only afterwards, so bucket tasks on any domain may
-   share it). Either way the result is sorted, deduplicated, live. *)
+   the first bucket is probed. Either way the result is sorted,
+   deduplicated, live. *)
 let postings view col =
   match Read_view.index_on view ~column:col with
   | Some idx -> fun keys -> Read_view.live_only view (Table_index.lookup_many idx keys)
@@ -90,22 +90,22 @@ let cross lids rids =
     out
   end
 
-let run ?pool ~left ~right ~on_left ~on_right spec =
+let run ~left ~right ~on_left ~on_right spec =
   Obs.Metrics.incr m_joins;
   Obs.Trace.with_span "join.run" @@ fun () ->
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
   let build_left = Read_view.live_count left <= Read_view.live_count right in
-  let raw, bucket_pairs, foreign =
+  let raw, bucket_pairs =
     match spec with
-    | Equi -> (run_equi ~left ~right ~on_left ~on_right ~build_left, [||], Pager.zero_stats)
+    | Equi -> (run_equi ~left ~right ~on_left ~on_right ~build_left, [||])
     | Buckets bs ->
         Obs.Metrics.add m_buckets (Array.length bs);
         let post_left = postings left on_left and post_right = postings right on_right in
-        let outcomes, foreign =
-          Pager.map_measured ?pool bs (fun (lkeys, rkeys) -> cross (post_left lkeys) (post_right rkeys))
+        let outcomes =
+          Array.map (fun (lkeys, rkeys) -> cross (post_left lkeys) (post_right rkeys)) bs
         in
-        (Array.concat (Array.to_list outcomes), Array.map Array.length outcomes, foreign)
+        (Array.concat (Array.to_list outcomes), Array.map Array.length outcomes)
   in
   Obs.Metrics.add m_candidates (Array.length raw);
   let pairs = normalize_pairs raw in
@@ -113,7 +113,7 @@ let run ?pool ~left ~right ~on_left ~on_right spec =
      wire, like the executor's 8-bytes-per-id charge for Row_ids. *)
   Pager.charge_transfer (Read_view.pager left) (16 * Array.length pairs);
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
-  let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) foreign in
+  let stats = Pager.diff_stats before (Pager.local_stats ()) in
   let buckets = match spec with Equi -> 0 | Buckets bs -> Array.length bs in
   Obs.Metrics.observe h_wall wall_ns;
   if Obs.Trace.is_enabled () then

@@ -18,14 +18,10 @@
       superset of the true join — the caller re-verifies on plaintext
       after decryption.
 
-    Determinism contract: buckets are probed in bucket order (fanned
-    across [pool] when given), and the returned [pairs] are the sorted
-    deduplicated candidate set, so the result is byte-identical no
-    matter how probes are scheduled; with no pool (or a 1-domain pool)
-    execution is byte-identical to the sequential path. Per-call
-    [stats] follow {!Executor.run_view}'s accounting: each probe task
-    measures its own domain-local pager delta and the caller folds in
-    the deltas of probes that ran on other domains. *)
+    Buckets are probed in bucket order on the calling domain, and the
+    returned [pairs] are the sorted deduplicated candidate set. Per-call
+    [stats] follow {!Executor.run_view}'s accounting: the calling
+    domain's pager delta over the join. *)
 
 type spec =
   | Equi
@@ -41,7 +37,7 @@ type plan = {
 type result = {
   pairs : (int * int) array;
       (** Candidate (left row id, right row id) pairs, sorted and
-          deduplicated — the canonical order every schedule produces. *)
+          deduplicated. *)
   bucket_pairs : int array;
       (** Candidate pairs emitted per bucket, in bucket order (what a
           server-side observer sees of the join-degree distribution;
@@ -52,7 +48,6 @@ type result = {
 }
 
 val run :
-  ?pool:Stdx.Task_pool.t ->
   left:Read_view.t ->
   right:Read_view.t ->
   on_left:string ->

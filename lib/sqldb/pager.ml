@@ -71,11 +71,10 @@ let make_stats ~hits ~misses ~rows_examined ~probes ~bytes =
   }
 
 (* Per-domain cumulative counts, across all pager instances. A query
-   measures its own cost as a before/after delta of the counts made
-   *on its domain*: with the parallel executor, each fanned-out task
-   measures its own domain-local delta and the caller sums them, so
-   per-query stats stay exact even when unrelated queries run
-   concurrently on other domains. *)
+   runs on the domain that calls it and measures its own cost as a
+   before/after delta of the counts made *on its domain*, so per-query
+   stats stay exact even when unrelated queries run concurrently on
+   other domains. *)
 type local = {
   mutable l_hits : int;
   mutable l_misses : int;
@@ -180,16 +179,3 @@ let sum_stats a b =
     ~bytes:(a.bytes + b.bytes)
 
 let zero_stats = make_stats ~hits:0 ~misses:0 ~rows_examined:0 ~probes:0 ~bytes:0
-
-let map_measured ?pool items f =
-  let self = (Domain.self () :> int) in
-  let outcomes =
-    Stdx.Task_pool.map_array ?pool items (fun x ->
-        let before = local_stats () in
-        let r = f x in
-        (r, (Domain.self () :> int), diff_stats before (local_stats ())))
-  in
-  ( Array.map (fun (r, _, _) -> r) outcomes,
-    Array.fold_left
-      (fun acc (_, dom, d) -> if dom <> self then sum_stats acc d else acc)
-      zero_stats outcomes )

@@ -80,21 +80,14 @@ val reset_stats : t -> unit
 
 val local_stats : unit -> stats
 (** Cumulative counts made by the *calling domain*, across all pager
-    instances. Per-query costing takes a before/after delta of this —
-    with the parallel executor each fanned-out task measures its own
-    domain-local delta and the caller sums them, so concurrent queries
-    on other domains never pollute a query's reported cost. *)
+    instances. A query runs on the domain that calls it, so its cost is
+    a before/after delta of this, and queries running concurrently on
+    other domains never pollute it. *)
 
 val diff_stats : stats -> stats -> stats
 (** [diff_stats before after] is the component-wise delta. *)
 
 val sum_stats : stats -> stats -> stats
 val zero_stats : stats
-
-val map_measured : ?pool:Stdx.Task_pool.t -> 'a array -> ('a -> 'b) -> 'b array * stats
-(** [Task_pool.map_array] (index-ordered results) that also returns the
-    summed {!local_stats} deltas of the tasks that ran on {e other}
-    domains — what a fanned-out query adds to its own window to keep
-    its per-query stats exact. *)
 
 val sim_ms : stats -> float

@@ -2,8 +2,7 @@
    [domains - 1] spawned domains blocked on a job queue; the caller of
    [parallel_init] is the remaining participant, so a pool created with
    [~domains:1] never spawns anything and degenerates to [Array.init]
-   on the calling domain — the property the ingestion pipeline's
-   1-domain byte-identity guarantee rests on. *)
+   on the calling domain. *)
 
 type job = Job of (unit -> unit) | Quit
 
@@ -154,9 +153,3 @@ let parallel_init t n f =
   end
 
 let parallel_iter t n f = ignore (parallel_init t n (fun i -> f i))
-
-let map_array ?pool a f =
-  match pool with
-  | None -> Array.map f a
-  | Some t when t.domains = 1 -> Array.map f a
-  | Some t -> parallel_init t (Array.length a) (fun i -> f a.(i))

@@ -4,9 +4,11 @@
     caller of {!parallel_init} participates as the [d]-th, so a
     1-domain pool runs everything on the calling domain with no
     spawning, scheduling, or ordering differences from a plain
-    [Array.init]. That degenerate case is load-bearing: the batched
-    ingestion pipeline's "1 domain is byte-identical to sequential"
-    guarantee reduces to it.
+    [Array.init].
+
+    The pool fans whole units of work, never the inside of a query:
+    the server runs each statement of a read batch as one task, and
+    batched ingestion encrypts one chunk of rows per task.
 
     The pool is safe to share across batches but not reentrant: do not
     call {!parallel_init} from inside a task running on the same pool
@@ -39,13 +41,6 @@ val parallel_init : t -> int -> (int -> 'a) -> 'a array
 
 val parallel_iter : t -> int -> (int -> unit) -> unit
 (** [parallel_init] for effects only. *)
-
-val map_array : ?pool:t -> 'a array -> ('a -> 'b) -> 'b array
-(** Scoped-parallelism helper for optionally-parallel stages:
-    [map_array ?pool a f] is exactly [Array.map f a] when [pool] is
-    absent or has one domain (the sequential byte-identity anchor), and
-    [parallel_init] over the indexes of [a] otherwise — same
-    element-wise calls, index-ordered results. *)
 
 val shutdown : t -> unit
 (** Join all workers. Idempotent. Submitting work after shutdown

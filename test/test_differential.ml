@@ -1,15 +1,18 @@
-(* Differential oracle for the parallel snapshot-read query path.
+(* Differential oracle for the encrypted read path.
 
    Every seeded random SQL workload is executed three ways — against a
    plaintext Sqldb reference, through the sequential encrypted proxy,
-   and through the parallel snapshot-read proxy — and all three must
-   agree, for every scheme:
+   and fanned the way the server runs a read batch: every domain of a
+   pool runs the same statement at once through
+   [Proxy.execute_snapshot], all reading the one view [Table.freeze]
+   caches for the epoch. All must agree, for every scheme:
 
-   - SELECT without LIMIT: identical row multisets across the three;
+   - the fanned copies return the same rows, and the first of them
+     equals the sequential answer row for row (same rows, same order);
+   - SELECT without LIMIT: identical row multisets with the plaintext
+     reference;
    - SELECT with LIMIT n: the encrypted answer is a sub-multiset of the
-     full plaintext match set with exactly [min n |full|] rows, and the
-     parallel answer equals the sequential one row-for-row (same rows,
-     same order — the byte-identity contract);
+     full plaintext match set with exactly [min n |full|] rows;
    - INSERT / UPDATE / DELETE: identical affected counts, applied to
      both sides so later statements diverge immediately if a mutation
      corrupted either.
@@ -17,8 +20,9 @@
    A failing workload's seed is persisted to corpus/ via the crash-safe
    store writer; the corpus suite replays every committed seed file so
    past failures stay fixed. Knobs: WRE_SEED (master seed), WRE_DOMAINS
-   (comma list, default "1,4"), WRE_ORACLE_WORKLOADS (per scheme ×
-   domain count, default 200). *)
+   (comma list of how many domains run each statement at once, default
+   "1,4"), WRE_ORACLE_WORKLOADS (per scheme × domain count, default
+   200). *)
 
 open Sqldb
 
@@ -169,6 +173,19 @@ let gen_statement t prng =
 
 let sorted rows = List.sort compare rows
 
+(* The server's statement fan-out: every domain of [pool] runs [sql] at
+   once, as [Daemon.run_read_batch] runs a batch's statements. The
+   copies must agree on the rows; the first answer goes on to the
+   oracle's checks. *)
+let fanned ~pool proxy sql =
+  let answers =
+    Stdx.Task_pool.parallel_init pool (Stdx.Task_pool.domains pool) (fun _ ->
+        Wre.Proxy.execute_snapshot proxy sql)
+  in
+  let rows = Result.map (fun (r : Wre.Proxy.query_result) -> r.Wre.Proxy.rows) in
+  if Array.for_all (fun a -> rows a = rows answers.(0)) answers then answers.(0)
+  else Error (Printf.sprintf "%d fanned copies disagree" (Array.length answers))
+
 (* Sub-multiset test over sorted row lists. *)
 let is_submultiset sub super =
   let rec go sub super =
@@ -207,12 +224,12 @@ let run_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.plain sql,
               Wre.Proxy.execute t.proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.proxy sql )
+              fanned ~pool t.proxy sql )
           with
-          | Ok p, Ok s, Ok par -> (
-              if par.Wre.Proxy.rows <> s.Wre.Proxy.rows then
-                fail "parallel differs from sequential on %S (%d vs %d rows)" sql
-                  (List.length par.Wre.Proxy.rows)
+          | Ok p, Ok s, Ok fan -> (
+              if fan.Wre.Proxy.rows <> s.Wre.Proxy.rows then
+                fail "fanned differs from sequential on %S (%d vs %d rows)" sql
+                  (List.length fan.Wre.Proxy.rows)
                   (List.length s.Wre.Proxy.rows)
               else
                 match limit with
@@ -236,7 +253,7 @@ let run_workload ~pool ~kind ~seed =
                         else steps (i + 1)))
           | Error e, _, _ -> fail "plain error on %S: %s" sql e
           | _, Error e, _ -> fail "sequential error on %S: %s" sql e
-          | _, _, Error e -> fail "parallel error on %S: %s" sql e)
+          | _, _, Error e -> fail "fanned error on %S: %s" sql e)
   in
   steps 0
 
@@ -377,8 +394,8 @@ let gen_join_statement t prng =
       Select { projection; where; limit }
 
 (* Same three-way oracle as the single-table suite, over join SELECTs:
-   plaintext Sqldb join vs sequential encrypted join vs N-domain
-   parallel join, with mutations on either table interleaved so the
+   plaintext Sqldb join vs sequential encrypted join vs the join fanned
+   across N domains, with mutations on either table interleaved so the
    join sees fresh epochs. *)
 let run_join_workload ~pool ~kind ~seed =
   let t, prng = build_join ~kind ~seed in
@@ -408,14 +425,14 @@ let run_join_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.j_plain sql,
               Wre.Proxy.execute t.j_proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.j_proxy sql )
+              fanned ~pool t.j_proxy sql )
           with
-          | Ok p, Ok s, Ok par -> (
+          | Ok p, Ok s, Ok fan -> (
               if s.Wre.Proxy.join_exec = None then
                 fail "encrypted %S did not take the join path" sql
-              else if par.Wre.Proxy.rows <> s.Wre.Proxy.rows then
-                fail "parallel join differs from sequential on %S (%d vs %d rows)" sql
-                  (List.length par.Wre.Proxy.rows)
+              else if fan.Wre.Proxy.rows <> s.Wre.Proxy.rows then
+                fail "fanned join differs from sequential on %S (%d vs %d rows)" sql
+                  (List.length fan.Wre.Proxy.rows)
                   (List.length s.Wre.Proxy.rows)
               else
                 match limit with
@@ -440,7 +457,7 @@ let run_join_workload ~pool ~kind ~seed =
                         else steps (i + 1)))
           | Error e, _, _ -> fail "plain error on %S: %s" sql e
           | _, Error e, _ -> fail "sequential error on %S: %s" sql e
-          | _, _, Error e -> fail "parallel error on %S: %s" sql e)
+          | _, _, Error e -> fail "fanned error on %S: %s" sql e)
   in
   steps 0
 
@@ -449,7 +466,7 @@ let run_join_workload ~pool ~kind ~seed =
 (* One table with a bucketized range column: every range predicate at
    conjunctive position must take the [Range_traverse] plan and still
    agree with the plaintext oracle and the flat-era semantics — byte-
-   identical between sequential and parallel, sub-multiset under
+   identical between sequential and fanned, sub-multiset under
    LIMIT. Every range leg, OR'd ones included, ships cover roots and
    never a bucket tag; inverted and strict bounds must stay total. *)
 
@@ -653,18 +670,18 @@ let run_range_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.r_plain sql,
               Wre.Proxy.execute t.r_proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.r_proxy sql )
+              fanned ~pool t.r_proxy sql )
           with
-          | Ok p, Ok s, Ok par -> (
+          | Ok p, Ok s, Ok fan -> (
               if not (ships_only_nodes sql) then
                 fail "server predicate of %S names a score_rtag value that is no tree node" sql
               else if rs_traverse && not (took_traverse s) then
                 fail "encrypted %S did not take the Range_traverse plan" sql
-              else if rs_traverse && not (took_traverse par) then
-                fail "parallel %S did not take the Range_traverse plan" sql
-              else if par.Wre.Proxy.rows <> s.Wre.Proxy.rows then
-                fail "parallel differs from sequential on %S (%d vs %d rows)" sql
-                  (List.length par.Wre.Proxy.rows)
+              else if rs_traverse && not (took_traverse fan) then
+                fail "fanned %S did not take the Range_traverse plan" sql
+              else if fan.Wre.Proxy.rows <> s.Wre.Proxy.rows then
+                fail "fanned differs from sequential on %S (%d vs %d rows)" sql
+                  (List.length fan.Wre.Proxy.rows)
                   (List.length s.Wre.Proxy.rows)
               else
                 match rs_limit with
@@ -688,7 +705,7 @@ let run_range_workload ~pool ~kind ~seed =
                         else steps (i + 1)))
           | Error e, _, _ -> fail "plain error on %S: %s" sql e
           | _, Error e, _ -> fail "sequential error on %S: %s" sql e
-          | _, _, Error e -> fail "parallel error on %S: %s" sql e)
+          | _, _, Error e -> fail "fanned error on %S: %s" sql e)
   in
   steps 0
 

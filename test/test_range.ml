@@ -158,8 +158,8 @@ let test_make_validation () =
 (* ---------------- Executor byte-identity ---------------- *)
 
 (* [run_traverse] over a cover must return exactly what [run_view]
-   returns for the flat rtag IN-list, at any pool size, and so must an
-   OR of covers against the OR of the flat lists — the executor-level
+   returns for the flat rtag IN-list, and so must an OR of covers
+   against the OR of the flat lists — the executor-level
    version of the proxy contract the differential oracle checks. *)
 let test_executor_traverse_matches_flat () =
   let schema =
@@ -199,14 +199,7 @@ let test_executor_traverse_matches_flat () =
       in
       check_bool "traverse plan" true (seq.Executor.plan = Executor.Range_traverse "v_rtag");
       check_bool "traverse rows = flat rows" true (seq.Executor.rows = flat.Executor.rows);
-      check_bool "traverse ids = flat ids" true (seq.Executor.row_ids = flat.Executor.row_ids);
-      Stdx.Task_pool.with_pool ~domains:4 @@ fun pool ->
-      let par =
-        Executor.run_traverse ~pool view ~tree:(Wre.Range_struct.tree rs) ~tag_column:"v_rtag"
-          ~roots:cover.Wre.Range_struct.roots ~projection:Executor.All_columns flat_pred
-      in
-      check_bool "parallel traverse byte-identical" true
-        (par.Executor.rows = seq.Executor.rows && par.Executor.row_ids = seq.Executor.row_ids))
+      check_bool "traverse ids = flat ids" true (seq.Executor.row_ids = flat.Executor.row_ids))
     ranges;
   (* A range under OR ships an OR of covers; the view's tree expands
      each leg, so it answers exactly the OR of the flat IN-lists. *)
@@ -220,18 +213,13 @@ let test_executor_traverse_matches_flat () =
   let flat_or =
     Executor.run_view view ~projection:Executor.All_columns (Predicate.Or (List.map flat legs))
   in
-  List.iter
-    (fun domains ->
-      Stdx.Task_pool.with_pool ~domains @@ fun pool ->
-      let covers =
-        Executor.run_view ~pool view ~projection:Executor.All_columns
-          (Predicate.Or (List.map cover legs))
-      in
-      check_bool "OR of covers ids = OR of flat lists" true
-        (covers.Executor.row_ids = flat_or.Executor.row_ids);
-      check_bool "OR of covers rows = OR of flat lists" true
-        (covers.Executor.rows = flat_or.Executor.rows))
-    [ 1; 4 ]
+  let covers =
+    Executor.run_view view ~projection:Executor.All_columns (Predicate.Or (List.map cover legs))
+  in
+  check_bool "OR of covers ids = OR of flat lists" true
+    (covers.Executor.row_ids = flat_or.Executor.row_ids);
+  check_bool "OR of covers rows = OR of flat lists" true
+    (covers.Executor.rows = flat_or.Executor.rows)
 
 (* [run_traverse] never ignores its [tree]: one that is not the view's
    tree for the column, or no registered tree at all, is refused. *)

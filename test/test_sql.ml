@@ -883,19 +883,6 @@ let test_proxy_join_bucketized_verifies_fps () =
   check_int "server_rows = candidate pairs" r.server_rows
     (Array.length (Option.get r.join_exec).Join.pairs)
 
-let test_proxy_join_parallel_identical () =
-  let sql =
-    "SELECT people.id, pets.id FROM people JOIN pets ON people.name = pets.owner WHERE \
-     pets.species = 'cat'"
-  in
-  let proxy = make_join_proxy (Wre.Scheme.Poisson 100.0) in
-  let seq = ok (Wre.Proxy.execute proxy sql) in
-  Stdx.Task_pool.with_pool ~domains:4 (fun pool ->
-      let par = ok (Wre.Proxy.execute_snapshot ~pool proxy sql) in
-      check_bool "4-domain join identical" true (seq.rows = par.rows);
-      check_bool "same candidate pairs" true
-        ((Option.get seq.join_exec).Join.pairs = (Option.get par.join_exec).Join.pairs))
-
 let test_proxy_join_errors () =
   let proxy = make_join_proxy (Wre.Scheme.Poisson 100.0) in
   (* Joins need exact table names: no single-table fallback. *)
@@ -1229,7 +1216,6 @@ let () =
             test_proxy_join_residual_where_and_limit;
           Alcotest.test_case "join bucketized verifies FPs" `Quick
             test_proxy_join_bucketized_verifies_fps;
-          Alcotest.test_case "join parallel identical" `Quick test_proxy_join_parallel_identical;
           Alcotest.test_case "join errors" `Quick test_proxy_join_errors;
           Alcotest.test_case "join rewrite buckets" `Quick test_proxy_rewrite_join_buckets;
         ] );

@@ -1077,7 +1077,7 @@ let qcheck_executor_vs_naive =
    delete / vacuum / create_index sequences with freezes interleaved;
    at the end, each view answers Eq, In and Range over every key of
    every index it holds exactly as it did when taken — on B-tree and
-   hash indexes, through 1- and 4-domain pools. *)
+   hash indexes. *)
 let qcheck_views_isolated kind =
   let op =
     QCheck.Gen.(
@@ -1128,8 +1128,8 @@ let qcheck_views_isolated kind =
                 keys)
           (Read_view.indexes view)
       in
-      let answer ?pool view p =
-        let r = Executor.run_view ?pool view ~projection:Executor.All_columns p in
+      let answer view p =
+        let r = Executor.run_view view ~projection:Executor.All_columns p in
         (r.row_ids, r.rows, r.plan)
       in
       let taken = ref [] in
@@ -1144,12 +1144,8 @@ let qcheck_views_isolated kind =
               taken := (v, List.map (fun p -> (p, answer v p)) (queries v)) :: !taken)
         ops;
       List.for_all
-        (fun domains ->
-          Stdx.Task_pool.with_pool ~domains (fun pool ->
-              List.for_all
-                (fun (v, answers) -> List.for_all (fun (p, a) -> answer ~pool v p = a) answers)
-                !taken))
-        [ 1; 4 ])
+        (fun (v, answers) -> List.for_all (fun (p, a) -> answer v p = a) answers)
+        !taken)
 
 let qcheck_csv_roundtrip =
   (* Cells drawn from the hostile alphabet: quotes, commas, bare CR,
@@ -1259,27 +1255,6 @@ let test_join_skips_dead_rows () =
   check_int "only live pairs" 45 (Array.length jr.Join.pairs);
   check_bool "no dead ids" true
     (Array.for_all (fun (l, r) -> l <> 0 && r <> 5) jr.Join.pairs)
-
-let test_join_pool_matches_sequential () =
-  let left = List.map (fun k -> Some (k mod 11)) (List.init 200 Fun.id) in
-  let right = List.map (fun k -> Some (k mod 13)) (List.init 150 Fun.id) in
-  let _db, tl, tr = mk_join_tables left right in
-  let spec =
-    Join.Buckets (Array.init 10 (fun i -> ([ Value.Int (Int64.of_int i) ], [ Value.Int (Int64.of_int i) ])))
-  in
-  let run pool =
-    Executor.run_join ?pool ~left:(Table.freeze tl) ~right:(Table.freeze tr) ~on_left:"k"
-      ~on_right:"k" spec
-  in
-  let seq = run None in
-  Stdx.Task_pool.with_pool ~domains:4 (fun pool ->
-      let par = run (Some pool) in
-      check_bool "pairs identical under 4 domains" true (seq.Join.pairs = par.Join.pairs);
-      check_bool "bucket counts identical" true
-        (seq.Join.bucket_pairs = par.Join.bucket_pairs));
-  Stdx.Task_pool.with_pool ~domains:1 (fun pool ->
-      let one = run (Some pool) in
-      check_bool "1-domain pool = sequential" true (seq.Join.pairs = one.Join.pairs))
 
 (* ---------------- Multi-table isolation ---------------- *)
 
@@ -1404,7 +1379,6 @@ let () =
           Alcotest.test_case "equi matches naive" `Quick test_join_equi_matches_naive;
           Alcotest.test_case "bucket overlap dedup" `Quick test_join_buckets_overlap_dedup;
           Alcotest.test_case "skips dead rows" `Quick test_join_skips_dead_rows;
-          Alcotest.test_case "pool matches sequential" `Quick test_join_pool_matches_sequential;
         ] );
       ( "multi-table",
         [

@@ -83,9 +83,9 @@ let make_queries ~dist_of ~n =
 (* Creation cost = wall-clock client work (crypto and row building)
    plus the modeled write I/O for every dirtied page (heap +
    indexes), matching the paper's end-to-end load measurement. *)
-let creation_seconds ~pager ~total_bytes ~wall_ns =
-  let pages = float_of_int total_bytes /. float_of_int (Pager.config pager).page_size in
-  (wall_ns +. (pages *. (Pager.config pager).io_miss_ns)) /. 1e9
+let creation_seconds ~total_bytes ~wall_ns =
+  let pages = float_of_int total_bytes /. float_of_int Pager.cost_model.page_size in
+  (wall_ns +. (pages *. Pager.cost_model.io_miss_ns)) /. 1e9
 
 type cache_mode = Cold | Warm
 

@@ -2,9 +2,9 @@
    write, and what the indexes cost writers and memory to make that
    view cheap (DESIGN.md §5f, EXPERIMENTS.md A10).
 
-   One table per size (id, name, score) with B-tree indexes on id and
-   score and a hash index on name — the shape of test_sqldb's "freeze
-   cost bounded". Per size it reports:
+   One table per size (id, name, score) with B-tree indexes on all
+   three columns — the shape of test_sqldb's "freeze cost bounded".
+   Per size it reports:
 
    - words reachable from the table per row, before the first view and
      after it (the cached view included);
@@ -43,7 +43,7 @@ let measure n =
   ignore (Table.insert_batch t (Array.init n row));
   ignore (Table.create_index t ~column:"id");
   ignore (Table.create_index t ~column:"score");
-  ignore (Table.create_index ~kind:Table_index.Hash t ~column:"name");
+  ignore (Table.create_index t ~column:"name");
   let held () =
     Gc.compact ();
     float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int n

@@ -1,31 +1,30 @@
-(* Ablation A7 — access method for the tag columns. The paper relies on
-   the DBMS's "built-in indexing techniques" without choosing one; tags
-   are uniformly random 64-bit integers queried only by equality, so
-   hash indexes are the natural fit. Compare B-tree and hash tag
-   indexes on storage and cold-cache query cost, plus the HMAC-vs-
-   SipHash tag PRF on bulk-load time. *)
+(* Ablation A7 — the tag PRF. Search tags sit in an ordinary integer
+   column served by the DBMS's built-in B-tree (the paper's PostgreSQL
+   setup, §VI-A). Compare HMAC-SHA256 and SipHash-2-4 as the PRF that
+   derives them, on bulk-load time, index size and cold-cache query
+   cost. *)
 
 let run ~rows:n_rows ~n_queries () =
   Bench_util.heading
-    (Printf.sprintf "Ablation A7: tag index access method + tag PRF (%d rows)" n_rows);
+    (Printf.sprintf "Ablation A7: tag PRF, B-tree tag indexes (%d rows)" n_rows);
   let rows = Bench_util.generate_rows n_rows in
   let dist_of = Bench_util.dist_of_rows rows in
   let queries = Bench_util.make_queries ~dist_of ~n:n_queries in
   let t =
     Stdx.Table_fmt.create
       [
-        "configuration";
+        "tag PRF";
         "load wall (s)";
         "index MB";
         "cold SELECT ID modeled total (ms)";
         "cold SELECT * modeled total (ms)";
       ]
   in
-  let build ~tag_index ~tag_algo label =
+  let build ~tag_algo label =
     let db = Sqldb.Database.create () in
     let master = Crypto.Keys.generate (Stdx.Prng.create 1L) in
     let edb =
-      Wre.Encrypted_db.create ~tag_index ~tag_algo ~db ~name:"main"
+      Wre.Encrypted_db.create ~tag_algo ~db ~name:"main"
         ~plain_schema:Sparta.Generator.schema ~key_column:"id"
         ~encrypted_columns:Bench_util.enc_columns ~kind:(Wre.Scheme.Poisson 1000.0) ~master
         ~dist_of ~seed:2L ()
@@ -51,15 +50,13 @@ let run ~rows:n_rows ~n_queries () =
         Printf.sprintf "%.0f" star_ms;
       ]
   in
-  build ~tag_index:Sqldb.Table_index.Btree ~tag_algo:Crypto.Prf.Hmac_sha256 "btree + hmac-sha256";
-  build ~tag_index:Sqldb.Table_index.Hash ~tag_algo:Crypto.Prf.Hmac_sha256 "hash  + hmac-sha256";
-  build ~tag_index:Sqldb.Table_index.Hash ~tag_algo:Crypto.Prf.Siphash24 "hash  + siphash-2-4";
+  build ~tag_algo:Crypto.Prf.Hmac_sha256 "hmac-sha256";
+  build ~tag_algo:Crypto.Prf.Siphash24 "siphash-2-4";
   Stdx.Table_fmt.print t;
   Printf.printf
-    "reading: a hash probe touches one bucket page where a B-tree walks a\n\
-     root-to-leaf path, so the hash advantage on SELECT ID grows with table size\n\
-     (tree height); at small scales the two are comparable and the hash pays\n\
-     power-of-two directory rounding in storage. SipHash shaves the per-tag\n\
+    "reading: the PRF changes which 64-bit tags the columns hold, not how many,\n\
+     so both builds have the same index size and their modeled query costs differ\n\
+     only through where the tags fall in key order. SipHash shaves the per-tag\n\
      crypto, a small slice of a load dominated by the 22 AES-CTR column\n\
      encryptions. Neither choice changes any security property: both remain a\n\
      PRF + an equality index, exactly the interface the paper assumes.\n"

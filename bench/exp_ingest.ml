@@ -139,7 +139,7 @@ let run ~rows:n () =
   let table = Option.get !main_table in
   (* Storage: columnar pages + dictionaries vs the row-format shadow. *)
   let stats = Sqldb.Table.storage_stats table in
-  let columnar = stats.st_heap_pages * (Sqldb.Pager.config (Sqldb.Table.pager table)).page_size in
+  let columnar = stats.st_heap_pages * Sqldb.Pager.cost_model.page_size in
   let row_model = stats.st_row_model_bytes in
   let tag_plain, tag_packed =
     Array.fold_left

@@ -8,7 +8,7 @@ let run ~rows:n_rows () =
   Bench_util.heading (Printf.sprintf "Table I: ciphertext expansion (%d rows)" n_rows);
   let rows = Bench_util.generate_rows n_rows in
   let dist_of = Bench_util.dist_of_rows rows in
-  let pdb, plain, plain_wall = Bench_util.build_plain rows in
+  let _, plain, plain_wall = Bench_util.build_plain rows in
   let _edb_db, edb, enc_wall =
     Bench_util.build_encrypted ~kind:(Wre.Scheme.Poisson 1000.0) ~dist_of rows
   in
@@ -41,14 +41,8 @@ let run ~rows:n_rows () =
     (float_of_int e_tot /. float_of_int p_tot);
 
   Bench_util.heading "Database creation (paper VI-B: 6,356 s vs 58,604 s at 10M, ~9x)";
-  let plain_s =
-    Bench_util.creation_seconds ~pager:(Sqldb.Database.pager pdb) ~total_bytes:p_tot
-      ~wall_ns:plain_wall
-  in
-  let enc_s =
-    Bench_util.creation_seconds ~pager:(Sqldb.Table.pager enc_table) ~total_bytes:e_tot
-      ~wall_ns:enc_wall
-  in
+  let plain_s = Bench_util.creation_seconds ~total_bytes:p_tot ~wall_ns:plain_wall in
+  let enc_s = Bench_util.creation_seconds ~total_bytes:e_tot ~wall_ns:enc_wall in
   let t2 =
     Stdx.Table_fmt.create
       [ "Load"; "client wall (s)"; "incl. modeled write I/O (s)"; "per row (us)" ]

@@ -175,9 +175,8 @@ let make ~fallback ?tag_algo ~table ~plain_schema ~key_column ~encrypted_columns
     slots;
   }
 
-let create ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
-    ?(range_columns = []) ?range_training ~db ~name ~plain_schema ~key_column ~encrypted_columns
-    ~kind ~master ~dist_of ~seed () =
+let create ?(fallback = `Reject) ?tag_algo ?(range_columns = []) ?range_training ~db ~name
+    ~plain_schema ~key_column ~encrypted_columns ~kind ~master ~dist_of ~seed () =
   List.iter
     (fun (_, buckets) ->
       if buckets < 1 then invalid_arg "Encrypted_db.create: range buckets must be positive")
@@ -188,9 +187,7 @@ let create ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
   in
   let table = Database.create_table db ~name ~schema:(fst layout) in
   ignore (Table.create_index table ~column:key_column);
-  List.iter
-    (fun c -> ignore (Table.create_index ~kind:tag_index table ~column:(tag_column c)))
-    encrypted_columns;
+  List.iter (fun c -> ignore (Table.create_index table ~column:(tag_column c))) encrypted_columns;
   List.iter
     (fun (c, _) -> ignore (Table.create_index table ~column:(c ^ "_rtag")))
     range_columns;

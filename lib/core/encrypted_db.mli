@@ -18,7 +18,6 @@ type t
 val create :
   ?fallback:Column_enc.fallback ->
   ?tag_algo:Crypto.Prf.algo ->
-  ?tag_index:Sqldb.Table_index.kind ->
   ?range_columns:(string * int) list ->
   ?range_training:(string -> int64 array) ->
   db:Sqldb.Database.t ->
@@ -38,9 +37,9 @@ val create :
     drives the weak randomness (salt choice, CTR nonces). [fallback]
     (default [`Reject]) governs inserts of plaintexts outside the
     profiled distribution — see {!Column_enc.fallback}. [tag_algo]
-    picks the search-tag PRF backend; [tag_index] the access method
-    for the tag columns (default [Btree]; [Hash] suits the random
-    integer tags and equality-only workload).
+    picks the search-tag PRF backend. Every index is a B-tree
+    ({!Sqldb.Table_index}), the DBMS's built-in index the paper
+    assumes.
 
     [range_columns] lists INT columns to support range queries on, with
     their bucket counts (see {!Range_index}); [range_training] must

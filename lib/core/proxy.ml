@@ -1,18 +1,17 @@
-(* lint: guarded-by construction (by_name filled in create_multi, read-only afterwards) *)
+(* lint: guarded-by construction (the registry is filled in create_multi, read-only afterwards) *)
 open Sqldb
 
 (* Multi-table registry: one encrypted table per plaintext logical
-   name. Single-table statements resolve by the statement's FROM name,
-   falling back to the sole table when only one is registered (the
-   legacy single-table proxy accepted any spelling); joins resolve both
-   names exactly. *)
-type t = { default : Encrypted_db.t; by_name : (string, Encrypted_db.t) Hashtbl.t }
+   name. Every statement resolves its table names exactly, as the
+   plaintext engine does: an unknown name is "no such encrypted
+   table". *)
+type t = (string, Encrypted_db.t) Hashtbl.t
 
 let table_name edb = Table.name (Encrypted_db.table edb)
 
 let create_multi = function
   | [] -> invalid_arg "Proxy.create_multi: at least one encrypted table required"
-  | e :: _ as es ->
+  | es ->
       let by_name = Hashtbl.create 8 in
       List.iter
         (fun e ->
@@ -21,16 +20,11 @@ let create_multi = function
             invalid_arg (Printf.sprintf "Proxy.create_multi: duplicate table %S" n);
           Hashtbl.replace by_name n e)
         es;
-      { default = e; by_name }
+      by_name
 
 let create edb = create_multi [ edb ]
 
-let edb_for t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some e -> Some e
-  | None -> if Hashtbl.length t.by_name = 1 then Some t.default else None
-
-let edb_exact t name = Hashtbl.find_opt t.by_name name
+let edb_for t name = Hashtbl.find_opt t name
 
 type rewritten = {
   server_sql : string;
@@ -372,11 +366,11 @@ let select_result edb (s : Sql.select) pairs (exec : Executor.result) =
 
 (* ---------------- Encrypted equi-joins ---------------- *)
 
-(* Resolve both sides of a join (exact names — no single-table
-   fallback) and require the ON columns to be searchable encrypted
-   columns: the tag-bucket join only exists over WRE search tags. *)
+(* Resolve both sides of a join and require the ON columns to be
+   searchable encrypted columns: the tag-bucket join only exists over
+   WRE search tags. *)
 let resolve_join t (j : Sql.join) =
-  match (edb_exact t j.Sql.j_left, edb_exact t j.Sql.j_right) with
+  match (edb_for t j.Sql.j_left, edb_for t j.Sql.j_right) with
   | None, _ -> Error (Printf.sprintf "no such encrypted table %S" j.Sql.j_left)
   | _, None -> Error (Printf.sprintf "no such encrypted table %S" j.Sql.j_right)
   | Some el, Some er ->

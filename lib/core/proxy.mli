@@ -66,11 +66,10 @@ val create : Encrypted_db.t -> t
 
 val create_multi : Encrypted_db.t list -> t
 (** A proxy over several encrypted tables, keyed by their table names.
-    Single-table statements resolve by the statement's FROM name (with
-    a fallback to the sole table when exactly one is registered, for
-    backward compatibility); joins require exact matches on both
-    names. Raises [Invalid_argument] on an empty list or duplicate
-    table names. *)
+    Every statement names its tables exactly, as in the plaintext
+    engine: an unknown name fails with "no such encrypted table".
+    Raises [Invalid_argument] on an empty list or duplicate table
+    names. *)
 
 type rewritten = {
   server_sql : string;  (** what actually goes to the DBMS (for logs/tests) *)

@@ -84,11 +84,8 @@ let rec indexable view p =
   match p with
   | Predicate.Eq (col, v) -> Option.map (fun idx -> (col, `Eq (idx, v))) (index_of col)
   | Predicate.In (col, vs) -> Option.map (fun idx -> (col, `In (idx, vs))) (index_of col)
-  | Predicate.Range (col, lo, hi) -> (
-      (* Only B-trees serve range scans. *)
-      match index_of col with
-      | Some idx when Table_index.kind idx = Table_index.Btree -> Some (col, `Range (idx, lo, hi))
-      | Some _ | None -> None)
+  | Predicate.Range (col, lo, hi) ->
+      Option.map (fun idx -> (col, `Range (idx, lo, hi))) (index_of col)
   | Predicate.And ps ->
       let covers, rest = List.partition (has_cover view) ps in
       List.find_map (indexable view) (covers @ rest)
@@ -146,7 +143,7 @@ let plan_label = function
 let seq_scan view =
   let acc = Stdx.Vec.create () in
   Read_view.scan view (fun id _row -> Stdx.Vec.push acc id);
-  (Seq_scan, Stdx.Vec.to_array acc)
+  Stdx.Vec.to_array acc
 
 (* The tail every plan shares: drop tombstoned candidates, re-check the
    predicate when the plan does not answer it exactly ([recheck]),
@@ -206,41 +203,29 @@ let run_view view ~projection p =
   let t0 = Stdx.Clock.now_ns () in
   let p, expansion = expand_covers view p in
   let eval = Predicate.compile (Read_view.schema view) p in
-  (* One access's index lookups, in list order; [None] for a lookup
-     that cannot run (a range over a hash index). *)
-  let lookups : access -> int array option list = function
-    | `Eq (idx, v) -> [ Some (Table_index.lookup idx v) ]
-    | `In (idx, vs) -> List.map (fun v -> Some (Table_index.lookup idx v)) vs
+  (* One access's index lookups, in list order. *)
+  let lookups : access -> int array list = function
+    | `Eq (idx, v) -> [ Table_index.lookup idx v ]
+    | `In (idx, vs) -> List.map (Table_index.lookup idx) vs
     | `Range (idx, lo, hi) -> [ Table_index.range idx ?lo ?hi () ]
   in
-  (* A single-access index plan returns its ids verbatim; multi-key
-     plans (IN, OR) union with sort + dedup. A lookup that cannot run
-     sends the query to a sequential scan. *)
-  let combine kind outcomes ~union =
-    if List.exists Option.is_none outcomes then seq_scan view
-    else
-      match List.map Option.get outcomes with
-      | [ ids ] when not union -> (kind, ids)
-      | id_arrays -> (kind, Postings.union_ids id_arrays)
-  in
   let plan = plan_of view p in
-  let planned =
+  (* An equality or range access returns its ids verbatim; multi-key
+     plans (IN, OR) union with sort + dedup. *)
+  let candidates =
     match plan with
-    | P_index (_, access) ->
-        combine (kind_of view plan) (lookups access)
-          ~union:(match access with `In _ -> true | _ -> false)
-    | P_or pairs ->
-        combine (kind_of view plan) (List.concat_map (fun (_, access) -> lookups access) pairs)
-          ~union:true
+    | P_index (_, `Eq (idx, v)) -> Table_index.lookup idx v
+    | P_index (_, `Range (idx, lo, hi)) -> Table_index.range idx ?lo ?hi ()
+    | P_index (_, `In (idx, vs)) -> Table_index.lookup_many idx vs
+    | P_or pairs -> Postings.union_ids (List.concat_map (fun (_, access) -> lookups access) pairs)
     | P_seq -> seq_scan view
   in
   (* Index results need no re-check when a pure Eq/In/Range leg is the
      whole predicate. An OR plan always re-checks: each leg's access may
      over-approximate its leg. *)
   let recheck =
-    match (fst planned, plan, p) with
-    | Seq_scan, _, _ -> true
-    | _, P_index (col, _), (Predicate.Eq (c, _) | Predicate.In (c, _) | Predicate.Range (c, _, _)) ->
+    match (plan, p) with
+    | P_index (col, _), (Predicate.Eq (c, _) | Predicate.In (c, _) | Predicate.Range (c, _, _)) ->
         c <> col
     | _ -> true
   in
@@ -258,7 +243,7 @@ let run_view view ~projection p =
           ("leaf_probes", string_of_int e.leaves);
         ]
   in
-  finish view ~projection ~eval ~recheck ~before ~t0 ~attrs planned
+  finish view ~projection ~eval ~recheck ~before ~t0 ~attrs (kind_of view plan, candidates)
 
 (* Kept for callers that ship the cover apart from the predicate: the
    same plan as [run_view] over the cover leg ANDed with [p]. *)

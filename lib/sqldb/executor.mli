@@ -8,11 +8,12 @@
       row from its heap page and charges transfer bytes.
 
     Planning: an [Eq]/[In] predicate over an indexed column becomes an
-    index (multi-)lookup; a conjunction uses the first indexable leg
-    (a cover leg first, below) and filters the rest; a disjunction
-    whose legs are all indexable becomes a deduplicated union of index
-    lookups (the WRE proxy's server-side OR of tag IN-lists); anything
-    else is a sequential scan.
+    index (multi-)lookup and a [Range] one a range scan (every index
+    is a B-tree, {!Table_index}); a conjunction uses the first
+    indexable leg (a cover leg first, below) and filters the rest; a
+    disjunction whose legs are all indexable becomes a deduplicated
+    union of index lookups (the WRE proxy's server-side OR of tag
+    IN-lists); anything else is a sequential scan.
 
     Cover legs: a range query ships [rtag IN (cover roots)], pseudonyms
     of nodes of the column's ESEDS boundary tree (DESIGN.md §5k). On a

@@ -15,7 +15,8 @@
 
 type mutation =
   | Created_table of { name : string; schema : Schema.t }
-  | Created_index of { table : string; column : string; kind : Table_index.kind }
+  | Created_index of { table : string; column : string }
+      (** a B-tree ({!Table_index}), the one access method *)
   | Inserted of { table : string; row : Value.t array }
   | Inserted_batch of { table : string; rows : Value.t array array }
   | Deleted of { table : string; id : int }

@@ -103,8 +103,6 @@ let create () =
     n_bytes = Atomic.make 0;
   }
 
-let config (_ : t) = cost_model
-
 let make_rel t ~name =
   Mutex.lock t.lock;
   let id = t.next_rel in

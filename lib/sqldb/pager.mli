@@ -26,13 +26,12 @@ type config = {
   cpu_transfer_ns_per_byte : float;  (** network/serialization cost for returned bytes *)
 }
 
-val create : unit -> t
+val cost_model : config
+(** The cost model, one constant for every pager: 8 KiB pages, 200 µs
+    per miss (10k-RPM array random read), 150 ns per row, 5 µs per
+    index probe, 1 ns per returned byte (≈1 Gbps wire, paper §VI-A). *)
 
-val config : t -> config
-(** The cost model, the same constant for every pager: 8 KiB pages,
-    200 µs per miss (10k-RPM array random read), 150 ns per row, 5 µs
-    per index probe, 1 ns per returned byte (≈1 Gbps wire, paper
-    §VI-A). *)
+val create : unit -> t
 
 type rel
 (** A relation (heap or index) with its own page number space. *)

@@ -1,5 +1,5 @@
 (** Persistent ordered multimap from index keys to row ids — the
-    postings both index access methods keep.
+    postings a B-tree index ({!Table_index}) keeps.
 
     A weight-balanced binary tree ordered by {!Value.compare}; every
     node carries its subtree's key and entry counts, so the rank of an

@@ -149,7 +149,7 @@ let append_row t row =
            else Value.heap_bytes v))
     row;
   let bytes = col_tuple_header + line_pointer + maxalign !widths in
-  let usable = (Pager.config t.pager).page_size - page_header in
+  let usable = Pager.cost_model.page_size - page_header in
   if t.cur_fill + bytes > usable && t.cur_fill > 0 then begin
     t.cur_page <- t.cur_page + 1;
     t.cur_fill <- 0
@@ -265,7 +265,7 @@ let vacuum t =
     t.cur_fill <- 0;
     t.data_bytes <- 0;
     t.live_bytes <- 0;
-    let usable = (Pager.config t.pager).page_size - page_header in
+    let usable = Pager.cost_model.page_size - page_header in
     for id = 0 to n - 1 do
       if Stdx.Vec.get t.live id then begin
         let bytes = Stdx.Vec.get t.row_sizes id in
@@ -291,20 +291,20 @@ let vacuum t =
     emit t (Journal.Vacuumed { table = t.name })
   end
 
-let create_index ?(kind = Table_index.Btree) t ~column =
+let create_index t ~column =
   mutate t @@ fun () ->
   match Hashtbl.find_opt t.indexes column with
   | Some idx -> idx
   | None ->
       let col_pos = Schema.column_index t.schema column in
-      let idx = Table_index.create kind t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
+      let idx = Table_index.create t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
       for id = 0 to row_count t - 1 do
         (* Dead-but-unvacuumed tuples are indexed (as live tables do);
            reclaimed slots have no values to index. *)
         if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
       done;
       Hashtbl.replace t.indexes column idx;
-      emit t (Journal.Created_index { table = t.name; column; kind });
+      emit t (Journal.Created_index { table = t.name; column });
       idx
 
 let index_on t ~column = Hashtbl.find_opt t.indexes column
@@ -320,15 +320,15 @@ let set_range_tree t ~column tree =
 let dict_overhead_bytes t =
   Array.fold_left (fun acc col -> acc + Column_dict.overhead_bytes col.dict) 0 t.cols
 
-let page_size t = (Pager.config t.pager).page_size
+let page_size = Pager.cost_model.page_size
 let tuple_pages t = if t.data_bytes = 0 then 0 else t.cur_page + 1
 
 let dict_pages t =
   let b = dict_overhead_bytes t in
-  (b + page_size t - 1) / page_size t
+  (b + page_size - 1) / page_size
 
 let heap_pages t = tuple_pages t + dict_pages t
-let heap_bytes t = heap_pages t * page_size t
+let heap_bytes t = heap_pages t * page_size
 let index_bytes t = Hashtbl.fold (fun _ idx acc -> acc + Table_index.size_bytes idx) t.indexes 0
 let total_bytes t = heap_bytes t + index_bytes t
 
@@ -342,7 +342,7 @@ let avg_row_bytes t =
    slots in id order, so this is the page count that engine would
    hold for the same history. *)
 let row_model_pages t =
-  let usable = page_size t - page_header in
+  let usable = page_size - page_header in
   let pages = ref 0 and fill = ref 0 in
   for id = 0 to row_count t - 1 do
     if not (is_reclaimed_slot t id) then begin
@@ -356,7 +356,7 @@ let row_model_pages t =
   done;
   !pages
 
-let row_model_bytes t = row_model_pages t * page_size t
+let row_model_bytes t = row_model_pages t * page_size
 
 type column_stats = {
   st_column : string;
@@ -496,7 +496,7 @@ type snapshot = {
   s_cur_fill : int;
   s_data_bytes : int;
   s_live_bytes : int;
-  s_indexes : (string * Table_index.kind) list;
+  s_indexes : string list;
 }
 
 (* Serialize a frozen view. Runs entirely off the writer lock, so a
@@ -523,7 +523,7 @@ let snapshot_of_view v =
     s_cur_fill = Read_view.cur_fill v;
     s_data_bytes = Read_view.data_bytes v;
     s_live_bytes = Read_view.live_bytes v;
-    s_indexes = List.map (fun (col, idx) -> (col, Table_index.kind idx)) (Read_view.indexes v);
+    s_indexes = List.map fst (Read_view.indexes v);
   }
 
 let snapshot t = snapshot_of_view (freeze t)
@@ -557,9 +557,9 @@ let of_snapshot pager s =
      entries (as live tables do), reclaimed slots have none. Bypasses
      [create_index] so no journal events fire during restore. *)
   List.iter
-    (fun (column, kind) ->
+    (fun column ->
       let col_pos = Schema.column_index t.schema column in
-      let idx = Table_index.create kind t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
+      let idx = Table_index.create t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
       for id = 0 to n - 1 do
         if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
       done;

@@ -69,11 +69,9 @@ val peek_row : t -> int -> Value.t array
 val row_page : t -> int -> int
 (** Heap page number holding a row. *)
 
-val create_index : ?kind:Table_index.kind -> t -> column:string -> Table_index.t
-(** Build (or return the existing) index on a column, backfilling
-    current rows. Default access method is [Btree]; at most one index
-    per column (asking again with a different kind returns the
-    existing index). *)
+val create_index : t -> column:string -> Table_index.t
+(** Build (or return the existing) B-tree index on a column,
+    backfilling current rows; at most one index per column. *)
 
 val index_on : t -> column:string -> Table_index.t option
 
@@ -171,7 +169,7 @@ type snapshot = {
   s_cur_fill : int;
   s_data_bytes : int;
   s_live_bytes : int;
-  s_indexes : (string * Table_index.kind) list;  (** sorted by column *)
+  s_indexes : string list;  (** indexed columns, sorted *)
 }
 (** Physical table state as checkpointed by the storage engine: the
     columnar heap verbatim (dictionaries, id vectors, tombstones, page

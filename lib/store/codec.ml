@@ -68,7 +68,11 @@ let put_schema b schema =
       put_bool b c.nullable)
     cols
 
-let index_kind_code = function Table_index.Btree -> 0 | Table_index.Hash -> 1
+(* The index kind byte of WAL [Create_index] payloads, snapshot index
+   entries and WRE configs. Every index is a B-tree, written as 0; a 1
+   is a hash index from an older build and opens as the B-tree, since
+   index contents are rebuilt from the heap on restore. *)
+let put_index_kind b = put_u8 b 0
 
 (* Little-endian fixed-width integers: dictionary ids and page numbers
    are stored at the narrowest width that fits their range (recorded
@@ -101,7 +105,7 @@ type table_writer = {
   w_cur_fill : int;
   w_data_bytes : int;
   w_live_bytes : int;
-  w_indexes : (string * Table_index.kind) list;
+  w_indexes : string list;
 }
 
 let writer_of_snapshot (s : Table.snapshot) =
@@ -143,7 +147,7 @@ let writer_of_view v =
     w_cur_fill = Read_view.cur_fill v;
     w_data_bytes = Read_view.data_bytes v;
     w_live_bytes = Read_view.live_bytes v;
-    w_indexes = List.map (fun (col, idx) -> (col, Table_index.kind idx)) (Read_view.indexes v);
+    w_indexes = List.map fst (Read_view.indexes v);
   }
 
 let put_table_writer ?(flush = fun () -> ()) b w =
@@ -203,9 +207,9 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   put_u64 b (Int64.of_int w.w_live_bytes);
   put_u32 b (List.length w.w_indexes);
   List.iter
-    (fun (col, kind) ->
+    (fun col ->
       put_str b col;
-      put_u8 b (index_kind_code kind))
+      put_index_kind b)
     w.w_indexes;
   flush ()
 
@@ -282,10 +286,7 @@ let get_schema c =
   in
   Schema.create cols
 
-let index_kind_of_code = function
-  | 0 -> Table_index.Btree
-  | 1 -> Table_index.Hash
-  | n -> corrupt "bad index kind %d" n
+let get_index_kind c = match get_u8 c with 0 | 1 -> () | n -> corrupt "bad index kind %d" n
 
 let get_fixed c width = match width with 1 -> get_u8 c | 2 -> get_u16 c | _ -> get_u32 c
 
@@ -336,8 +337,8 @@ let get_table ~legacy c =
   let s_indexes =
     List.init n_idx (fun _ ->
         let col = get_str c in
-        let kind = index_kind_of_code (get_u8 c) in
-        (col, kind))
+        get_index_kind c;
+        col)
   in
   {
     Table.s_name;

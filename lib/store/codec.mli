@@ -30,6 +30,11 @@ val put_value : Buffer.t -> Sqldb.Value.t -> unit
 val put_row : Buffer.t -> Sqldb.Value.t array -> unit
 val put_schema : Buffer.t -> Sqldb.Schema.t -> unit
 
+val put_index_kind : Buffer.t -> unit
+(** The index kind byte that WAL [Create_index] payloads, snapshot
+    index entries and WRE configs carry. Every index is a B-tree, so
+    it is always written as 0. *)
+
 type table_writer
 (** A table snapshot abstracted over its source — a materialized
     {!Sqldb.Table.snapshot} record or a live frozen view — so the
@@ -57,6 +62,13 @@ val get_str : cursor -> string
 val get_value : cursor -> Sqldb.Value.t
 val get_row : cursor -> Sqldb.Value.t array
 val get_schema : cursor -> Sqldb.Schema.t
+
+val get_index_kind : cursor -> unit
+(** Read an index kind byte: 0, or 1 — a hash index written by an
+    older build, which opens as the B-tree because index contents are
+    rebuilt from the heap on restore. Raises {!Corrupt} on any other
+    value. *)
+
 val get_table_snapshot : cursor -> Sqldb.Table.snapshot
 
 val get_table_snapshot_v2 : cursor -> Sqldb.Table.snapshot

@@ -59,8 +59,7 @@ let apply_op st op =
   let db, edbs = st in
   match (op : Record.op) with
   | Create_table { name; schema } -> ignore (Database.create_table db ~name ~schema)
-  | Create_index { table; column; kind } ->
-      ignore (Table.create_index ~kind (Database.table db table) ~column)
+  | Create_index { table; column } -> ignore (Table.create_index (Database.table db table) ~column)
   | Insert { table; row; prng } ->
       ignore (Table.insert (Database.table db table) row);
       restore_prng !edbs table prng
@@ -108,8 +107,7 @@ let log_mutation t (m : Journal.mutation) =
     let op =
       match m with
       | Journal.Created_table { name; schema } -> Record.Create_table { name; schema }
-      | Journal.Created_index { table; column; kind } ->
-          Record.Create_index { table; column; kind }
+      | Journal.Created_index { table; column } -> Record.Create_index { table; column }
       | Journal.Inserted { table; row } -> Record.Insert { table; row; prng = prng_of table }
       | Journal.Inserted_batch { table; rows } ->
           Record.Insert_batch { table; rows; prng = prng_of table }
@@ -187,12 +185,11 @@ let open_dir ?(group_commit = 1) ?checkpoint_every ~dir () =
   result.recovery <- { result.recovery with duration_ns };
   result
 
-let create_encrypted ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.Btree)
-    ?range_columns ?range_training t ~name ~plain_schema ~key_column ~encrypted_columns ~kind
-    ~master ~dist_of ~seed () =
+let create_encrypted ?(fallback = `Reject) ?tag_algo ?range_columns ?range_training t ~name
+    ~plain_schema ~key_column ~encrypted_columns ~kind ~master ~dist_of ~seed () =
   let edb =
-    Wre.Encrypted_db.create ~fallback ?tag_algo ~tag_index ?range_columns ?range_training
-      ~db:t.db ~name ~plain_schema ~key_column ~encrypted_columns ~kind ~master ~dist_of ~seed ()
+    Wre.Encrypted_db.create ~fallback ?tag_algo ?range_columns ?range_training ~db:t.db ~name
+      ~plain_schema ~key_column ~encrypted_columns ~kind ~master ~dist_of ~seed ()
   in
   let k0, k1 = Crypto.Keys.export master in
   let cfg =
@@ -201,7 +198,6 @@ let create_encrypted ?(fallback = `Reject) ?tag_algo ?(tag_index = Table_index.B
       kind;
       fallback;
       tag_algo = Option.value ~default:Crypto.Prf.Hmac_sha256 tag_algo;
-      tag_index;
       k0;
       k1;
       plain_schema;

@@ -46,7 +46,6 @@ val recovery : t -> recovery
 val create_encrypted :
   ?fallback:Wre.Column_enc.fallback ->
   ?tag_algo:Crypto.Prf.algo ->
-  ?tag_index:Sqldb.Table_index.kind ->
   ?range_columns:(string * int) list ->
   ?range_training:(string -> int64 array) ->
   t ->
@@ -62,8 +61,10 @@ val create_encrypted :
   Wre.Encrypted_db.t
 (** {!Wre.Encrypted_db.create} against this engine's database, plus an
     [Attach_wre] WAL record capturing the client-side state (exported
-    keys, distribution counts, range boundaries, PRNG seed state) so
-    recovery can re-attach without the plaintext profile. *)
+    keys, tag PRF, distribution counts, range boundaries, PRNG seed
+    state) so recovery can re-attach without the plaintext profile.
+    The table's indexes are B-trees, logged as [Create_index]
+    records. *)
 
 val encrypted : t -> string -> Wre.Encrypted_db.t option
 (** By table name. *)

@@ -3,7 +3,6 @@ type wre_config = {
   kind : Wre.Scheme.kind;
   fallback : Wre.Column_enc.fallback;
   tag_algo : Crypto.Prf.algo;
-  tag_index : Sqldb.Table_index.kind;
   k0 : string;
   k1 : string;
   plain_schema : Sqldb.Schema.t;
@@ -16,7 +15,7 @@ type wre_config = {
 
 type op =
   | Create_table of { name : string; schema : Sqldb.Schema.t }
-  | Create_index of { table : string; column : string; kind : Sqldb.Table_index.kind }
+  | Create_index of { table : string; column : string }
   | Insert of { table : string; row : Sqldb.Value.t array; prng : string option }
   | Insert_batch of { table : string; rows : Sqldb.Value.t array array; prng : string option }
   | Delete of { table : string; id : int }
@@ -55,19 +54,12 @@ let algo_of_code = function
   | 1 -> Crypto.Prf.Siphash24
   | n -> raise (Corrupt (Printf.sprintf "bad PRF algo code %d" n))
 
-let index_kind_code = function Sqldb.Table_index.Btree -> 0 | Sqldb.Table_index.Hash -> 1
-
-let index_kind_of_code = function
-  | 0 -> Sqldb.Table_index.Btree
-  | 1 -> Sqldb.Table_index.Hash
-  | n -> raise (Corrupt (Printf.sprintf "bad index kind %d" n))
-
 let put_wre_config b cfg =
   put_str b cfg.table_name;
   put_str b (Wre.Scheme.to_string cfg.kind);
   put_u8 b (fallback_code cfg.fallback);
   put_u8 b (algo_code cfg.tag_algo);
-  put_u8 b (index_kind_code cfg.tag_index);
+  put_index_kind b;
   put_str b cfg.k0;
   put_str b cfg.k1;
   put_schema b cfg.plain_schema;
@@ -99,7 +91,7 @@ let get_wre_config c =
   in
   let fallback = fallback_of_code (get_u8 c) in
   let tag_algo = algo_of_code (get_u8 c) in
-  let tag_index = index_kind_of_code (get_u8 c) in
+  get_index_kind c;
   let k0 = get_str c in
   let k1 = get_str c in
   let plain_schema = get_schema c in
@@ -129,7 +121,6 @@ let get_wre_config c =
     kind;
     fallback;
     tag_algo;
-    tag_index;
     k0;
     k1;
     plain_schema;
@@ -147,11 +138,11 @@ let encode op =
       put_u8 b 1;
       put_str b name;
       put_schema b schema
-  | Create_index { table; column; kind } ->
+  | Create_index { table; column } ->
       put_u8 b 2;
       put_str b table;
       put_str b column;
-      put_u8 b (index_kind_code kind)
+      put_index_kind b
   | Insert { table; row; prng } ->
       put_u8 b 3;
       put_str b table;
@@ -186,8 +177,8 @@ let decode s =
     | 2 ->
         let table = get_str c in
         let column = get_str c in
-        let kind = index_kind_of_code (get_u8 c) in
-        Create_index { table; column; kind }
+        get_index_kind c;
+        Create_index { table; column }
     | 3 ->
         let table = get_str c in
         let row = get_row c in

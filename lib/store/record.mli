@@ -19,7 +19,7 @@ type wre_config = {
   kind : Wre.Scheme.kind;
   fallback : Wre.Column_enc.fallback;
   tag_algo : Crypto.Prf.algo;
-  tag_index : Sqldb.Table_index.kind;
+      (** followed on disk by an index kind byte ({!Codec.put_index_kind}) *)
   k0 : string;
   k1 : string;
   plain_schema : Sqldb.Schema.t;
@@ -34,7 +34,9 @@ type wre_config = {
 
 type op =
   | Create_table of { name : string; schema : Sqldb.Schema.t }
-  | Create_index of { table : string; column : string; kind : Sqldb.Table_index.kind }
+  | Create_index of { table : string; column : string }
+      (** always a B-tree; the payload keeps the kind byte
+          ({!Codec.put_index_kind}) *)
   | Insert of { table : string; row : Sqldb.Value.t array; prng : string option }
   | Insert_batch of { table : string; rows : Sqldb.Value.t array array; prng : string option }
   | Delete of { table : string; id : int }

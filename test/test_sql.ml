@@ -368,6 +368,24 @@ let test_proxy_unknown_plaintext_insert () =
   check_bool "outside-distribution insert rejected" true
     (Result.is_error (Wre.Proxy.execute proxy "INSERT INTO people VALUES (101, 'zoe', 'pdx', 30)"))
 
+(* A one-table proxy resolves table names exactly, as [Sql.execute]
+   does: a statement on an unknown table fails rather than answering
+   from the sole registered table. *)
+let test_proxy_unknown_table () =
+  let proxy = make_proxy (Wre.Scheme.Poisson 100.0) in
+  List.iter
+    (fun sql ->
+      match Wre.Proxy.execute proxy sql with
+      | Error e -> Alcotest.(check string) sql {|no such encrypted table "nosuch"|} e
+      | Ok _ -> Alcotest.failf "%s: answered from another table" sql)
+    [
+      "SELECT * FROM nosuch WHERE name = 'ann'";
+      "SELECT id FROM nosuch";
+      "INSERT INTO nosuch VALUES (100, 'ann', 'pdx', 33)";
+      "UPDATE nosuch SET city = 'sea' WHERE name = 'ann'";
+      "DELETE FROM nosuch WHERE name = 'ann'";
+    ]
+
 let test_proxy_or_across_encrypted_columns () =
   (* Both legs rewrite to tag IN-lists, so the server evaluates the OR
      itself as a union of index lookups — it must NOT ship the whole
@@ -1190,6 +1208,7 @@ let () =
           Alcotest.test_case "rewrite shape" `Quick test_proxy_rewrite_shape;
           Alcotest.test_case "insert then search" `Quick test_proxy_insert_and_search;
           Alcotest.test_case "unknown plaintext insert" `Quick test_proxy_unknown_plaintext_insert;
+          Alcotest.test_case "unknown table" `Quick test_proxy_unknown_table;
           Alcotest.test_case "or across encrypted columns" `Quick
             test_proxy_or_across_encrypted_columns;
           Alcotest.test_case "or fallback full scan" `Quick test_proxy_or_fallback_full_scan;

@@ -86,7 +86,7 @@ let test_table_pages_grow () =
   check_bool "multiple pages" true (Table.heap_pages t > 5);
   check_bool "pages monotone with rows" true (Table.row_page t 999 >= Table.row_page t 0);
   check_bool "heap bytes = pages * size" true
-    (Table.heap_bytes t = Table.heap_pages t * (Pager.config pager).page_size);
+    (Table.heap_bytes t = Table.heap_pages t * Pager.cost_model.page_size);
   check_bool "avg row bytes sane" true (Table.avg_row_bytes t > 0.0);
   (* Row-format shadow accounting sees the values inline: > 100 B/row. *)
   check_bool "row-model bytes sane" true
@@ -204,11 +204,11 @@ let test_index_range () =
     ignore (Table.insert t (mk_row i "x" None))
   done;
   let idx = Table.create_index t ~column:"id" in
-  let ids = Option.get (Table_index.range idx ~lo:(Value.Int 10L) ~hi:(Value.Int 19L) ()) in
+  let ids = Table_index.range idx ~lo:(Value.Int 10L) ~hi:(Value.Int 19L) () in
   check_int "inclusive range" 10 (Array.length ids);
-  let all = Option.get (Table_index.range idx ()) in
+  let all = Table_index.range idx () in
   check_int "unbounded" 100 (Array.length all);
-  let empty = Option.get (Table_index.range idx ~lo:(Value.Int 200L) ()) in
+  let empty = Table_index.range idx ~lo:(Value.Int 200L) () in
   check_int "empty range" 0 (Array.length empty)
 
 let test_index_incremental_after_create () =
@@ -225,11 +225,10 @@ let test_index_sizes () =
     ignore (Table.insert t (mk_row i (Printf.sprintf "u%d" i) None))
   done;
   let idx = Table.create_index t ~column:"name" in
-  let btree = match idx with Table_index.B b -> b | Table_index.H _ -> Alcotest.fail "not btree" in
   check_int "entries" 10000 (Table_index.entry_count idx);
-  check_int "distinct" 10000 (Btree_index.distinct_keys btree);
-  check_bool "has pages" true (Btree_index.leaf_pages btree > 10);
-  check_bool "height >= 1" true (Btree_index.height btree >= 1);
+  check_int "distinct" 10000 (Table_index.distinct_keys idx);
+  check_bool "has pages" true (Table_index.leaf_pages idx > 10);
+  check_bool "height >= 1" true (Table_index.height idx >= 1);
   check_bool "size covers entries" true
     (Table_index.size_bytes idx > 10000 * 16);
   (* Duplicate-heavy index should pack denser than a unique one. *)
@@ -237,85 +236,9 @@ let test_index_sizes () =
   for i = 0 to 9999 do
     ignore (Table.insert t2 (mk_row i "same" None))
   done;
-  let btree2 =
-    match Table.create_index t2 ~column:"name" with
-    | Table_index.B b -> b
-    | Table_index.H _ -> Alcotest.fail "not btree"
-  in
+  let idx2 = Table.create_index t2 ~column:"name" in
   check_bool "duplicates pack denser" true
-    (Btree_index.leaf_pages btree2 < Btree_index.leaf_pages btree)
-
-(* ---------------- Hash index ---------------- *)
-
-let test_hash_index_matches_naive () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
-  let g = Stdx.Prng.create 12L in
-  for i = 0 to 499 do
-    ignore (Table.insert t (mk_row i (Printf.sprintf "name%d" (Stdx.Prng.int g 20)) None))
-  done;
-  let idx = Table.create_index ~kind:Table_index.Hash t ~column:"name" in
-  check_bool "is hash" true (Table_index.kind idx = Table_index.Hash);
-  for k = 0 to 19 do
-    let v = Value.Text (Printf.sprintf "name%d" k) in
-    let from_index = Table_index.lookup idx v in
-    Array.sort compare from_index;
-    Alcotest.(check (array int)) (Printf.sprintf "key %d" k) (naive_lookup t 1 v) from_index
-  done;
-  Alcotest.(check (array int)) "missing key" [||] (Table_index.lookup idx (Value.Text "nope"))
-
-let test_hash_index_no_range () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
-  for i = 0 to 99 do
-    ignore (Table.insert t (mk_row i "x" None))
-  done;
-  let idx = Table.create_index ~kind:Table_index.Hash t ~column:"id" in
-  check_bool "range unsupported" true (Table_index.range idx ~lo:(Value.Int 1L) () = None);
-  (* The executor must fall back to a seq scan, still correct. *)
-  let r =
-    Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids
-      (Predicate.Range ("id", Some (Value.Int 10L), Some (Value.Int 19L)))
-  in
-  check_bool "falls back to seq scan" true (r.plan = Seq_scan);
-  check_int "correct result" 10 (Array.length r.row_ids)
-
-let test_hash_index_probe_cost_flat () =
-  (* Hash probes touch O(1) pages regardless of table size; a B-tree's
-     descent grows with height. Compare misses for a singleton lookup
-     on a large unique column. *)
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
-  for i = 0 to 49_999 do
-    ignore (Table.insert t (mk_row i (Printf.sprintf "u%06d" i) None))
-  done;
-  let hash_idx = Table.create_index ~kind:Table_index.Hash t ~column:"name" in
-  let btree_idx = Table.create_index ~kind:Table_index.Btree t ~column:"id" in
-  Pager.drop_caches pager;
-  Pager.reset_stats pager;
-  ignore (Table_index.lookup hash_idx (Value.Text "u012345"));
-  let hash_misses = (Pager.stats pager).misses in
-  Pager.drop_caches pager;
-  Pager.reset_stats pager;
-  ignore (Table_index.lookup btree_idx (Value.Int 12345L));
-  let btree_misses = (Pager.stats pager).misses in
-  check_bool "hash touches one page" true (hash_misses = 1);
-  check_bool "btree touches a root-to-leaf path" true (btree_misses > hash_misses)
-
-let test_hash_index_sizes () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
-  for i = 0 to 9999 do
-    ignore (Table.insert t (mk_row i (Printf.sprintf "u%d" i) None))
-  done;
-  let idx = Table.create_index ~kind:Table_index.Hash t ~column:"name" in
-  check_int "entries" 10000 (Table_index.entry_count idx);
-  check_bool "pages power of two" true
-    (let p =
-       match idx with Table_index.H h -> Hash_index.bucket_pages h | Table_index.B _ -> 0
-     in
-     p > 0 && p land (p - 1) = 0);
-  check_bool "size positive" true (Table_index.size_bytes idx > 0)
+    (Table_index.leaf_pages idx2 < Table_index.leaf_pages idx)
 
 (* ---------------- Pager cold/warm ---------------- *)
 
@@ -351,7 +274,7 @@ let test_pager_stats_accumulate () =
   let s = Pager.stats pager in
   check_int "misses" 2 s.misses;
   check_int "hits" 1 s.hits;
-  check_bool "sim time from misses" true (s.sim_ns >= 2.0 *. (Pager.config pager).io_miss_ns);
+  check_bool "sim time from misses" true (s.sim_ns >= 2.0 *. Pager.cost_model.io_miss_ns);
   Pager.charge_rows pager 7;
   Pager.charge_probe pager;
   Pager.charge_probe pager;
@@ -361,7 +284,7 @@ let test_pager_stats_accumulate () =
   check_int "probes" 2 s.probes;
   check_int "bytes" 1234 s.bytes;
   (* The modeled clock is derived from the counts, linearly. *)
-  let c = Pager.config pager in
+  let c = Pager.cost_model in
   Alcotest.(check (float 0.0))
     "sim_ns = linear cost model over the counts"
     ((2.0 *. c.io_miss_ns) +. (7.0 *. c.cpu_row_ns) +. (2.0 *. c.cpu_probe_ns)
@@ -452,13 +375,13 @@ let test_view_isolated_from_mutations () =
     (Array.length (Executor.run_view fresh ~projection:Executor.Row_ids pred).row_ids)
 
 (* Pager charges of a fixed query list over a fixed table (indexes
-   built, grown, tombstoned and vacuumed), B-tree and hash, each query
-   cold and then all of them warm. The figures were recorded from the
+   built, grown, tombstoned and vacuumed), each query cold and then
+   all of them warm. The figures were recorded from the
    engine that re-sorted its key groups on every epoch; the postings
    tree must reproduce them exactly — they are the modeled page counts
    behind the cold and warm shapes of Figs. 4–7. *)
 let test_modeled_page_counts_fixed () =
-  let page_counts kind =
+  let page_counts () =
     let pager = Pager.create () in
     let t = Table.create pager ~name:"pc" ~schema:small_schema in
     let g = Stdx.Prng.create 5L in
@@ -466,8 +389,8 @@ let test_modeled_page_counts_fixed () =
     for _ = 1 to 2000 do
       ignore (Table.insert t (row ()))
     done;
-    ignore (Table.create_index ~kind t ~column:"id");
-    ignore (Table.create_index ~kind t ~column:"name");
+    ignore (Table.create_index t ~column:"id");
+    ignore (Table.create_index t ~column:"name");
     for _ = 1 to 1000 do
       ignore (Table.insert t (row ()))
     done;
@@ -515,13 +438,7 @@ let test_modeled_page_counts_fixed () =
       (53, 9, 122); (9, 9, 32); (0, 1, 0); (298, 10, 615); (70, 11, 158); (2, 1, 2); (1, 0, 0);
       (43, 1, 82); (1, 0, 0); (106, 2, 245); (34, 4, 36); (131, 0, 263); (62, 0, 122); (17, 1, 32);
       (1, 0, 0); (306, 2, 615); (81, 0, 158) ]
-    (page_counts Table_index.Btree);
-  Alcotest.check triples "hash"
-    [ (0, 2, 2); (0, 1, 0); (34, 8, 82); (0, 1, 0); (95, 10, 245); (13, 17, 36); (129, 7, 3129);
-      (60, 7, 3060); (16, 7, 3016); (0, 7, 3000); (305, 7, 3305); (77, 7, 3077); (1, 1, 2); (0, 1, 0);
-      (41, 1, 82); (0, 1, 0); (102, 3, 245); (19, 11, 36); (136, 0, 3129); (67, 0, 3060); (23, 0, 3016);
-      (7, 0, 3000); (312, 0, 3305); (84, 0, 3077) ]
-    (page_counts Table_index.Hash)
+    (page_counts ())
 
 (* A view shares the columnar storage and every index's postings root,
    so taking one after a write costs the visibility bitmap (one word
@@ -536,7 +453,7 @@ let test_freeze_cost_bounded () =
          (Array.init n (fun i -> mk_row i (Printf.sprintf "n%d" (i mod 97)) (Some (float_of_int i)))));
     ignore (Table.create_index t ~column:"id");
     ignore (Table.create_index t ~column:"score");
-    ignore (Table.create_index ~kind:Table_index.Hash t ~column:"name");
+    ignore (Table.create_index t ~column:"name");
     ignore (Table.freeze t);
     ignore (Table.insert t (mk_row n "late" (Some 0.5)));
     let allocated () =
@@ -1076,9 +993,8 @@ let qcheck_executor_vs_naive =
 (* Views are isolated from every later mutation: random insert /
    delete / vacuum / create_index sequences with freezes interleaved;
    at the end, each view answers Eq, In and Range over every key of
-   every index it holds exactly as it did when taken — on B-tree and
-   hash indexes. *)
-let qcheck_views_isolated kind =
+   every index it holds exactly as it did when taken. *)
+let qcheck_views_isolated =
   let op =
     QCheck.Gen.(
       frequency
@@ -1101,8 +1017,7 @@ let qcheck_views_isolated kind =
            | `Freeze -> "freeze")
          ops)
   in
-  let kind_name = match kind with Table_index.Btree -> "btree" | Table_index.Hash -> "hash" in
-  QCheck.Test.make ~name:("views answer as when taken (" ^ kind_name ^ ")") ~count:40
+  QCheck.Test.make ~name:"views answer as when taken (btree)" ~count:40
     (QCheck.make ~print QCheck.Gen.(list_size (10 -- 80) op))
     (fun ops ->
       let pager = Pager.create () in
@@ -1138,7 +1053,7 @@ let qcheck_views_isolated kind =
           | `Insert (id, k) -> ignore (Table.insert t (mk_row id (Printf.sprintf "k%d" k) None))
           | `Delete i -> if Table.row_count t > 0 then ignore (Table.delete t (i mod Table.row_count t))
           | `Vacuum -> Table.vacuum t
-          | `Index column -> ignore (Table.create_index ~kind t ~column)
+          | `Index column -> ignore (Table.create_index t ~column)
           | `Freeze ->
               let v = Table.freeze t in
               taken := (v, List.map (fun p -> (p, answer v p)) (queries v)) :: !taken)
@@ -1344,13 +1259,6 @@ let () =
           Alcotest.test_case "incremental" `Quick test_index_incremental_after_create;
           Alcotest.test_case "sizes" `Quick test_index_sizes;
         ] );
-      ( "hash_index",
-        [
-          Alcotest.test_case "matches naive" `Quick test_hash_index_matches_naive;
-          Alcotest.test_case "no range support" `Quick test_hash_index_no_range;
-          Alcotest.test_case "flat probe cost" `Quick test_hash_index_probe_cost_flat;
-          Alcotest.test_case "sizes" `Quick test_hash_index_sizes;
-        ] );
       ( "pager",
         [
           Alcotest.test_case "cold/warm" `Quick test_pager_cold_warm;
@@ -1417,7 +1325,6 @@ let () =
             qcheck_index_vs_scan;
             qcheck_executor_vs_naive;
             qcheck_csv_roundtrip;
-            qcheck_views_isolated Table_index.Btree;
-            qcheck_views_isolated Table_index.Hash;
+            qcheck_views_isolated;
           ] );
     ]

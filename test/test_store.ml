@@ -249,7 +249,7 @@ let test_record_roundtrip () =
   let ops =
     [
       Store.Record.Create_table { name = "t"; schema = plain_schema };
-      Store.Record.Create_index { table = "t"; column = "name"; kind = Sqldb.Table_index.Hash };
+      Store.Record.Create_index { table = "t"; column = "name" };
       Store.Record.Insert { table = "t"; row = op_row 0; prng = Some (String.make 32 'x') };
       Store.Record.Insert_batch
         { table = "t"; rows = [| op_row 1; op_row 2 |]; prng = None };
@@ -692,6 +692,143 @@ let test_v2_snapshot_opens () =
         | exception Store.Snapshot.Corrupt_snapshot _ -> true
         | _ -> false))
 
+(* ---------------- index kind byte ---------------- *)
+
+(* WAL [Create_index] payloads, snapshot index entries and WRE configs
+   each carry an index kind byte. Every index is a B-tree, written as
+   0; a 1 is a hash index from an older build and opens as the B-tree;
+   anything else is corrupt. *)
+
+let kind_record = Store.Record.Create_index { table = "t"; column = "name" }
+
+let kind_config =
+  {
+    Store.Record.table_name = "t";
+    kind = Wre.Scheme.Det;
+    fallback = `Reject;
+    tag_algo = Crypto.Prf.Hmac_sha256;
+    k0 = "k0";
+    k1 = "k1";
+    plain_schema;
+    key_column = "id";
+    encrypted_columns = [ "name" ];
+    dists = [ ("name", [ ("alice", 2); ("bob", 1) ]) ];
+    ranges = [];
+    prng = "p";
+  }
+
+(* The kind byte sits after the table name, the scheme name and the
+   fallback and PRF codes. *)
+let kind_config_pos = 4 + 1 + 4 + String.length (Wre.Scheme.to_string Wre.Scheme.Det) + 2
+
+(* Two rows and one index, whose kind byte is the last byte. *)
+let kind_table () =
+  let t = Sqldb.Table.create (Sqldb.Pager.create ()) ~name:"t" ~schema:plain_schema in
+  ignore (Sqldb.Table.insert t (op_row 0));
+  ignore (Sqldb.Table.insert t (op_row 1));
+  ignore (Sqldb.Table.create_index t ~column:"name");
+  Sqldb.Table.snapshot t
+
+let encoded f =
+  let b = Buffer.create 64 in
+  f b;
+  Buffer.contents b
+
+let with_byte s pos v =
+  let b = Bytes.of_string s in
+  Bytes.set b pos (Char.chr v);
+  Bytes.to_string b
+
+let last s = String.length s - 1
+
+(* Rewrite [dir]'s snapshot with its one index's kind byte set to [v]
+   and the footer CRC recomputed, so only the codec can object. The
+   byte comes before the u32 WRE count and the u32 CRC. *)
+let patch_snapshot_kind ~dir v =
+  let data = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
+  let data = with_byte data (String.length data - 9) v in
+  let body = String.sub data 8 (String.length data - 12) in
+  let crc = Int32.to_int (Store.Crc32.digest body) land 0xFFFFFFFF in
+  let footer = encoded (fun b -> Store.Codec.put_u32 b crc) in
+  let f = Store.Io.open_trunc (Store.Snapshot.path ~dir) in
+  Store.Io.write f (String.sub data 0 (String.length data - 4) ^ footer);
+  Store.Io.close f
+
+(* Pinned to the bytes older builds wrote for the same B-tree, so
+   stores written before and after stay interchangeable. *)
+let test_kind_byte_pinned () =
+  let hex = Stdx.Bytes_util.to_hex in
+  Alcotest.(check string) "Create_index record" "020100000074040000006e616d6500"
+    (hex (Store.Record.encode kind_record));
+  Alcotest.(check string) "WRE config"
+    ("010000007403000000646574000000020000006b30020000006b31020000000200000069640000040000006e"
+      ^ "616d65020002000000696401000000040000006e616d6501000000040000006e616d65020000000500000061"
+      ^ "6c6963650200000003000000626f6201000000000000000100000070")
+    (hex (encoded (fun b -> Store.Record.put_wre_config b kind_config)));
+  Alcotest.(check string) "table snapshot"
+    ("0100000074020000000200000069640000040000006e616d6502000200000002000000020000000301000000"
+      ^ "000000000003010100000000000000020000000000000001010202000000030305000000616c696365030303"
+      ^ "000000626f620200000000000000010102030000000028000000000014000000140000002800000000000000"
+      ^ "280000000000000001000000040000006e616d6500")
+    (hex (encoded (fun b -> Store.Codec.put_table_snapshot b (kind_table ()))));
+  check_int "config kind byte" 0
+    (Char.code (encoded (fun b -> Store.Record.put_wre_config b kind_config)).[kind_config_pos])
+
+let test_kind_byte_legacy_hash_decodes () =
+  let record = Store.Record.encode kind_record in
+  check_bool "Create_index with kind 1" true
+    (Store.Record.decode (with_byte record (last record) 1) = kind_record);
+  let config = encoded (fun b -> Store.Record.put_wre_config b kind_config) in
+  check_bool "WRE config with kind 1" true
+    (Store.Record.get_wre_config (Store.Codec.cursor (with_byte config kind_config_pos 1))
+    = kind_config);
+  let snap = kind_table () in
+  let table = encoded (fun b -> Store.Codec.put_table_snapshot b snap) in
+  check_bool "snapshot index entry with kind 1" true
+    (Store.Codec.get_table_snapshot (Store.Codec.cursor (with_byte table (last table) 1)) = snap);
+  with_temp_dir (fun dir ->
+      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn = 0L; tables = [ snap ]; wre = [] };
+      patch_snapshot_kind ~dir 1;
+      check_bool "snapshot file with kind 1" true
+        ((Option.get (Store.Snapshot.load ~dir)).Store.Snapshot.tables = [ snap ]))
+
+(* A store whose WAL created its index as a hash index replays it as a
+   B-tree that serves the lookups. *)
+let test_kind_byte_legacy_hash_store_opens () =
+  with_temp_dir (fun dir ->
+      let encode = Store.Record.encode in
+      let hash_index = encode (Store.Record.Create_index { table = "p"; column = "name" }) in
+      let insert i = encode (Store.Record.Insert { table = "p"; row = op_row i; prng = None }) in
+      ignore
+        (wal_roundtrip_payloads dir
+           (encode (Store.Record.Create_table { name = "p"; schema = plain_schema })
+           :: with_byte hash_index (last hash_index) 1
+           :: List.init 8 insert));
+      let store = Store.Engine.open_dir ~dir () in
+      check_int "replayed" 10 (Store.Engine.recovery store).Store.Engine.replayed;
+      let view = Sqldb.Table.freeze (Sqldb.Database.table (Store.Engine.db store) "p") in
+      let alice = Sqldb.Predicate.Eq ("name", Sqldb.Value.Text "alice") in
+      check_bool "index plan" true
+        (Sqldb.Executor.explain view alice = Sqldb.Executor.Index_scan "name");
+      Alcotest.(check (array int)) "lookup" [| 0; 4 |]
+        (Sqldb.Executor.run_view view ~projection:Sqldb.Executor.Row_ids alice).row_ids;
+      Store.Engine.close store)
+
+let test_kind_byte_unknown_rejected () =
+  let record = Store.Record.encode kind_record in
+  check_bool "record decoder raises Corrupt" true
+    (match Store.Record.decode (with_byte record (last record) 2) with
+    | exception Store.Codec.Corrupt _ -> true
+    | _ -> false);
+  with_temp_dir (fun dir ->
+      let tables = [ kind_table () ] in
+      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn = 0L; tables; wre = [] };
+      patch_snapshot_kind ~dir 2;
+      check_bool "Snapshot.load raises Corrupt_snapshot" true
+        (match Store.Snapshot.load ~dir with
+        | exception Store.Snapshot.Corrupt_snapshot _ -> true
+        | _ -> false))
+
 let test_atomic_write_text_crash_safe () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "report.json" in
@@ -987,6 +1124,14 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
           Alcotest.test_case "table snapshot" `Quick test_codec_table_snapshot_roundtrip;
           Alcotest.test_case "record ops" `Quick test_record_roundtrip;
+        ] );
+      ( "index kind",
+        [
+          Alcotest.test_case "bytes pinned" `Quick test_kind_byte_pinned;
+          Alcotest.test_case "legacy hash decodes" `Quick test_kind_byte_legacy_hash_decodes;
+          Alcotest.test_case "legacy hash store opens" `Quick
+            test_kind_byte_legacy_hash_store_opens;
+          Alcotest.test_case "unknown kind rejected" `Quick test_kind_byte_unknown_rejected;
         ] );
       ( "wal",
         [

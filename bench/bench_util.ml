@@ -57,7 +57,7 @@ let build_plain rows =
   let (), wall_ns =
     Stdx.Clock.time_it (fun () -> Array.iter (fun r -> ignore (Table.insert t r)) rows)
   in
-  (db, t, wall_ns)
+  (t, wall_ns)
 
 let build_encrypted ~kind ~dist_of rows =
   let db = Database.create () in
@@ -70,7 +70,7 @@ let build_encrypted ~kind ~dist_of rows =
     Stdx.Clock.time_it (fun () ->
         Array.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) rows)
   in
-  (db, edb, wall_ns)
+  (edb, wall_ns)
 
 let make_queries ~dist_of ~n =
   Sparta.Query_gen.generate ~seed:3L ~columns:enc_columns
@@ -96,13 +96,20 @@ type query_cost = {
   wall_ms : float;
 }
 
+(* Each query runs with [cache] installed on this domain: [Cold]
+   clears it first, [Warm] keeps what earlier queries left in it. *)
+let with_mode ~cache ~mode f =
+  if mode = Cold then Pager.clear cache;
+  Pager.with_cache cache f
+
 (* Run the query mix against a plaintext table. *)
-let run_plain_queries ~db ~table ~projection ~mode queries =
+let run_plain_queries ~cache ~table ~projection ~mode queries =
   List.map
     (fun (q : Sparta.Query_gen.query) ->
-      if mode = Cold then Database.drop_caches db;
       let r =
-        Executor.run_view (Table.freeze table) ~projection (Predicate.Eq (q.column, Value.Text q.value))
+        with_mode ~cache ~mode (fun () ->
+            Executor.run_view (Table.freeze table) ~projection
+              (Predicate.Eq (q.column, Value.Text q.value)))
       in
       {
         bucket = Sparta.Query_gen.bucket_of q.expected;
@@ -116,11 +123,11 @@ let run_plain_queries ~db ~table ~projection ~mode queries =
    work (computing tags, decrypting results) is part of wall time, as
    in the paper ("the time shown for each query includes the time to
    compute the encrypted query"). *)
-let run_encrypted_queries ~db ~edb ~projection ~mode queries =
+let run_encrypted_queries ~cache ~edb ~projection ~mode queries =
   List.map
     (fun (q : Sparta.Query_gen.query) ->
-      if mode = Cold then Database.drop_caches db;
       let (result : Executor.result), wall_ns =
+        with_mode ~cache ~mode @@ fun () ->
         Stdx.Clock.time_it (fun () ->
             match projection with
             | Executor.Row_ids -> Wre.Encrypted_db.search_ids edb ~column:q.column q.value

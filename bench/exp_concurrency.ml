@@ -61,12 +61,12 @@ let run ~rows:n ~n_queries () =
        (String.concat "/" (List.map string_of_int domain_counts)));
   let rows = Bench_util.generate_rows n in
   let dist_of = Bench_util.dist_of_rows rows in
-  let _db, edb, _ = Bench_util.build_encrypted ~kind:(Wre.Scheme.Poisson 1000.0) ~dist_of rows in
+  let edb, _ = Bench_util.build_encrypted ~kind:(Wre.Scheme.Poisson 1000.0) ~dist_of rows in
   let queries = Bench_util.make_queries ~dist_of ~n:n_queries in
   let view = Wre.Encrypted_db.freeze edb in
-  (* Warm protocol: one priming pass fills the buffer pool and the CPU
-     caches, so every measured run starts from the same state and no
-     domain count pays a first touch the others do not. *)
+  (* Warm protocol: one priming pass fills the CPU caches, so every
+     measured run starts from the same state and no domain count pays a
+     first touch the others do not. *)
   List.iter
     (fun (q : Sparta.Query_gen.query) ->
       ignore (Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value))

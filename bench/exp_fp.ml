@@ -9,10 +9,7 @@ let run_one ~rows ~dist_of ~queries lambda =
     (Printf.sprintf "Figure %s: Bucketized Poisson false positives (lambda = %g)"
        (if lambda < 5000.0 then "8" else "9")
        lambda);
-  let _db, edb =
-    let db, edb, _ = Bench_util.build_encrypted ~kind:(Wre.Scheme.Bucketized lambda) ~dist_of rows in
-    (db, edb)
-  in
+  let edb, _ = Bench_util.build_encrypted ~kind:(Wre.Scheme.Bucketized lambda) ~dist_of rows in
   let pairs =
     List.map
       (fun (q : Sparta.Query_gen.query) ->

@@ -39,7 +39,7 @@ let median xs =
   a.(Array.length a / 2)
 
 let measure n =
-  let t = Table.create (Pager.create ()) ~name:"f" ~schema in
+  let t = Table.create ~name:"f" ~schema in
   ignore (Table.insert_batch t (Array.init n row));
   ignore (Table.create_index t ~column:"id");
   ignore (Table.create_index t ~column:"score");

@@ -37,7 +37,8 @@ let run ~rows:n_rows ~n_queries () =
       List.fold_left
         (fun acc (c : Bench_util.query_cost) -> acc +. c.sim_ms)
         0.0
-        (Bench_util.run_encrypted_queries ~db ~edb ~projection ~mode:Bench_util.Cold queries)
+        (Bench_util.run_encrypted_queries ~cache:(Sqldb.Pager.cache ()) ~edb ~projection
+           ~mode:Bench_util.Cold queries)
     in
     let ids_ms = total Sqldb.Executor.Row_ids in
     let star_ms = total Sqldb.Executor.All_columns in

@@ -25,7 +25,7 @@ let dist =
    of [SELECT id ... WHERE fname = ...]. *)
 let sparta_row () =
   let rows = Bench_util.generate_rows 1000 in
-  let _, edb, _ =
+  let edb, _ =
     Bench_util.build_encrypted ~kind:(Wre.Scheme.Bucketized 1000.0)
       ~dist_of:(Bench_util.dist_of_rows rows) rows
   in

@@ -8,8 +8,8 @@ let run ~rows:n_rows () =
   Bench_util.heading (Printf.sprintf "Table I: ciphertext expansion (%d rows)" n_rows);
   let rows = Bench_util.generate_rows n_rows in
   let dist_of = Bench_util.dist_of_rows rows in
-  let _, plain, plain_wall = Bench_util.build_plain rows in
-  let _edb_db, edb, enc_wall =
+  let plain, plain_wall = Bench_util.build_plain rows in
+  let edb, enc_wall =
     Bench_util.build_encrypted ~kind:(Wre.Scheme.Poisson 1000.0) ~dist_of rows
   in
   let enc_table = Wre.Encrypted_db.table edb in

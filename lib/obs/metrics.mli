@@ -17,7 +17,7 @@ type counter
 (** Monotonically increasing atomic integer. *)
 
 type gauge
-(** Last-write-wins atomic integer (e.g. cached-page count). *)
+(** Last-write-wins atomic integer (e.g. active server sessions). *)
 
 type histogram
 (** Fixed-bucket log-scale histogram of nanosecond latencies: 4 buckets

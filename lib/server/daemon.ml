@@ -141,9 +141,12 @@ let accept_loop t =
   done
 
 let start cfg engine =
-  match Store.Engine.encrypted_names engine with
-  | [] -> Error "store has no encrypted tables to serve"
-  | names ->
+  (* Validate before binding anything: a refused config leaves no socket
+     file, listener or worker domains behind. *)
+  match (cfg.batch_max, Store.Engine.encrypted_names engine) with
+  | n, _ when n < 1 -> Error (Printf.sprintf "batch_max must be at least 1 (got %d)" n)
+  | _, [] -> Error "store has no encrypted tables to serve"
+  | _, names ->
       let edbs = List.map (fun n -> Option.get (Store.Engine.encrypted engine n)) names in
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());

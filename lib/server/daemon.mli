@@ -34,7 +34,8 @@ type t
 
 val start : config -> Store.Engine.t -> (t, string) result
 (** Bind the socket (replacing a stale one), start the accept and
-    batcher threads. [Error _] if the store has no encrypted tables.
+    batcher threads. [Error _], before anything is bound or started,
+    if [batch_max < 1] or the store has no encrypted tables.
     The caller keeps ownership of the engine and closes it after
     {!stop}. Ignores [SIGPIPE] process-wide (a disconnecting client
     must not kill the server). *)

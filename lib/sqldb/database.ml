@@ -1,13 +1,10 @@
 (* lint: guarded-by Table.writer (single-writer discipline; catalog mutates only on DDL) *)
 type t = {
-  pager : Pager.t;
   catalog : (string, Table.t) Hashtbl.t;
   mutable journal : Journal.hook option;
 }
 
-let create () = { pager = Pager.create (); catalog = Hashtbl.create 8; journal = None }
-
-let pager t = t.pager
+let create () = { catalog = Hashtbl.create 8; journal = None }
 
 let set_journal t hook =
   t.journal <- hook;
@@ -16,7 +13,7 @@ let set_journal t hook =
 let create_table t ~name ~schema =
   if Hashtbl.mem t.catalog name then
     invalid_arg (Printf.sprintf "Database.create_table: table %S already exists" name);
-  let table = Table.create t.pager ~name ~schema in
+  let table = Table.create ~name ~schema in
   Hashtbl.replace t.catalog name table;
   (match t.journal with
   | None -> ()
@@ -29,7 +26,7 @@ let restore_table t snap =
   let name = snap.Table.s_name in
   if Hashtbl.mem t.catalog name then
     invalid_arg (Printf.sprintf "Database.restore_table: table %S already exists" name);
-  let table = Table.of_snapshot t.pager snap in
+  let table = Table.of_snapshot snap in
   Hashtbl.replace t.catalog name table;
   (* Future mutations are journaled; the restore itself is not. *)
   Table.set_journal table t.journal;
@@ -51,10 +48,6 @@ let freeze_pair t a b =
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.catalog []
 
 let insert t ~table:name row = Table.insert (table t name) row
-
-let query t ~table:name ~projection p = Executor.run_view (Table.freeze (table t name)) ~projection p
-
-let drop_caches t = Pager.drop_caches t.pager
 
 let heap_bytes t = Hashtbl.fold (fun _ tbl acc -> acc + Table.heap_bytes tbl) t.catalog 0
 let total_bytes t = Hashtbl.fold (fun _ tbl acc -> acc + Table.total_bytes tbl) t.catalog 0

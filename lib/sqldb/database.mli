@@ -9,7 +9,6 @@
 type t
 
 val create : unit -> t
-val pager : t -> Pager.t
 
 val create_table : t -> name:string -> schema:Schema.t -> Table.t
 (** Raises [Invalid_argument] if the name is taken. *)
@@ -28,12 +27,6 @@ val freeze_pair : t -> string -> string -> (Read_view.t * Read_view.t) option
     primitive. *)
 
 val insert : t -> table:string -> Value.t array -> int
-
-val query : t -> table:string -> projection:Executor.projection -> Predicate.t -> Executor.result
-(** {!Executor.run_view} over a fresh {!Table.freeze} of the table. *)
-
-val drop_caches : t -> unit
-(** Cold-cache protocol between queries (paper §VI-B). *)
 
 val total_bytes : t -> int
 (** All heaps + all indexes: the "DB + Indexes Size" of Table I. *)

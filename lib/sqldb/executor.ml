@@ -165,7 +165,7 @@ let finish view ~projection ~eval ~recheck ~before ~t0 ~attrs (plan, candidate_i
     match projection with
     | Row_ids ->
         (* Returning ids still ships ~8 bytes per hit across the wire. *)
-        Pager.charge_transfer (Read_view.pager view) (8 * Array.length row_ids);
+        Pager.charge_transfer (8 * Array.length row_ids);
         [||]
     | All_columns -> Array.map (Read_view.read_row view) row_ids
     | Columns positions -> Array.map (fun id -> Read_view.read_cols view id positions) row_ids

@@ -111,7 +111,7 @@ let run ~left ~right ~on_left ~on_right spec =
   let pairs = normalize_pairs raw in
   (* Shipping (left id, right id) pairs costs ~16 bytes each on the
      wire, like the executor's 8-bytes-per-id charge for Row_ids. *)
-  Pager.charge_transfer (Read_view.pager left) (16 * Array.length pairs);
+  Pager.charge_transfer (16 * Array.length pairs);
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
   let stats = Pager.diff_stats before (Pager.local_stats ()) in
   let buckets = match spec with Equi -> 0 | Buckets bs -> Array.length bs in

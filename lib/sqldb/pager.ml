@@ -1,4 +1,6 @@
-(* lint: guarded-by lock (per-domain read counters live in Domain.DLS) *)
+(* lint: guarded-by Domain.DLS (each domain's counts and installed cache
+   live in its own DLS record; nothing here is shared between domains
+   except the atomic rel allocator and the Obs counters) *)
 type config = {
   page_size : int;
   io_miss_ns : float;
@@ -16,33 +18,25 @@ let cost_model =
     cpu_transfer_ns_per_byte = 1.0;
   }
 
-(* Process-wide totals across every pager instance; the per-instance
-   atomic counters below stay the source of whole-pager stats. All
-   updates are counter bumps — nothing here allocates per row. *)
+(* Process-wide totals. All updates are counter bumps — nothing here
+   allocates per row. *)
 let m_hits = Obs.Metrics.counter "pager.page_hits_total"
 let m_misses = Obs.Metrics.counter "pager.page_misses_total"
 let m_rows = Obs.Metrics.counter "pager.rows_examined_total"
 let m_probes = Obs.Metrics.counter "pager.index_probes_total"
 let m_bytes = Obs.Metrics.counter "pager.bytes_transferred_total"
-let g_cached = Obs.Metrics.gauge "pager.cached_pages"
 
-type rel = { id : int; name : string }
+(* Rel ids are unique process-wide, so one cache can hold the pages of
+   any number of tables and databases without collisions. *)
+type rel = int
 
-(* Instance totals are atomics so that concurrent snapshot readers on
-   worker domains keep the accounting exact; the buffer-pool set
-   itself (a hashtable) and rel allocation are guarded by [lock].
-   Only events are counted — the modeled clock is derived from the
-   counts when stats are read. *)
-type t = {
-  lock : Mutex.t;
-  cache : (int * int, unit) Hashtbl.t;
-  mutable next_rel : int;
-  n_hits : int Atomic.t;
-  n_misses : int Atomic.t;
-  n_rows : int Atomic.t;
-  n_probes : int Atomic.t;
-  n_bytes : int Atomic.t;
-}
+let next_rel = Atomic.make 0
+let make_rel () = Atomic.fetch_and_add next_rel 1
+
+type cache = (rel * int, unit) Hashtbl.t
+
+let cache () : cache = Hashtbl.create 4096
+let clear (c : cache) = Hashtbl.reset c
 
 type stats = {
   hits : int;
@@ -70,99 +64,69 @@ let make_stats ~hits ~misses ~rows_examined ~probes ~bytes =
       +. (float_of_int bytes *. m.cpu_transfer_ns_per_byte);
   }
 
-(* Per-domain cumulative counts, across all pager instances. A query
-   runs on the domain that calls it and measures its own cost as a
-   before/after delta of the counts made *on its domain*, so per-query
-   stats stay exact even when unrelated queries run concurrently on
-   other domains. *)
+(* Per-domain cumulative counts, plus the cache installed on the
+   domain, if any. A query runs on the domain that calls it and
+   measures its own cost as a before/after delta of the counts made
+   *on its domain*, so per-query stats stay exact even when unrelated
+   queries run concurrently on other domains. *)
 type local = {
   mutable l_hits : int;
   mutable l_misses : int;
   mutable l_rows : int;
   mutable l_probes : int;
   mutable l_bytes : int;
+  mutable l_cache : cache option;
 }
 
 let local_key =
-  Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0; l_rows = 0; l_probes = 0; l_bytes = 0 })
+  Domain.DLS.new_key (fun () ->
+      { l_hits = 0; l_misses = 0; l_rows = 0; l_probes = 0; l_bytes = 0; l_cache = None })
 
 let local_stats () =
   let l = Domain.DLS.get local_key in
   make_stats ~hits:l.l_hits ~misses:l.l_misses ~rows_examined:l.l_rows ~probes:l.l_probes
     ~bytes:l.l_bytes
 
-let create () =
-  {
-    lock = Mutex.create ();
-    cache = Hashtbl.create 4096;
-    next_rel = 0;
-    n_hits = Atomic.make 0;
-    n_misses = Atomic.make 0;
-    n_rows = Atomic.make 0;
-    n_probes = Atomic.make 0;
-    n_bytes = Atomic.make 0;
-  }
-
-let make_rel t ~name =
-  Mutex.lock t.lock;
-  let id = t.next_rel in
-  t.next_rel <- id + 1;
-  Mutex.unlock t.lock;
-  { id; name }
-
-let rel_name r = r.name
-
-let touch t rel page =
-  let key = (rel.id, page) in
-  Mutex.lock t.lock;
-  let hit = Hashtbl.mem t.cache key in
-  if not hit then Hashtbl.replace t.cache key ();
-  let cached = Hashtbl.length t.cache in
-  Mutex.unlock t.lock;
+let with_cache c f =
   let l = Domain.DLS.get local_key in
+  let outer = l.l_cache in
+  l.l_cache <- Some c;
+  Fun.protect ~finally:(fun () -> l.l_cache <- outer) f
+
+let touch rel page =
+  let l = Domain.DLS.get local_key in
+  let hit =
+    match l.l_cache with
+    | None -> true
+    | Some c ->
+        let key = (rel, page) in
+        let cached = Hashtbl.mem c key in
+        if not cached then Hashtbl.replace c key ();
+        cached
+  in
   if hit then begin
     l.l_hits <- l.l_hits + 1;
-    Atomic.incr t.n_hits;
     Obs.Metrics.incr m_hits
   end
   else begin
     l.l_misses <- l.l_misses + 1;
-    Atomic.incr t.n_misses;
-    Obs.Metrics.incr m_misses;
-    Obs.Metrics.set_gauge g_cached cached
+    Obs.Metrics.incr m_misses
   end
 
-let charge_rows t n =
+let charge_rows n =
   let l = Domain.DLS.get local_key in
   l.l_rows <- l.l_rows + n;
-  ignore (Atomic.fetch_and_add t.n_rows n);
   Obs.Metrics.add m_rows n
 
-let charge_probe t =
+let charge_probe () =
   let l = Domain.DLS.get local_key in
   l.l_probes <- l.l_probes + 1;
-  Atomic.incr t.n_probes;
   Obs.Metrics.incr m_probes
 
-let charge_transfer t n =
+let charge_transfer n =
   let l = Domain.DLS.get local_key in
   l.l_bytes <- l.l_bytes + n;
-  ignore (Atomic.fetch_and_add t.n_bytes n);
   Obs.Metrics.add m_bytes n
-
-let drop_caches t =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.cache;
-  Mutex.unlock t.lock;
-  Obs.Metrics.set_gauge g_cached 0
-
-let stats t =
-  make_stats ~hits:(Atomic.get t.n_hits) ~misses:(Atomic.get t.n_misses)
-    ~rows_examined:(Atomic.get t.n_rows) ~probes:(Atomic.get t.n_probes)
-    ~bytes:(Atomic.get t.n_bytes)
-
-let reset_stats t =
-  List.iter (fun a -> Atomic.set a 0) [ t.n_hits; t.n_misses; t.n_rows; t.n_probes; t.n_bytes ]
 
 let sim_ms s = s.sim_ns /. 1e6
 

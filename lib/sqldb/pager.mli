@@ -1,22 +1,26 @@
-(** Buffer-pool and I/O cost model.
+(** Page, row, probe and transfer counts, and the cold/warm cache model.
 
     The paper's query-latency figures (Figs. 4–7) are dominated by
     storage behaviour: a cold run pays a random read for every page not
     in the OS/Postgres caches, a warm run pays almost none. The engine
-    here keeps all data in memory, so it models that axis explicitly: a
-    set of cached [(relation, page)] pairs, plus integer counts of page
-    hits and misses, rows examined, index probes and bytes transferred.
-    The pager keeps no clock: the modeled latency [sim_ns] is derived
-    from the counts, through one fixed cost model, whenever stats are
-    read. Real wall-clock time of the executor is measured separately;
-    the {e modeled} clock is what reproduces the paper's cold/warm
-    shapes on a machine with no spinning disks.
+    here keeps all data in memory, so it counts what a query does, as
+    integers: page touches, rows examined, index probes and bytes
+    transferred. The counts live on the calling domain; nothing is
+    shared between domains except process-wide [pager.*_total]
+    counters, so a touch takes no lock. The modeled latency [sim_ns] is
+    derived from the counts, through one fixed cost model, whenever
+    stats are read. Real wall-clock time of the executor is measured
+    separately; the {e modeled} clock is what reproduces the paper's
+    cold/warm shapes on a machine with no spinning disks.
 
-    Benchmarks reproduce the paper's two scenarios by calling
-    {!drop_caches} before each query (cold) or leaving the cache alone
-    (warm) — exactly the protocol of §VI-A. *)
-
-type t
+    Hits and misses. Outside a cache every touch counts as a hit: the
+    engine holds every page in memory, the regime a deployed server
+    runs in once warm. The paper's cold/warm protocol (§VI-A) is
+    reproduced only by the modeled experiments, which install a
+    {!cache} on their own domain with {!with_cache}: inside it, a touch
+    of a [(relation, page)] pair the cache has not seen is a miss and
+    fills it. {!clear} before each query gives the cold protocol;
+    leaving the cache alone gives the warm one. *)
 
 type config = {
   page_size : int;  (** bytes per page; 8192 like PostgreSQL *)
@@ -27,35 +31,54 @@ type config = {
 }
 
 val cost_model : config
-(** The cost model, one constant for every pager: 8 KiB pages, 200 µs
-    per miss (10k-RPM array random read), 150 ns per row, 5 µs per
-    index probe, 1 ns per returned byte (≈1 Gbps wire, paper §VI-A). *)
-
-val create : unit -> t
+(** The cost model, one constant: 8 KiB pages, 200 µs per miss
+    (10k-RPM array random read), 150 ns per row, 5 µs per index probe,
+    1 ns per returned byte (≈1 Gbps wire, paper §VI-A). *)
 
 type rel
 (** A relation (heap or index) with its own page number space. *)
 
-val make_rel : t -> name:string -> rel
-val rel_name : rel -> string
+val make_rel : unit -> rel
+(** A fresh relation, distinct from every other in the process. *)
 
-val touch : t -> rel -> int -> unit
-(** Access one page: cache hit or miss-and-fill. *)
+val touch : rel -> int -> unit
+(** Access one page: a hit, unless the calling domain has a cache
+    installed that does not hold the page yet (a miss, which fills
+    it). *)
 
-val charge_rows : t -> int -> unit
+val charge_rows : int -> unit
 (** Count [n] rows examined. *)
 
-val charge_probe : t -> unit
+val charge_probe : unit -> unit
 (** Count one index descent — what makes a 1,000-tag WRE query slower
     than a single-tag plaintext query even when every page is cached
     (the warm-cache ordering of Figs. 6–7). *)
 
-val charge_transfer : t -> int -> unit
+val charge_transfer : int -> unit
 (** Count [n] bytes returned over the wire. *)
 
-val drop_caches : t -> unit
-(** Empty the buffer pool (the paper's
+(** {1 The cold/warm cache} *)
+
+type cache
+(** A set of cached [(relation, page)] pairs: the buffer pool of the
+    paper's cold/warm protocol. Not thread-safe: install a cache on one
+    domain at a time. *)
+
+val cache : unit -> cache
+(** An empty cache. *)
+
+val clear : cache -> unit
+(** Empty the cache (the paper's
     [echo 3 > /proc/sys/vm/drop_caches] plus Postgres restart). *)
+
+val with_cache : cache -> (unit -> 'a) -> 'a
+(** [with_cache c f] runs [f] with [c] installed on the calling domain:
+    every page it touches there is looked up in, and added to, [c].
+    A domain has one cache at a time; a nested call shadows the outer
+    cache until it returns. The previous state is restored when [f]
+    returns or raises. Touches on other domains never see [c]. *)
+
+(** {1 Stats} *)
 
 type stats = {
   hits : int;
@@ -69,19 +92,11 @@ type stats = {
           probes·cpu_probe_ns + bytes·cpu_transfer_ns_per_byte] *)
 }
 
-val stats : t -> stats
-(** Whole-instance totals. Counters are atomic, so the totals stay
-    exact under concurrent readers: hits + misses always equals the
-    number of [touch] calls made so far. *)
-
-val reset_stats : t -> unit
-(** Zero all five counts without touching the cache contents. *)
-
 val local_stats : unit -> stats
-(** Cumulative counts made by the *calling domain*, across all pager
-    instances. A query runs on the domain that calls it, so its cost is
-    a before/after delta of this, and queries running concurrently on
-    other domains never pollute it. *)
+(** Cumulative counts made by the *calling domain*. A query runs on the
+    domain that calls it, so its cost is a before/after delta of this,
+    and queries running concurrently on other domains never pollute
+    it. *)
 
 val diff_stats : stats -> stats -> stats
 (** [diff_stats before after] is the component-wise delta. *)

@@ -20,7 +20,6 @@ type t = {
   epoch : int;
   name : string;
   schema : Schema.t;
-  pager : Pager.t;
   heap_rel : Pager.rel;
   cols : col array;
   n : int;  (* heap slots at freeze time; shared backings may be longer *)
@@ -39,17 +38,16 @@ type t = {
   range_trees : (string * Range_tree.t) list; (* boundary trees by rtag column *)
 }
 
-let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
+let make ~epoch ~name ~schema ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
     ~cur_page ~cur_fill ~data_bytes ~live_bytes ~dict_overhead_bytes ~reclaimed ~row_bytes
     ~indexes ~range_trees =
-  { epoch; name; schema; pager; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
+  { epoch; name; schema; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
     cur_page; cur_fill; data_bytes; live_bytes; dict_overhead_bytes; reclaimed; row_bytes;
     indexes; range_trees }
 
 let epoch t = t.epoch
 let name t = t.name
 let schema t = t.schema
-let pager t = t.pager
 
 let row_count t = t.n
 let live_count t = t.n - t.n_dead
@@ -85,9 +83,9 @@ let row_page t id =
   t.row_pages.(id)
 
 let charge_read t id row =
-  Pager.touch t.pager t.heap_rel t.row_pages.(id);
-  Pager.charge_rows t.pager 1;
-  Pager.charge_transfer t.pager (t.row_bytes row)
+  Pager.touch t.heap_rel t.row_pages.(id);
+  Pager.charge_rows 1;
+  Pager.charge_transfer (t.row_bytes row)
 
 let read_row t id =
   let row = peek_row t id in
@@ -115,12 +113,12 @@ let scan t f =
   for id = 0 to t.n - 1 do
     let page = t.row_pages.(id) in
     if page <> !last_page then begin
-      Pager.touch t.pager t.heap_rel page;
+      Pager.touch t.heap_rel page;
       last_page := page
     end;
     if t.live.(id) then f id (peek_row t id)
   done;
-  Pager.charge_rows t.pager t.n
+  Pager.charge_rows t.n
 
 let index_on t ~column =
   List.assoc_opt column t.indexes

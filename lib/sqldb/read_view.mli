@@ -24,7 +24,6 @@ val make :
   epoch:int ->
   name:string ->
   schema:Schema.t ->
-  pager:Pager.t ->
   heap_rel:Pager.rel ->
   cols:col array ->
   n:int ->
@@ -49,7 +48,6 @@ val epoch : t -> int
 
 val name : t -> string
 val schema : t -> Schema.t
-val pager : t -> Pager.t
 
 val row_count : t -> int
 (** Heap slots, including tombstones and reclaimed holes. *)

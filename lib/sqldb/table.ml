@@ -14,7 +14,6 @@ type col = {
 type t = {
   name : string;
   schema : Schema.t;
-  pager : Pager.t;
   heap_rel : Pager.rel;
   cols : col array;  (* one per schema column: dictionary-encoded columnar storage *)
   live : bool Stdx.Vec.t;
@@ -72,12 +71,11 @@ let col_tuple_header = 8 (* columnar tuple: visibility word only *)
 let line_pointer = 4
 let maxalign n = (n + 7) land lnot 7
 
-let create pager ~name ~schema =
+let create ~name ~schema =
   {
     name;
     schema;
-    pager;
-    heap_rel = Pager.make_rel pager ~name:(name ^ ".heap");
+    heap_rel = Pager.make_rel ();
     cols =
       Array.map
         (fun (_ : Schema.column) -> { dict = Column_dict.create (); ids = Stdx.Vec.create () })
@@ -101,7 +99,6 @@ let create pager ~name ~schema =
 
 let name t = t.name
 let schema t = t.schema
-let pager t = t.pager
 let n_cols t = Array.length t.cols
 
 (* Logical (row-format) tuple size — unchanged from the row-storage
@@ -297,7 +294,7 @@ let create_index t ~column =
   | Some idx -> idx
   | None ->
       let col_pos = Schema.column_index t.schema column in
-      let idx = Table_index.create t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
+      let idx = Table_index.create () in
       for id = 0 to row_count t - 1 do
         (* Dead-but-unvacuumed tuples are indexed (as live tables do);
            reclaimed slots have no values to index. *)
@@ -434,7 +431,7 @@ let build_view t =
   in
   let row_pages, _ = Stdx.Vec.backing t.row_pages in
   let row_sizes, _ = Stdx.Vec.backing t.row_sizes in
-  Read_view.make ~epoch:t.epoch ~name:t.name ~schema:t.schema ~pager:t.pager ~heap_rel:t.heap_rel
+  Read_view.make ~epoch:t.epoch ~name:t.name ~schema:t.schema ~heap_rel:t.heap_rel
     ~cols ~n
     ~live:(Array.init n (Stdx.Vec.get t.live))
     ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
@@ -528,8 +525,8 @@ let snapshot_of_view v =
 
 let snapshot t = snapshot_of_view (freeze t)
 
-let of_snapshot pager s =
-  let t = create pager ~name:s.s_name ~schema:s.s_schema in
+let of_snapshot s =
+  let t = create ~name:s.s_name ~schema:s.s_schema in
   let n = Array.length s.s_live in
   (* Dictionaries first (reference counts rebuilt from the heap slots
      below), then the heap vectors verbatim. *)
@@ -559,7 +556,7 @@ let of_snapshot pager s =
   List.iter
     (fun column ->
       let col_pos = Schema.column_index t.schema column in
-      let idx = Table_index.create t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
+      let idx = Table_index.create () in
       for id = 0 to n - 1 do
         if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
       done;

@@ -14,10 +14,9 @@
 
 type t
 
-val create : Pager.t -> name:string -> schema:Schema.t -> t
+val create : name:string -> schema:Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
-val pager : t -> Pager.t
 
 val insert : t -> Value.t array -> int
 (** Validates against the schema, appends, updates every index.
@@ -184,7 +183,7 @@ val snapshot_of_view : Read_view.t -> snapshot
     held only for the {!freeze} itself, never for serialization, so a
     checkpoint no longer pauses readers or writers. *)
 
-val of_snapshot : Pager.t -> snapshot -> t
+val of_snapshot : snapshot -> t
 (** Reconstruct a table from a snapshot, byte-identical to the one
     {!snapshot} saw: same row ids, dictionary ids, heap pages,
     accounting, and index entries (including entries of dead-but-

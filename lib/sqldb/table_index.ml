@@ -1,8 +1,6 @@
 (* lint: guarded-by Table.writer (indexes mutate only on the write path) *)
 type t = {
-  pager : Pager.t;
   rel : Pager.rel;
-  name : string;
   mutable postings : Postings.t;
   mutable key_bytes : int; (* total key bytes across entries, for entry sizing *)
 }
@@ -12,10 +10,8 @@ type t = {
 let entry_overhead = 16
 let internal_entry_bytes = 24
 
-let create pager ~name =
-  { pager; rel = Pager.make_rel pager ~name; name; postings = Postings.empty; key_bytes = 0 }
+let create () = { rel = Pager.make_rel (); postings = Postings.empty; key_bytes = 0 }
 
-let name t = t.name
 let snapshot t = { t with postings = t.postings }
 
 let insert t key id =
@@ -92,7 +88,7 @@ let touch_path t ~leaf =
   let idx = ref leaf in
   for level = 1 to h do
     idx := !idx / f;
-    Pager.touch t.pager t.rel (!base + !idx);
+    Pager.touch t.rel (!base + !idx);
     (* Each level above has ceil(prev/f) pages. *)
     let pages_at_level =
       let rec shrink p l = if l = 0 then p else shrink ((p + f - 1) / f) (l - 1) in
@@ -111,14 +107,14 @@ let touch_entry_range t ~first_entry ~n_entries =
     let last_leaf = (first_entry + n_entries - 1) / epl in
     touch_path t ~leaf:first_leaf;
     for leaf = first_leaf to last_leaf do
-      Pager.touch t.pager t.rel leaf
+      Pager.touch t.rel leaf
     done
   end
   else touch_path t ~leaf:(min (max 0 (first_entry / entries_per_leaf t)) (leaf_pages t - 1));
-  Pager.charge_rows t.pager n_entries
+  Pager.charge_rows n_entries
 
 let lookup t key =
-  Pager.charge_probe t.pager;
+  Pager.charge_probe ();
   let first_entry, ids = Postings.find t.postings key in
   touch_entry_range t ~first_entry ~n_entries:(Array.length ids);
   ids
@@ -126,7 +122,7 @@ let lookup t key =
 let lookup_many t keys = Postings.union_ids (List.map (lookup t) keys)
 
 let range t ?lo ?hi () =
-  Pager.charge_probe t.pager;
+  Pager.charge_probe ();
   let first_entry, ids = Postings.range t.postings ?lo ?hi () in
   touch_entry_range t ~first_entry ~n_entries:(Array.length ids);
   ids

@@ -16,8 +16,7 @@
 
 type t
 
-val create : Pager.t -> name:string -> t
-val name : t -> string
+val create : unit -> t
 val insert : t -> Value.t -> int -> unit
 
 val remove : t -> Value.t -> int -> unit
@@ -29,8 +28,8 @@ val snapshot : t -> t
 (** O(1): a handle on the current postings root, for read views.
     Inserts and removes copy the path to the key they change, so the
     snapshot never sees them; lookups on it are pure reads plus pager
-    charges — safe from any domain. Shares the pager rel, so its page
-    touches land in the same buffer pool as the live index's. *)
+    charges — safe from any domain. Shares the live index's pager rel,
+    so a cache sees one set of pages for both. *)
 
 val lookup : t -> Value.t -> int array
 (** Row ids for an equality match, in insertion order; touches index
@@ -48,7 +47,6 @@ val entry_count : t -> int
 val distinct_keys : t -> int
 val height : t -> int
 val leaf_pages : t -> int
-val page_count : t -> int
 
 val size_bytes : t -> int
-(** page_count × page size. *)
+(** Leaf plus internal pages × page size. *)

@@ -79,21 +79,21 @@ let test_queries_agree_with_plaintext kind () =
     (queries ())
 
 let test_cold_warm_ordering () =
-  let db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
+  let _db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
   let q = List.hd (List.filter (fun (q : Sparta.Query_gen.query) -> q.expected > 50) (queries ())) in
-  Sqldb.Database.drop_caches db;
-  let r_cold = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
-  let r_warm = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
+  let search () = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
+  let cache = Sqldb.Pager.cache () in
+  let r_cold = Sqldb.Pager.with_cache cache search in
+  let r_warm = Sqldb.Pager.with_cache cache search in
   check_bool "cold misses > warm misses" true (r_cold.stats.misses > r_warm.stats.misses);
   check_bool "cold simulated time larger" true (r_cold.stats.sim_ns > r_warm.stats.sim_ns)
 
 let test_select_star_costs_more () =
-  let db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
+  let _db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
   let q = List.hd (List.filter (fun (q : Sparta.Query_gen.query) -> q.expected > 50) (queries ())) in
-  Sqldb.Database.drop_caches db;
-  let ids = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
-  Sqldb.Database.drop_caches db;
-  let _rows, star = Wre.Encrypted_db.search_rows edb ~column:q.column q.value in
+  let cold f = Sqldb.Pager.with_cache (Sqldb.Pager.cache ()) f in
+  let ids = cold (fun () -> Wre.Encrypted_db.search_ids edb ~column:q.column q.value) in
+  let _rows, star = cold (fun () -> Wre.Encrypted_db.search_rows edb ~column:q.column q.value) in
   check_bool "select * touches more pages" true (star.stats.misses > ids.stats.misses)
 
 let test_storage_expansion_bounds () =

@@ -587,6 +587,24 @@ let test_server_requires_encrypted_tables () =
           check_bool "refuses a store with nothing to serve" true
             (Result.is_error (Daemon.start cfg store))))
 
+(* A config the batcher cannot run is refused before the socket is
+   bound or the pool's domains are spawned: nothing is left behind. *)
+let test_server_rejects_zero_batch_max () =
+  with_temp_dir (fun dir ->
+      let store, _ = build_store ~dir:(Filename.concat dir "store") ~seed:3L ~rows:4 in
+      Fun.protect
+        ~finally:(fun () -> Store.Engine.close store)
+        (fun () ->
+          let socket_path = Filename.concat dir "s.sock" in
+          let cfg = { (Daemon.default_config ~socket_path) with batch_max = 0 } in
+          check_bool "batch_max = 0 refused" true
+            (match Daemon.start cfg store with
+            | Error _ -> true
+            | Ok d ->
+                Daemon.stop d;
+                false);
+          check_bool "no socket file left behind" false (Sys.file_exists socket_path)))
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -621,6 +639,7 @@ let () =
             test_server_insert_durable_across_restart;
           Alcotest.test_case "ping/stats" `Quick test_server_control_requests;
           Alcotest.test_case "refuses plain store" `Quick test_server_requires_encrypted_tables;
+          Alcotest.test_case "refuses batch_max 0" `Quick test_server_rejects_zero_batch_max;
           Alcotest.test_case "oversized reply fails cleanly" `Quick
             test_server_oversized_reply_fails_cleanly;
         ] );

@@ -612,13 +612,12 @@ let enc_positions edb names =
   List.map (Schema.column_index (Wre.Encrypted_db.encrypted_schema edb)) names
 
 (* Run [stmt] through the proxy, and the server side of [select_sql]
-   (a SELECT with the same WHERE) with [All_columns], each from a cold
-   buffer pool, so the two stats differ only in transfer. *)
+   (a SELECT with the same WHERE) with [All_columns]. Outside a cache
+   every page touch is a hit, so the two stats differ only in
+   transfer. *)
 let against_all_columns proxy edb ~select_sql stmt =
-  let pager = Read_view.pager (Wre.Encrypted_db.freeze edb) in
   let s = match ok (Sql.parse select_sql) with Sql.Select s -> s | _ -> Alcotest.fail "not a SELECT" in
   let server = (ok (Wre.Proxy.rewrite_select proxy s)).Wre.Proxy.server_predicate in
-  Pager.drop_caches pager;
   let view = Wre.Encrypted_db.freeze edb in
   let full =
     match Wre.Proxy.range_cover_for proxy ~table:s.table s.where with
@@ -629,7 +628,6 @@ let against_all_columns proxy edb ~select_sql stmt =
           ~roots ~projection:Executor.All_columns server
     | None -> Executor.run_view view ~projection:Executor.All_columns server
   in
-  Pager.drop_caches pager;
   let r = ok (Wre.Proxy.execute proxy stmt) in
   (r, Option.get r.exec, full)
 

@@ -63,8 +63,7 @@ let test_schema_rejects_duplicates () =
 (* ---------------- Table ---------------- *)
 
 let test_table_insert_read () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let id0 = Table.insert t (mk_row 0 "alice" (Some 1.0)) in
   let id1 = Table.insert t (mk_row 1 "bob" None) in
   check_int "row ids sequential" 0 id0;
@@ -76,8 +75,7 @@ let test_table_insert_read () =
       ignore (Table.insert t [| Value.Int 2L; Value.Int 3L; Value.Null |]))
 
 let test_table_pages_grow () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   (* Distinct ~104-byte names: nothing deduplicates, so the dictionary
      holds 1000 large entries and the heap must still span many pages. *)
   for i = 0 to 999 do
@@ -93,7 +91,7 @@ let test_table_pages_grow () =
     (Table.row_model_bytes t > 100 * Table.live_count t);
   (* Same string every row: the dictionary stores it once and pages
      collapse — the columnar win the shadow accounting quantifies. *)
-  let t2 = Table.create pager ~name:"t2" ~schema:small_schema in
+  let t2 = Table.create ~name:"t2" ~schema:small_schema in
   for i = 0 to 999 do
     ignore (Table.insert t2 (mk_row i (String.make 100 'x') (Some 0.0)))
   done;
@@ -106,7 +104,7 @@ let test_table_pages_grow () =
    them exactly — dead-but-unvacuumed rows included, reclaimed slots
    excluded, and through a snapshot restore. *)
 let test_row_model_bytes_fixed () =
-  let t = Table.create (Pager.create ()) ~name:"rm" ~schema:small_schema in
+  let t = Table.create ~name:"rm" ~schema:small_schema in
   let g = Stdx.Prng.create 11L in
   let row i =
     mk_row i
@@ -135,7 +133,7 @@ let test_row_model_bytes_fixed () =
     if id mod 5 = 3 && Table.is_live t id then ignore (Table.delete t id)
   done;
   note "delete";
-  let restored = Table.of_snapshot (Pager.create ()) (Table.snapshot t) in
+  let restored = Table.of_snapshot (Table.snapshot t) in
   steps := ("restore", Table.row_model_bytes restored) :: !steps;
   Alcotest.(check (list (pair string int)))
     "row-model bytes per step"
@@ -151,16 +149,18 @@ let test_row_model_bytes_fixed () =
     (List.rev !steps)
 
 let test_table_scan () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 99 do
     ignore (Table.insert t (mk_row i "n" None))
   done;
   let seen = ref 0 in
+  let before = Pager.local_stats () in
   Read_view.scan (Table.freeze t) (fun _id _row -> incr seen);
+  let stats = Pager.diff_stats before (Pager.local_stats ()) in
   check_int "visits all" 100 !seen;
-  let stats = Pager.stats pager in
-  check_bool "charged rows" true (stats.rows_examined >= 100)
+  check_int "charged rows" 100 stats.rows_examined;
+  check_int "one touch per heap page" (Table.row_page t 99 + 1) stats.hits;
+  check_int "no cache, no misses" 0 stats.misses
 
 (* ---------------- Btree index ---------------- *)
 
@@ -172,8 +172,7 @@ let naive_lookup t col v =
   Array.of_list !acc
 
 let test_index_matches_naive () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let g = Stdx.Prng.create 8L in
   for i = 0 to 499 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "name%d" (Stdx.Prng.int g 20)) None))
@@ -188,8 +187,7 @@ let test_index_matches_naive () =
   Alcotest.(check (array int)) "missing key" [||] (Table_index.lookup idx (Value.Text "absent"))
 
 let test_index_lookup_many_dedups () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 49 do
     ignore (Table.insert t (mk_row i (if i mod 2 = 0 then "even" else "odd") None))
   done;
@@ -198,8 +196,7 @@ let test_index_lookup_many_dedups () =
   check_int "all rows exactly once" 50 (Array.length ids)
 
 let test_index_range () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 99 do
     ignore (Table.insert t (mk_row i "x" None))
   done;
@@ -212,15 +209,13 @@ let test_index_range () =
   check_int "empty range" 0 (Array.length empty)
 
 let test_index_incremental_after_create () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let idx = Table.create_index t ~column:"name" in
   ignore (Table.insert t (mk_row 0 "late" None));
   check_int "sees post-create insert" 1 (Array.length (Table_index.lookup idx (Value.Text "late")))
 
 let test_index_sizes () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 9999 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "u%d" i) None))
   done;
@@ -232,7 +227,7 @@ let test_index_sizes () =
   check_bool "size covers entries" true
     (Table_index.size_bytes idx > 10000 * 16);
   (* Duplicate-heavy index should pack denser than a unique one. *)
-  let t2 = Table.create pager ~name:"t2" ~schema:small_schema in
+  let t2 = Table.create ~name:"t2" ~schema:small_schema in
   for i = 0 to 9999 do
     ignore (Table.insert t2 (mk_row i "same" None))
   done;
@@ -243,43 +238,50 @@ let test_index_sizes () =
 (* ---------------- Pager cold/warm ---------------- *)
 
 let test_pager_cold_warm () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 4999 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "n%d" (i mod 50)) None))
   done;
   ignore (Table.create_index t ~column:"name");
-  let run () =
-    Pager.reset_stats pager;
-    let r = Executor.run_view (Table.freeze t) ~projection:Executor.All_columns (Predicate.Eq ("name", Value.Text "n7")) in
-    (r, Pager.stats pager)
+  let query () =
+    Executor.run_view (Table.freeze t) ~projection:Executor.All_columns (Predicate.Eq ("name", Value.Text "n7"))
   in
-  Pager.drop_caches pager;
+  let cache = Pager.cache () in
+  let run () =
+    let r = Pager.with_cache cache query in
+    (r, r.stats)
+  in
   let r_cold, s_cold = run () in
   let r_warm, s_warm = run () in
   check_int "same results" (Array.length r_cold.row_ids) (Array.length r_warm.row_ids);
   check_bool "cold has misses" true (s_cold.misses > 0);
   check_int "warm has no misses" 0 s_warm.misses;
   check_bool "warm cheaper" true (s_warm.sim_ns < s_cold.sim_ns);
-  Pager.drop_caches pager;
+  Pager.clear cache;
   let _, s_cold2 = run () in
-  check_bool "drop_caches restores cold cost" true (s_cold2.misses = s_cold.misses)
+  check_bool "clear restores cold cost" true (s_cold2.misses = s_cold.misses);
+  (* Outside a cache the same query touches the same pages, all hits. *)
+  let s_none = (query ()).stats in
+  check_int "no cache, no misses" 0 s_none.misses;
+  check_int "no cache, same touches" (s_cold.hits + s_cold.misses) s_none.hits
 
 let test_pager_stats_accumulate () =
-  let pager = Pager.create () in
-  let rel = Pager.make_rel pager ~name:"r" in
-  Pager.touch pager rel 0;
-  Pager.touch pager rel 0;
-  Pager.touch pager rel 1;
-  let s = Pager.stats pager in
+  let rel = Pager.make_rel () in
+  let before = Pager.local_stats () in
+  let since () = Pager.diff_stats before (Pager.local_stats ()) in
+  Pager.with_cache (Pager.cache ()) (fun () ->
+      Pager.touch rel 0;
+      Pager.touch rel 0;
+      Pager.touch rel 1);
+  let s = since () in
   check_int "misses" 2 s.misses;
   check_int "hits" 1 s.hits;
   check_bool "sim time from misses" true (s.sim_ns >= 2.0 *. Pager.cost_model.io_miss_ns);
-  Pager.charge_rows pager 7;
-  Pager.charge_probe pager;
-  Pager.charge_probe pager;
-  Pager.charge_transfer pager 1234;
-  let s = Pager.stats pager in
+  Pager.charge_rows 7;
+  Pager.charge_probe ();
+  Pager.charge_probe ();
+  Pager.charge_transfer 1234;
+  let s = since () in
   check_int "rows" 7 s.rows_examined;
   check_int "probes" 2 s.probes;
   check_int "bytes" 1234 s.bytes;
@@ -290,22 +292,98 @@ let test_pager_stats_accumulate () =
     ((2.0 *. c.io_miss_ns) +. (7.0 *. c.cpu_row_ns) +. (2.0 *. c.cpu_probe_ns)
     +. (1234.0 *. c.cpu_transfer_ns_per_byte))
     s.sim_ns;
-  Pager.reset_stats pager;
-  check_int "reset" 0 (Pager.stats pager).misses;
-  let z = Pager.stats pager in
-  check_bool "reset zeroes all five counts" true
-    ((z.hits, z.misses, z.rows_examined, z.probes, z.bytes) = (0, 0, 0, 0, 0));
-  Alcotest.(check (float 0.0)) "reset zeroes the modeled clock" 0.0 z.sim_ns
+  (* Rels are distinct page spaces in a cache; outside one, every
+     touch is a hit. *)
+  let cache = Pager.cache () in
+  Pager.with_cache cache (fun () -> Pager.touch rel 0);
+  Pager.with_cache cache (fun () -> Pager.touch (Pager.make_rel ()) 0);
+  Pager.touch rel 5;
+  let s = since () in
+  check_int "a fresh rel misses" 4 s.misses;
+  check_int "uncached touch hits" 2 s.hits
+
+(* A cache lives on the domain that installed it: another domain
+   querying the same view at the same time, uncached, neither sees it
+   nor disturbs it. *)
+let test_pager_cache_per_domain () =
+  let t = Table.create ~name:"t" ~schema:small_schema in
+  for i = 0 to 4999 do
+    ignore (Table.insert t (mk_row i (Printf.sprintf "n%d" (i mod 50)) None))
+  done;
+  ignore (Table.create_index t ~column:"name");
+  let view = Table.freeze t in
+  let query k =
+    Executor.run_view view ~projection:Executor.All_columns
+      (Predicate.Eq ("name", Value.Text (Printf.sprintf "n%d" k)))
+  in
+  let cold_then_warm () =
+    let cache = Pager.cache () in
+    Pager.with_cache cache @@ fun () ->
+    let run k =
+      let s = (query k).stats in
+      (s.hits, s.misses, s.rows_examined)
+    in
+    let cold =
+      List.init 50 (fun k ->
+          Pager.clear cache;
+          run k)
+    in
+    cold @ List.init 50 run
+  in
+  let solo = cold_then_warm () in
+  let started = Atomic.make false and finished = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        let rec loop k misses =
+          let misses = misses + (query (k mod 50)).stats.misses in
+          if Atomic.get finished then (k + 1, misses) else loop (k + 1) misses
+        in
+        loop 0 0)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let concurrent = cold_then_warm () in
+  Atomic.set finished true;
+  let other_queries, other_misses = Domain.join other in
+  Alcotest.(check (list (triple int int int))) "cached domain matches a solo run" solo concurrent;
+  check_bool "the other domain ran" true (other_queries > 0);
+  check_int "the uncached domain never misses" 0 other_misses
+
+let test_pager_with_cache_restores () =
+  let rel = Pager.make_rel () in
+  let outer = Pager.cache () and inner = Pager.cache () in
+  let misses f =
+    let before = Pager.local_stats () in
+    f ();
+    (Pager.diff_stats before (Pager.local_stats ())).misses
+  in
+  Alcotest.check_raises "the exception propagates" (Failure "boom") (fun () ->
+      Pager.with_cache inner (fun () ->
+          Pager.touch rel 0;
+          failwith "boom"));
+  check_int "no cache after the raise" 0 (misses (fun () -> Pager.touch rel 1));
+  Pager.with_cache outer (fun () ->
+      (try Pager.with_cache inner (fun () -> failwith "boom") with Failure _ -> ());
+      check_int "the outer cache is back" 1 (misses (fun () -> Pager.touch rel 0)));
+  check_int "the inner cache kept its page" 0
+    (misses (fun () -> Pager.with_cache inner (fun () -> Pager.touch rel 0)))
 
 (* ---------------- Snapshot views & parallel pager accounting ---------------- *)
 
+let pager_counters () =
+  List.map
+    (fun n -> Obs.Metrics.counter_value (Obs.Metrics.counter ("pager." ^ n ^ "_total")))
+    [ "page_hits"; "page_misses"; "rows_examined"; "index_probes"; "bytes_transferred" ]
+
 let test_pager_counters_exact_multi_domain () =
-  (* Four domains query disjoint slices of a frozen view concurrently.
-     Each query's [stats] is a domain-local delta; the pager's atomic
-     whole-instance totals must equal the sum of those deltas exactly —
-     a lost-update race in the counters would break the equality. *)
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  (* Four domains query disjoint slices of a frozen view concurrently,
+     each under its own cache. Each query's [stats] is a domain-local
+     delta; the process-wide [pager.*_total] counters must move by the
+     sum of those deltas exactly — a lost-update race in the counters
+     would break the equality. *)
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 4999 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "n%d" (i mod 64)) None))
   done;
@@ -313,10 +391,10 @@ let test_pager_counters_exact_multi_domain () =
   let view = Table.freeze t in
   let pred k = Predicate.Eq ("name", Value.Text (Printf.sprintf "n%d" k)) in
   let seq = Array.init 64 (fun k -> Executor.run_view (Table.freeze t) ~projection:Executor.All_columns (pred k)) in
-  Pager.drop_caches pager;
-  Pager.reset_stats pager;
+  let counters_before = pager_counters () in
   let n_dom = 4 in
   let worker d () =
+    Pager.with_cache (Pager.cache ()) @@ fun () ->
     let acc = ref [] in
     let k = ref d in
     while !k < 64 do
@@ -336,15 +414,12 @@ let test_pager_counters_exact_multi_domain () =
       (fun acc (r : Executor.result) -> Pager.sum_stats acc r.stats)
       Pager.zero_stats per_query
   in
-  let global = Pager.stats pager in
-  check_int "hits exact" global.hits total.hits;
-  check_int "misses exact" global.misses total.misses;
-  check_int "rows examined exact" global.rows_examined total.rows_examined;
-  check_int "probes exact" global.probes total.probes;
-  check_int "bytes exact" global.bytes total.bytes;
-  Alcotest.(check (float 0.0)) "sim time sums" global.sim_ns total.sim_ns;
+  Alcotest.(check (list int))
+    "pager.*_total moved by the per-query sums"
+    [ total.hits; total.misses; total.rows_examined; total.probes; total.bytes ]
+    (List.map2 ( - ) (pager_counters ()) counters_before);
   check_bool "work actually happened" true
-    (global.misses > 0 && global.rows_examined > 0 && global.probes > 0 && global.bytes > 0);
+    (total.misses > 0 && total.rows_examined > 0 && total.probes > 0 && total.bytes > 0);
   Array.iteri
     (fun k (r : Executor.result) ->
       Alcotest.(check (array int)) (Printf.sprintf "ids %d" k) seq.(k).row_ids r.row_ids;
@@ -352,8 +427,7 @@ let test_pager_counters_exact_multi_domain () =
     per_query
 
 let test_view_isolated_from_mutations () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 99 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "n%d" (i mod 10)) None))
   done;
@@ -382,8 +456,7 @@ let test_view_isolated_from_mutations () =
    behind the cold and warm shapes of Figs. 4–7. *)
 let test_modeled_page_counts_fixed () =
   let page_counts () =
-    let pager = Pager.create () in
-    let t = Table.create pager ~name:"pc" ~schema:small_schema in
+    let t = Table.create ~name:"pc" ~schema:small_schema in
     let g = Stdx.Prng.create 5L in
     let row () = mk_row (Stdx.Prng.int g 1500) (Printf.sprintf "n%d" (Stdx.Prng.int g 60)) None in
     for _ = 1 to 2000 do
@@ -419,14 +492,15 @@ let test_modeled_page_counts_fixed () =
       ]
     in
     let view = Table.freeze t in
+    let cache = Pager.cache () in
     let run p =
-      let r = Executor.run_view view ~projection:Executor.All_columns p in
+      let r = Pager.with_cache cache (fun () -> Executor.run_view view ~projection:Executor.All_columns p) in
       (r.stats.hits, r.stats.misses, r.stats.rows_examined)
     in
     let cold =
       List.map
         (fun p ->
-          Pager.drop_caches pager;
+          Pager.clear cache;
           run p)
         queries
     in
@@ -446,8 +520,7 @@ let test_modeled_page_counts_fixed () =
    entries. Counted in words allocated anywhere (minor and major). *)
 let test_freeze_cost_bounded () =
   let freeze_words n =
-    let pager = Pager.create () in
-    let t = Table.create pager ~name:"f" ~schema:small_schema in
+    let t = Table.create ~name:"f" ~schema:small_schema in
     ignore
       (Table.insert_batch t
          (Array.init n (fun i -> mk_row i (Printf.sprintf "n%d" (i mod 97)) (Some (float_of_int i)))));
@@ -525,15 +598,13 @@ let test_executor_residual_filter () =
   check_int "filtered to first hundred ids" 10 (Array.length r.row_ids)
 
 let test_executor_select_star_touches_heap () =
-  let db, t = build_db () in
-  Database.drop_caches db;
-  Pager.reset_stats (Table.pager t);
-  let _ = Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids (Predicate.Eq ("name", Value.Text "p4")) in
-  let ids_stats = Pager.stats (Table.pager t) in
-  Database.drop_caches db;
-  Pager.reset_stats (Table.pager t);
-  let _ = Executor.run_view (Table.freeze t) ~projection:Executor.All_columns (Predicate.Eq ("name", Value.Text "p4")) in
-  let star_stats = Pager.stats (Table.pager t) in
+  let _db, t = build_db () in
+  let cold projection =
+    Pager.with_cache (Pager.cache ()) (fun () ->
+        (Executor.run_view (Table.freeze t) ~projection (Predicate.Eq ("name", Value.Text "p4"))).stats)
+  in
+  let ids_stats = cold Executor.Row_ids in
+  let star_stats = cold Executor.All_columns in
   check_bool "SELECT * touches more pages than SELECT ID" true
     (star_stats.misses > ids_stats.misses)
 
@@ -669,8 +740,7 @@ let test_csv_untyped_roundtrip () =
 (* ---------------- DML: delete / update ---------------- *)
 
 let test_table_delete () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 9 do
     ignore (Table.insert t (mk_row i "x" None))
   done;
@@ -688,8 +758,7 @@ let test_table_delete () =
   check_int "seq scan skips dead" 9 !seen
 
 let test_table_update () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let id = Table.insert t (mk_row 0 "before" None) in
   ignore (Table.create_index t ~column:"name");
   let new_id = Table.update t id (mk_row 0 "after" None) in
@@ -728,8 +797,7 @@ let test_sql_delete_update () =
 
 let test_table_insert_batch_equivalent () =
   let build insert_all =
-    let pager = Pager.create () in
-    let t = Table.create pager ~name:"t" ~schema:small_schema in
+    let t = Table.create ~name:"t" ~schema:small_schema in
     ignore (Table.create_index t ~column:"name");
     insert_all t;
     t
@@ -753,8 +821,7 @@ let test_table_insert_batch_equivalent () =
   done
 
 let test_table_insert_batch_all_or_nothing () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let rows = [| mk_row 0 "ok" None; [| Value.Null; Value.Text "bad"; Value.Null |] |] in
   let raised = try ignore (Table.insert_batch t rows); false with Invalid_argument _ -> true in
   check_bool "invalid row rejected" true raised;
@@ -763,8 +830,7 @@ let test_table_insert_batch_all_or_nothing () =
   check_int "still empty" 0 (Table.row_count t)
 
 let test_table_vacuum_reclaims () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let idx = Table.create_index t ~column:"name" in
   (* 1000 rows so the churn spans several heap pages even at columnar
      tuple widths — the page-count shrink below needs real volume. *)
@@ -814,8 +880,7 @@ let test_table_vacuum_reclaims () =
    must leave the average unchanged, and deleting everything must
    report 0, not a division blow-up. *)
 let test_avg_row_bytes_tracks_deletes () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   for i = 0 to 99 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "n%02d%s" i (String.make 60 'x')) None))
   done;
@@ -842,8 +907,7 @@ let name_dict_entries (s : Table.snapshot) =
   s.Table.s_cols.(1).Table.cs_entries
 
 let test_columnar_vacuum_roundtrip () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let idx = Table.create_index t ~column:"name" in
   (* 7 distinct names over 300 rows: heavy dictionary sharing. *)
   for i = 0 to 299 do
@@ -851,7 +915,7 @@ let test_columnar_vacuum_roundtrip () =
   done;
   (* Exact physical round-trip of a clean table. *)
   let s1 = Table.snapshot t in
-  let r1 = Table.of_snapshot pager s1 in
+  let r1 = Table.of_snapshot s1 in
   check_bool "clean roundtrip" true (Table.snapshot r1 = s1);
   check_int "restored heap pages" (Table.heap_pages t) (Table.heap_pages r1);
   check_bool "restored avg" true (Table.avg_row_bytes r1 = Table.avg_row_bytes t);
@@ -865,7 +929,7 @@ let test_columnar_vacuum_roundtrip () =
   (* Restored-from-snapshot table must behave identically through the
      same churn — this is what proves the reference counts were rebuilt
      exactly: a wrong count would reclaim the wrong entries below. *)
-  let r2 = Table.of_snapshot pager (Table.snapshot t) in
+  let r2 = Table.of_snapshot (Table.snapshot t) in
   Table.vacuum t;
   Table.vacuum r2;
   check_bool "restored table vacuums identically" true (Table.snapshot r2 = Table.snapshot t);
@@ -892,7 +956,7 @@ let test_columnar_vacuum_roundtrip () =
   let id = Table.insert t (mk_row 1000 "v1" None) in
   check_int "appends past holes" 300 id;
   let s3 = Table.snapshot t in
-  let r3 = Table.of_snapshot pager s3 in
+  let r3 = Table.of_snapshot s3 in
   check_bool "holey roundtrip" true (Table.snapshot r3 = s3);
   check_bool "restored index finds new row" true
     (match Table.index_on r3 ~column:"name" with
@@ -904,13 +968,12 @@ let test_columnar_vacuum_roundtrip () =
    restored table flips at exactly the same append a crash-free run
    does — grow both side by side and compare the physical state. *)
 let test_dict_raw_mode_deterministic_across_restore () =
-  let pager = Pager.create () in
-  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let t = Table.create ~name:"t" ~schema:small_schema in
   let row i = mk_row i (Printf.sprintf "unique-%08d" i) None in
   ignore (Table.insert_batch t (Array.init 3000 row));
   check_bool "still interning below probation" true
     (Table.storage_stats t).st_columns.(1).st_interned;
-  let r = Table.of_snapshot pager (Table.snapshot t) in
+  let r = Table.of_snapshot (Table.snapshot t) in
   (* Push both through the probation threshold. *)
   ignore (Table.insert_batch t (Array.init 3000 (fun i -> row (3000 + i))));
   ignore (Table.insert_batch r (Array.init 3000 (fun i -> row (3000 + i))));
@@ -969,8 +1032,7 @@ let qcheck_executor_vs_naive =
   (* One shared table: build once, query many. *)
   let table =
     lazy
-      (let pager = Pager.create () in
-       let t = Table.create pager ~name:"fuzz" ~schema:small_schema in
+      (let t = Table.create ~name:"fuzz" ~schema:small_schema in
        let g = Stdx.Prng.create 99L in
        for i = 0 to 119 do
          ignore (Table.insert t (mk_row i (Printf.sprintf "p%d" (Stdx.Prng.int g 6)) None))
@@ -1020,8 +1082,7 @@ let qcheck_views_isolated =
   QCheck.Test.make ~name:"views answer as when taken (btree)" ~count:40
     (QCheck.make ~print QCheck.Gen.(list_size (10 -- 80) op))
     (fun ops ->
-      let pager = Pager.create () in
-      let t = Table.create pager ~name:"iso" ~schema:small_schema in
+      let t = Table.create ~name:"iso" ~schema:small_schema in
       (* Every query over every key an index of the view holds, plus a
          key it never held. *)
       let queries view =
@@ -1078,8 +1139,7 @@ let qcheck_index_vs_scan =
   QCheck.Test.make ~name:"index scan = seq scan on random data" ~count:30
     QCheck.(list_of_size Gen.(1 -- 200) (int_bound 10))
     (fun names ->
-      let pager = Pager.create () in
-      let t = Table.create pager ~name:"t" ~schema:small_schema in
+      let t = Table.create ~name:"t" ~schema:small_schema in
       List.iteri (fun i n -> ignore (Table.insert t (mk_row i (string_of_int n) None))) names;
       ignore (Table.create_index t ~column:"name");
       List.for_all
@@ -1263,6 +1323,9 @@ let () =
         [
           Alcotest.test_case "cold/warm" `Quick test_pager_cold_warm;
           Alcotest.test_case "stats" `Quick test_pager_stats_accumulate;
+          Alcotest.test_case "cache is per domain" `Quick test_pager_cache_per_domain;
+          Alcotest.test_case "with_cache restores on exception" `Quick
+            test_pager_with_cache_restores;
         ] );
       ( "snapshot",
         [

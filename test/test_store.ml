@@ -231,8 +231,7 @@ let qcheck_codec_value_roundtrip =
       back = row && Store.Codec.at_end c)
 
 let test_codec_table_snapshot_roundtrip () =
-  let pager = Sqldb.Pager.create () in
-  let t = Sqldb.Table.create pager ~name:"t" ~schema:plain_schema in
+  let t = Sqldb.Table.create ~name:"t" ~schema:plain_schema in
   for i = 0 to 9 do
     ignore (Sqldb.Table.insert t (op_row i))
   done;
@@ -507,8 +506,7 @@ let test_corrupt_snapshot_rejected () =
    churned tables both ways and compare files and decoded state. *)
 let test_snapshot_stream_equals_record () =
   with_temp_dir (fun dir ->
-      let pager = Sqldb.Pager.create () in
-      let t1 = Sqldb.Table.create pager ~name:"t1" ~schema:plain_schema in
+      let t1 = Sqldb.Table.create ~name:"t1" ~schema:plain_schema in
       for i = 0 to 499 do
         ignore (Sqldb.Table.insert t1 (op_row i))
       done;
@@ -521,7 +519,7 @@ let test_snapshot_stream_equals_record () =
         ignore (Sqldb.Table.insert t1 (op_row i))
       done;
       ignore (Sqldb.Table.delete t1 550);
-      let t2 = Sqldb.Table.create pager ~name:"t2" ~schema:plain_schema in
+      let t2 = Sqldb.Table.create ~name:"t2" ~schema:plain_schema in
       (* empty-table edge *)
       let views = [ Sqldb.Table.freeze t1; Sqldb.Table.freeze t2 ] in
       let last_lsn = 42L in
@@ -723,7 +721,7 @@ let kind_config_pos = 4 + 1 + 4 + String.length (Wre.Scheme.to_string Wre.Scheme
 
 (* Two rows and one index, whose kind byte is the last byte. *)
 let kind_table () =
-  let t = Sqldb.Table.create (Sqldb.Pager.create ()) ~name:"t" ~schema:plain_schema in
+  let t = Sqldb.Table.create ~name:"t" ~schema:plain_schema in
   ignore (Sqldb.Table.insert t (op_row 0));
   ignore (Sqldb.Table.insert t (op_row 1));
   ignore (Sqldb.Table.create_index t ~column:"name");

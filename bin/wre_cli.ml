@@ -448,7 +448,7 @@ let load_encrypted_csv db ~name ~input ~sidecar =
   let enc_schema = Wre.Encrypted_db.encrypted_schema edb in
   let* cells = Sqldb.Csv.parse (read_file input) in
   let* enc_rows = Sqldb.Csv.typed_rows ~schema:enc_schema ~header:true cells in
-  List.iter (fun r -> ignore (Wre.Encrypted_db.insert_encrypted edb r)) enc_rows;
+  ignore (Sqldb.Table.insert_batch (Wre.Encrypted_db.table edb) (Array.of_list enc_rows) : int);
   Ok edb
 
 let query_csv input sidecar table input2 sidecar2 table2 sql tracing =

@@ -346,10 +346,6 @@ let insert_batch ?pool ?(chunk_size = default_chunk_size) t rows =
 
 let encrypted_schema t = t.enc_schema
 
-let insert_encrypted t row = Table.insert t.table row
-
-let delete_row t id = Table.delete t.table id
-
 let tags_for t ~column m = Column_enc.search_tags (column_encryptor t column) m
 
 (* The column's profiled plaintext support, in the distribution's

@@ -95,9 +95,13 @@ val encrypt_plain_row : t -> Sqldb.Value.t array -> Sqldb.Value.t array
     {e without} inserting it — the same work {!insert} does before
     touching the table, drawing weak randomness from the same stream.
     Lets callers stage a batch of replacements and only mutate the
-    table once every row has encrypted cleanly (the proxy's atomic
-    UPDATE). Raises [Invalid_argument] on schema mismatch and
-    {!Column_enc.Unknown_plaintext} under [`Reject]. *)
+    table once every row has encrypted cleanly: the proxy's UPDATE
+    hands them to one {!Sqldb.Table.apply} with the ids it replaces.
+    Deletes are plain tombstones through the same call: the stale tags
+    stay in the index until vacuum, which is safe under the snapshot
+    model (frequencies only shrink). Raises [Invalid_argument] on
+    schema mismatch and {!Column_enc.Unknown_plaintext} under
+    [`Reject]. *)
 
 val insert_batch :
   ?pool:Stdx.Task_pool.t -> ?chunk_size:int -> t -> Sqldb.Value.t array array -> int
@@ -121,16 +125,6 @@ val insert_batch :
 
 val encrypted_schema : t -> Sqldb.Schema.t
 (** The schema of the encrypted table (for export). *)
-
-val delete_row : t -> int -> bool
-(** Tombstone an encrypted row by id (WRE deletes are plain tombstones:
-    the stale tags stay in the index until vacuum, which is safe under
-    the snapshot model — frequencies only shrink). *)
-
-val insert_encrypted : t -> Sqldb.Value.t array -> int
-(** Load an already-encrypted row (in encrypted-schema order) — the
-    restore path when re-attaching an exported encrypted table. The
-    row is schema-checked but not re-encrypted. *)
 
 (* Searches run over a frozen epoch: the given [view] (freeze once,
    query many, from any domain while writers proceed) or one frozen at

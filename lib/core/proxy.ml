@@ -562,10 +562,10 @@ let execute_stmt ?view t stmt =
           match fetch_matching edb ~reads:(`Columns []) where with
           | Error e -> Error e
           | Ok (pairs, exec) ->
-              let n =
-                List.fold_left
-                  (fun acc (id, _) -> if Encrypted_db.delete_row edb id then acc + 1 else acc)
-                  0 pairs
+              let n, _ =
+                Table.apply (Encrypted_db.table edb)
+                  ~delete:(Array.of_list (List.map fst pairs))
+                  ~insert:[||]
               in
               Ok
                 {
@@ -588,30 +588,30 @@ let execute_stmt ?view t stmt =
               match fetch_matching edb ~reads:`Star where with
               | Error e -> Error e
               | Ok (pairs, exec) -> (
-                  (* Two-phase apply: encrypt every replacement first, so a
-                     row outside the profiled distribution (or any schema
-                     error) fails the statement *before* a single tombstone
-                     — a mid-batch failure must not lose the already-deleted
-                     prefix. Only then tombstone + insert, MVCC-style. *)
+                  (* Encrypt every replacement first, so a row outside the
+                     profiled distribution (or any schema error) fails the
+                     statement before anything changes; then tombstone the
+                     old versions and insert the new ones as one write. *)
                   match
-                    List.map
-                      (fun (id, plain) ->
-                        let row = Array.copy plain in
-                        List.iter (fun (i, v) -> row.(i) <- v) positions;
-                        (id, Encrypted_db.encrypt_plain_row edb row))
-                      pairs
+                    Array.of_list
+                      (List.map
+                         (fun (_, plain) ->
+                           let row = Array.copy plain in
+                           List.iter (fun (i, v) -> row.(i) <- v) positions;
+                           Encrypted_db.encrypt_plain_row edb row)
+                         pairs)
                   with
                   | staged ->
-                      List.iter
-                        (fun (id, enc) ->
-                          ignore (Encrypted_db.delete_row edb id : bool);
-                          ignore (Encrypted_db.insert_encrypted edb enc : int))
-                        staged;
+                      ignore
+                        (Table.apply (Encrypted_db.table edb)
+                           ~delete:(Array.of_list (List.map fst pairs))
+                           ~insert:staged
+                          : int * int);
                       Ok
                         {
                           columns = [];
                           rows = [];
-                          affected = List.length staged;
+                          affected = Array.length staged;
                           server_rows = Array.length exec.row_ids;
                           exec = Some exec;
                           join_exec = None;

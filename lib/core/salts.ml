@@ -1,10 +1,6 @@
-type t = {
-  salts : int array;
-  weights : float array;
-  sampler : Stdx.Sampling.Cdf.t option Atomic.t; (* built on first sample *)
-}
+type t = { salts : int array; weights : float array }
 
-let make ~salts ~weights = { salts; weights; sampler = Atomic.make None }
+let make ~salts ~weights = { salts; weights }
 
 let det = make ~salts:[| 0 |] ~weights:[| 1.0 |]
 
@@ -26,23 +22,6 @@ let poisson ~seed ~lambda ~prob =
   in
   let weights = Array.map (fun w -> w /. prob) slots in
   make ~salts:(Array.init (Array.length slots) Fun.id) ~weights
-
-(* The cumulative table is validated and built once per salt set, so
-   repeated draws are O(log n) instead of the old
-   validate-and-sum-then-scan O(n) on every draw. Concurrent first
-   draws may each build the (deterministic, identical) table; the CAS
-   publishes one winner and losers use their own copy — no torn reads,
-   no lock on the hot path. *)
-let sample t g =
-  let cdf =
-    match Atomic.get t.sampler with
-    | Some c -> c
-    | None ->
-        let c = Stdx.Sampling.Cdf.create t.weights in
-        ignore (Atomic.compare_and_set t.sampler None (Some c) : bool);
-        c
-  in
-  t.salts.(Stdx.Sampling.Cdf.sample cdf g)
 
 let validate t =
   let n = Array.length t.salts in

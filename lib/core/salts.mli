@@ -14,13 +14,13 @@
 type t = private {
   salts : int array;  (** salt identifiers, distinct *)
   weights : float array;  (** [P_S]: same length, sums to 1 *)
-  sampler : Stdx.Sampling.Cdf.t option Atomic.t;
-      (** memoized cumulative table; built lazily by {!sample} *)
 }
+(** Draws go through the alias table {!Column_enc} caches beside each
+    set ({!Stdx.Sampling.Alias}). *)
 
 val make : salts:int array -> weights:float array -> t
 (** Assemble a salt set without checking the invariants ({!validate}
-    does that); the sampler cache starts empty. *)
+    does that). *)
 
 val det : t
 (** The single salt 0 with probability 1. *)
@@ -36,13 +36,6 @@ val proportional : total_tags:int -> prob:float -> t
 val poisson : seed:string -> lambda:float -> prob:float -> t
 (** Algorithm 1: interarrivals of a rate-λ Poisson process on
     [\[0, prob\]], normalized to weights. Deterministic in [seed]. *)
-
-val sample : t -> Stdx.Prng.t -> int
-(** Draw a salt according to the weights (the weak randomness consumed
-    at encryption time). O(log n) per draw: the cumulative table is
-    validated and built once, on the first draw, not re-summed every
-    time. Safe under concurrent first draws: the table is published
-    with a CAS and the build is deterministic. *)
 
 val validate : t -> (unit, string) result
 (** Invariant check used by tests and fuzzing: distinct salts, positive

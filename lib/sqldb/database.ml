@@ -47,7 +47,5 @@ let freeze_pair t a b =
   | _ -> None
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.catalog []
 
-let insert t ~table:name row = Table.insert (table t name) row
-
 let heap_bytes t = Hashtbl.fold (fun _ tbl acc -> acc + Table.heap_bytes tbl) t.catalog 0
 let total_bytes t = Hashtbl.fold (fun _ tbl acc -> acc + Table.total_bytes tbl) t.catalog 0

@@ -26,8 +26,6 @@ val freeze_pair : t -> string -> string -> (Read_view.t * Read_view.t) option
     [None] if either name is unknown. The join path's snapshot
     primitive. *)
 
-val insert : t -> table:string -> Value.t array -> int
-
 val total_bytes : t -> int
 (** All heaps + all indexes: the "DB + Indexes Size" of Table I. *)
 

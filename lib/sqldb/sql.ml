@@ -987,9 +987,7 @@ let execute db src =
           match Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids where with
           | exception Not_found -> Error "predicate references an unknown column"
           | r ->
-              let n =
-                Array.fold_left (fun acc id -> if Table.delete t id then acc + 1 else acc) 0 r.row_ids
-              in
+              let n, _ = Table.apply t ~delete:r.row_ids ~insert:[||] in
               Ok (empty_result ~affected:n ())))
   | Ok (Update { table; assignments; where }) -> (
       match Database.table_opt db table with
@@ -1003,13 +1001,14 @@ let execute db src =
               match Executor.run_view view ~projection:Executor.Row_ids where with
               | exception Not_found -> Error "predicate references an unknown column"
               | r -> (
-                  match
-                    Array.iter
+                  let rows =
+                    Array.map
                       (fun id ->
                         let row = Array.copy (Read_view.peek_row view id) in
                         List.iter (fun (i, v) -> row.(i) <- v) positions;
-                        ignore (Table.update t id row))
+                        row)
                       r.row_ids
-                  with
-                  | () -> Ok (empty_result ~affected:(Array.length r.row_ids) ())
+                  in
+                  match Table.apply t ~delete:r.row_ids ~insert:rows with
+                  | _ -> Ok (empty_result ~affected:(Array.length r.row_ids) ())
                   | exception Invalid_argument e -> Error e))))

@@ -1,7 +1,6 @@
-(* lint: guarded-by writer — every mutable field below except the
-   Atomic [writer_holder] is read and written only while [writer] is
-   held (mutations run inside [mutate]; [epoch]/[freeze] take the lock
-   to read). *)
+(* lint: guarded-by writer — every mutable field below is written only
+   while [writer] is held (mutations run inside [mutate]; [freeze]
+   takes the lock to read). *)
 
 type col = {
   mutable dict : Column_dict.t;
@@ -34,12 +33,6 @@ type t = {
      [freeze] rebuilds it at most once per epoch. Readers work against
      the returned [Read_view.t] without taking any lock. *)
   writer : Mutex.t;
-  writer_holder : int Atomic.t;
-      (* Domain id currently inside [mutate], -1 when free. An Atomic —
-         [freeze]/[epoch] read it from arbitrary domains without the
-         lock to detect a reentrant call from the journal hook (the
-         storage engine's auto-checkpoint) instead of deadlocking on
-         the non-reentrant mutex. *)
   mutable epoch : int;
   mutable frozen : Read_view.t option;
 }
@@ -51,16 +44,8 @@ let emit t m = match t.journal with None -> () | Some hook -> hook m
    the cached view so the next [freeze] sees the new state. Journal
    hooks fire inside the critical section — the storage engine's WAL
    append stays ordered with the mutation it records. *)
-let self_id () = (Domain.self () :> int)
-
 let mutate t f =
-  Mutex.lock t.writer;
-  Atomic.set t.writer_holder (self_id ());
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set t.writer_holder (-1);
-      Mutex.unlock t.writer)
-    (fun () ->
+  Mutex.protect t.writer (fun () ->
       t.epoch <- t.epoch + 1;
       t.frozen <- None;
       f ())
@@ -92,7 +77,6 @@ let create ~name ~schema =
     range_trees = [];
     journal = None;
     writer = Mutex.create ();
-    writer_holder = Atomic.make (-1);
     epoch = 0;
     frozen = None;
   }
@@ -127,10 +111,9 @@ let peek_row t id =
   if n_cols t = 0 || is_reclaimed_slot t id then reclaimed
   else Array.init (n_cols t) (fun c -> value_at t c id)
 
-(* Heap bookkeeping shared by insert and insert_batch: dictionary
-   interning, page assignment, per-slot vec pushes. Index maintenance
-   is the caller's job (the batch path resolves index column positions
-   once for the whole batch). *)
+(* Heap bookkeeping of one appended row: dictionary interning, page
+   assignment, per-slot vec pushes. Index maintenance is the caller's
+   job ([apply] resolves index column positions once per statement). *)
 let append_row t row =
   let widths = ref 0 in
   Array.iteri
@@ -165,72 +148,60 @@ let append_row t row =
 let index_positions t =
   Hashtbl.fold (fun col idx acc -> (Schema.column_index t.schema col, idx) :: acc) t.indexes []
 
-let insert_unlocked t row =
-  let id = append_row t row in
-  Hashtbl.iter
-    (fun col idx -> Table_index.insert idx row.(Schema.column_index t.schema col) id)
-    t.indexes;
-  (* Materialized from the dictionaries, not the caller's array: the
-     hook may retain it. *)
-  emit t (Journal.Inserted { table = t.name; row = peek_row t id });
-  id
-
-let insert t row =
-  (match Schema.validate_row t.schema row with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Printf.sprintf "Table.insert(%s): %s" t.name e));
-  mutate t (fun () -> insert_unlocked t row)
-
-let insert_batch t rows =
+let apply t ~delete ~insert =
   Array.iteri
     (fun i row ->
       match Schema.validate_row t.schema row with
       | Ok () -> ()
-      | Error e -> invalid_arg (Printf.sprintf "Table.insert_batch(%s): row %d: %s" t.name i e))
-    rows;
-  mutate t @@ fun () ->
-  let positions = index_positions t in
-  let first = Stdx.Vec.length t.live in
+      | Error e -> invalid_arg (Printf.sprintf "Table.apply(%s): row %d: %s" t.name i e))
+    insert;
+  (* Ids only ever grow (vacuum keeps them), so one checked before the
+     lock is still in range under it. *)
   Array.iter
-    (fun row ->
-      let id = append_row t row in
-      List.iter (fun (pos, idx) -> Table_index.insert idx row.(pos) id) positions)
-    rows;
-  if Array.length rows > 0 then
-    emit t
-      (Journal.Inserted_batch
-         {
-           table = t.name;
-           rows = Array.init (Array.length rows) (fun i -> peek_row t (first + i));
-         });
-  first
-
-let delete_unlocked t id =
-  if Stdx.Vec.get t.live id then begin
-    Stdx.Vec.set t.live id false;
-    t.n_dead <- t.n_dead + 1;
+    (fun id ->
+      if id < 0 || id >= row_count t then
+        invalid_arg (Printf.sprintf "Table.apply(%s): row id %d out of range" t.name id))
+    delete;
+  if Array.length delete = 0 && Array.length insert = 0 then (0, row_count t)
+  else
+    mutate t @@ fun () ->
     (* Dead tuples keep their heap storage (and dictionary references)
        until vacuum, but stop counting toward the live-byte totals that
        [avg_row_bytes] reports. *)
-    t.live_bytes <- t.live_bytes - Stdx.Vec.get t.row_sizes id;
-    emit t (Journal.Deleted { table = t.name; id });
-    true
-  end
-  else false
+    let deleted = ref [] in
+    Array.iter
+      (fun id ->
+        if Stdx.Vec.get t.live id then begin
+          Stdx.Vec.set t.live id false;
+          t.n_dead <- t.n_dead + 1;
+          t.live_bytes <- t.live_bytes - Stdx.Vec.get t.row_sizes id;
+          deleted := id :: !deleted
+        end)
+      delete;
+    let deleted = Array.of_list (List.rev !deleted) in
+    let positions = index_positions t in
+    let first = Stdx.Vec.length t.live in
+    Array.iter
+      (fun row ->
+        let id = append_row t row in
+        List.iter (fun (pos, idx) -> Table_index.insert idx row.(pos) id) positions)
+      insert;
+    if Array.length deleted > 0 || Array.length insert > 0 then
+      (* Materialized from the dictionaries, not the caller's arrays:
+         the hook may retain them. *)
+      emit t
+        (Journal.Applied
+           {
+             table = t.name;
+             deleted;
+             inserted = Array.init (Array.length insert) (fun i -> peek_row t (first + i));
+           });
+    (Array.length deleted, first)
 
-let delete t id = mutate t (fun () -> delete_unlocked t id)
-
+let insert t row = snd (apply t ~delete:[||] ~insert:[| row |])
+let insert_batch t rows = snd (apply t ~delete:[||] ~insert:rows)
+let delete t id = fst (apply t ~delete:[| id |] ~insert:[||]) = 1
 let row_page t id = Stdx.Vec.get t.row_pages id
-
-let update t id row =
-  if not (Stdx.Vec.get t.live id) then
-    invalid_arg (Printf.sprintf "Table.update(%s): row %d is dead" t.name id);
-  (match Schema.validate_row t.schema row with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Printf.sprintf "Table.update(%s): %s" t.name e));
-  mutate t @@ fun () ->
-  ignore (delete_unlocked t id);
-  insert_unlocked t row
 
 let vacuum t =
   mutate t @@ fun () ->
@@ -411,15 +382,6 @@ let storage_stats t =
     st_row_model_bytes = row_model_bytes t;
   }
 
-let epoch t =
-  if Atomic.get t.writer_holder = self_id () then t.epoch
-  else begin
-    Mutex.lock t.writer;
-    let e = t.epoch in
-    Mutex.unlock t.writer;
-    e
-  end
-
 let build_view t =
   let n = row_count t in
   let cols =
@@ -448,25 +410,13 @@ let build_view t =
    postings roots are shared by pointer, see Read_view) happens at most
    once per epoch, and only when a reader actually asks. *)
 let freeze t =
-  if Atomic.get t.writer_holder = self_id () then
-    (* Reentrant call from inside this domain's own mutation — the
-       journal hook triggering the storage engine's auto-checkpoint.
-       Each hook fires right after its mutation is applied, so the
-       state is exactly the WAL prefix through the record being
-       logged. Skip the cache: a compound mutation (update = delete +
-       insert) may not be finished, so this view must not be served to
-       later same-epoch readers. *)
-    build_view t
-  else begin
-    Mutex.lock t.writer;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) @@ fun () ->
-    match t.frozen with
-    | Some v -> v
-    | None ->
-        let v = build_view t in
-        t.frozen <- Some v;
-        v
-  end
+  Mutex.protect t.writer @@ fun () ->
+  match t.frozen with
+  | Some v -> v
+  | None ->
+      let v = build_view t in
+      t.frozen <- Some v;
+      v
 
 (* Physical snapshot: the exact columnar heap state, including
    tombstones, vacuum holes and dictionary contents, so a restored

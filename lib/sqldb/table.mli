@@ -18,18 +18,30 @@ val create : name:string -> schema:Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
 
+val apply : t -> delete:int array -> insert:Value.t array array -> int * int
+(** One statement's write, the only way a table's rows change. Every
+    row of [insert] is validated against the schema and every id of
+    [delete] bound-checked first, so a bad one raises
+    [Invalid_argument] before anything changes. Then, under one writer
+    lock, one epoch and one {!Journal.Applied} event, it tombstones
+    the ids of [delete] that are live (Postgres-style: the heap tuple
+    and its index entries stay until a {!vacuum}; scans and lookups
+    skip it, and live-byte accounting ({!avg_row_bytes}) drops the row
+    at once) and appends the rows of [insert] in order, indexed, with
+    consecutive ids. Returns the number of rows tombstoned and the
+    first new id ({!row_count} before the call). An UPDATE is MVCC
+    style: it tombstones the old versions and inserts the new ones.
+    An empty statement takes no lock, publishes no epoch and emits
+    nothing. *)
+
 val insert : t -> Value.t array -> int
-(** Validates against the schema, appends, updates every index.
-    Returns the new row id. Raises [Invalid_argument] on schema
-    violations. *)
+(** [apply] of one row; returns its id. *)
 
 val insert_batch : t -> Value.t array array -> int
-(** Append many rows in one pass: all rows are validated up front
-    (all-or-nothing — a bad row raises before anything is inserted),
-    index column positions are resolved once for the whole batch, and
-    rows get consecutive ids starting at the returned id. The
-    resulting table state (heap pages, accounting, index contents) is
-    identical to calling {!insert} on each row in order. *)
+(** [apply] of many rows; returns the first id. *)
+
+val delete : t -> int -> bool
+(** [apply] of one tombstone; [false] if the row was already dead. *)
 
 val row_count : t -> int
 (** Rows ever inserted (live + dead); row ids range over this. *)
@@ -38,19 +50,6 @@ val live_count : t -> int
 (** Rows not yet deleted. *)
 
 val is_live : t -> int -> bool
-
-val delete : t -> int -> bool
-(** Tombstone a row (Postgres-style: the heap tuple and its index
-    entries stay until a vacuum; scans and lookups skip it). Returns
-    [false] if the row was already dead. Live-byte accounting
-    ({!avg_row_bytes}) drops the row immediately; heap pages shrink
-    only at {!vacuum}. *)
-
-val update : t -> int -> Value.t array -> int
-(** MVCC-style update: tombstone the old version, insert the new one
-    (fresh row id, re-indexed). Raises if the old row is dead or the
-    new row violates the schema. Without {!vacuum}, every update
-    grows the heap and every index by one entry. *)
 
 val vacuum : t -> unit
 (** Reclaim dead tuples: drop their index entries (so [entry_count]
@@ -84,19 +83,16 @@ val set_range_tree : t -> column:string -> Range_tree.t -> unit
 
 (* Epoch-based snapshot reads. *)
 
-val epoch : t -> int
-(** Mutation epoch: 0 at creation, bumped by every successful (or
-    attempted) mutation — insert, batch, delete, update, vacuum,
-    index creation, range-tree registration. *)
-
 val freeze : t -> Read_view.t
 (** Publish the current epoch as an immutable {!Read_view.t} — the only
-    way to query a table. The view is cached per epoch, so repeated
-    freezes between mutations are O(1); after a mutation the next
-    freeze copies the visibility bitmap (one word per row) and nothing
-    else: the columnar storage is shared by pointer and each index
-    contributes its current postings root, O(1) per index whatever its
-    size. Readers use the view from any domain without locking; writers
+    way to query a table. Every mutation (a statement's {!apply}, a
+    vacuum, an index creation, a range-tree registration) publishes
+    one new epoch, so a view holds whole statements. The view is
+    cached per epoch, so repeated freezes between mutations are O(1);
+    after a mutation the next freeze copies the visibility bitmap (one
+    word per row) and nothing else: the columnar storage is shared by
+    pointer and each index contributes its current postings root, O(1)
+    per index whatever its size. Readers use the view from any domain without locking; writers
     keep mutating the live table — neither blocks the other. *)
 
 (* Storage accounting (Table I). *)
@@ -147,7 +143,9 @@ val storage_stats : t -> storage_stats
 
 val set_journal : t -> Journal.hook option -> unit
 (** Install (or clear) the mutation hook. Each successful mutation is
-    reported after it has fully applied in memory; see {!Journal}. *)
+    reported after it has fully applied in memory, inside its writer
+    lock; see {!Journal}. The hook must not call back into the
+    table. *)
 
 type column_snapshot = {
   cs_entries : (Value.t * bool) option array;

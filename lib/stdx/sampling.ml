@@ -7,28 +7,6 @@ let sum_weights w =
   if s <= 0.0 then invalid_arg "Sampling: weights must have positive sum";
   s
 
-let inverse_cdf g w ~sum =
-  let target = Prng.float g *. sum in
-  let n = Array.length w in
-  let rec loop i acc =
-    if i = n - 1 then i
-    else begin
-      let acc = acc +. w.(i) in
-      if target < acc then i else loop (i + 1) acc
-    end
-  in
-  loop 0 0.0
-
-let weighted g w =
-  let s = sum_weights w in
-  inverse_cdf g w ~sum:s
-
-(* For weights already known to be normalized (e.g. validated salt
-   sets): one accumulation pass, no re-validation or re-summing. *)
-let weighted_norm g w =
-  if Array.length w = 0 then invalid_arg "Sampling.weighted_norm: empty weights";
-  inverse_cdf g w ~sum:1.0
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = Prng.int g (i + 1) in
@@ -40,36 +18,6 @@ let shuffle g a =
 let choose g a =
   if Array.length a = 0 then invalid_arg "Sampling.choose: empty array";
   a.(Prng.int g (Array.length a))
-
-module Cdf = struct
-  type t = { cum : float array } (* cum.(i) = sum of w.(0..i); cum.(n-1) = total *)
-
-  let create w =
-    let n = Array.length w in
-    if n = 0 then invalid_arg "Cdf.create: empty weights";
-    ignore (sum_weights w : float) (* validation: non-negative, positive sum *);
-    let cum = Array.make n 0.0 in
-    let acc = ref 0.0 in
-    Array.iteri
-      (fun i x ->
-        acc := !acc +. x;
-        cum.(i) <- !acc)
-      w;
-    { cum }
-
-  let sample t g =
-    let n = Array.length t.cum in
-    let target = Prng.float g *. t.cum.(n - 1) in
-    (* First index with cum.(i) > target. *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.cum.(mid) > target then hi := mid else lo := mid + 1
-    done;
-    !lo
-
-  let size t = Array.length t.cum
-end
 
 module Alias = struct
   type t = { prob : float array; alias : int array }

@@ -3,40 +3,14 @@
     The WRE encryption path samples a salt for every record it encrypts,
     so the per-sample cost matters at 10M-record scale. {!Alias} gives
     O(1) samples after O(n) preprocessing (Walker/Vose alias method);
-    {!weighted} is the simple O(n) inverse-CDF fallback used for
-    one-off draws. *)
-
-val weighted : Prng.t -> float array -> int
-(** [weighted g w] draws index [i] with probability [w.(i) / sum w].
-    Weights must be non-negative with positive sum. O(n), including a
-    validation pass — for repeated draws from the same weights build a
-    {!Cdf} or {!Alias} once instead. *)
-
-val weighted_norm : Prng.t -> float array -> int
-(** Like {!weighted} but assumes the weights are already normalized
-    (sum to 1) and skips the per-draw validation/summing pass — a
-    single accumulation at most. The caller is responsible for the
-    invariant (e.g. [Salts.validate] guarantees it). *)
+    it is the one weighted sampler, behind every salt and every
+    plaintext draw. *)
 
 val shuffle : Prng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle (uniform over permutations). *)
 
 val choose : Prng.t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-module Cdf : sig
-  type t
-
-  val create : float array -> t
-  (** Validate the weights (non-negative, positive sum) and build the
-      cumulative table once. O(n). *)
-
-  val sample : t -> Prng.t -> int
-  (** O(log n) draw with probability proportional to the original
-      weights (binary search over the cumulative table). *)
-
-  val size : t -> int
-end
 
 module Alias : sig
   type t

@@ -11,12 +11,9 @@ type t = {
   dir : string;
   db : Database.t;
   wal : Wal.t;
-  checkpoint_every : int option;
   mutable recovery : recovery;
   mutable edbs : (string * Wre.Encrypted_db.t) list;  (* by table name *)
   mutable wre_configs : (string * Record.wre_config) list;
-  mutable ops_since_checkpoint : int;
-  mutable in_hook : bool;
 }
 
 let db t = t.db
@@ -60,13 +57,9 @@ let apply_op st op =
   match (op : Record.op) with
   | Create_table { name; schema } -> ignore (Database.create_table db ~name ~schema)
   | Create_index { table; column } -> ignore (Table.create_index (Database.table db table) ~column)
-  | Insert { table; row; prng } ->
-      ignore (Table.insert (Database.table db table) row);
+  | Apply { table; deleted; rows; prng } ->
+      ignore (Table.apply (Database.table db table) ~delete:deleted ~insert:rows : int * int);
       restore_prng !edbs table prng
-  | Insert_batch { table; rows; prng } ->
-      ignore (Table.insert_batch (Database.table db table) rows);
-      restore_prng !edbs table prng
-  | Delete { table; id } -> ignore (Table.delete (Database.table db table) id)
   | Vacuum { table } -> Table.vacuum (Database.table db table)
   | Attach_wre cfg ->
       edbs := (cfg.table_name, attach_wre ~db cfg) :: !edbs
@@ -89,39 +82,31 @@ let checkpoint t =
   in
   Snapshot.write_views ~dir:t.dir ~last_lsn:(Int64.pred (Wal.next_lsn t.wal)) ~views ~wre;
   Wal.reset t.wal;
-  t.ops_since_checkpoint <- 0;
   Obs.Metrics.incr m_checkpoints
 
-(* The journal hook: map the in-memory mutation to a WAL record and
-   append it. For mutations of an encrypted table, also capture the
-   post-op PRNG state so replay resumes the exact stream. *)
+(* The journal hook: map the in-memory mutation to one WAL record and
+   append it. A statement that inserted rows into an encrypted table
+   also captures the post-statement PRNG state, so replay resumes the
+   exact stream. *)
 let log_mutation t (m : Journal.mutation) =
-  if not t.in_hook then begin
-    t.in_hook <- true;
-    Fun.protect ~finally:(fun () -> t.in_hook <- false) @@ fun () ->
-    let prng_of table =
-      Option.map
-        (fun edb -> Stdx.Prng.export (Wre.Encrypted_db.prng edb))
-        (List.assoc_opt table t.edbs)
-    in
-    let op =
-      match m with
-      | Journal.Created_table { name; schema } -> Record.Create_table { name; schema }
-      | Journal.Created_index { table; column } -> Record.Create_index { table; column }
-      | Journal.Inserted { table; row } -> Record.Insert { table; row; prng = prng_of table }
-      | Journal.Inserted_batch { table; rows } ->
-          Record.Insert_batch { table; rows; prng = prng_of table }
-      | Journal.Deleted { table; id } -> Record.Delete { table; id }
-      | Journal.Vacuumed { table } -> Record.Vacuum { table }
-    in
-    ignore (Wal.append t.wal (Record.encode op));
-    t.ops_since_checkpoint <- t.ops_since_checkpoint + 1;
-    match t.checkpoint_every with
-    | Some n when t.ops_since_checkpoint >= n -> checkpoint t
-    | _ -> ()
-  end
+  let op =
+    match m with
+    | Journal.Created_table { name; schema } -> Record.Create_table { name; schema }
+    | Journal.Created_index { table; column } -> Record.Create_index { table; column }
+    | Journal.Applied { table; deleted; inserted } ->
+        let prng =
+          if Array.length inserted = 0 then None
+          else
+            Option.map
+              (fun edb -> Stdx.Prng.export (Wre.Encrypted_db.prng edb))
+              (List.assoc_opt table t.edbs)
+        in
+        Record.Apply { table; deleted; rows = inserted; prng }
+    | Journal.Vacuumed { table } -> Record.Vacuum { table }
+  in
+  ignore (Wal.append t.wal (Record.encode op))
 
-let open_dir ?(group_commit = 1) ?checkpoint_every ~dir () =
+let open_dir ?(group_commit = 1) ~dir () =
   let result, duration_ns =
     Stdx.Clock.time_it @@ fun () ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -168,13 +153,10 @@ let open_dir ?(group_commit = 1) ?checkpoint_every ~dir () =
         dir;
         db;
         wal;
-        checkpoint_every;
         recovery =
           { snapshot_loaded = Option.is_some snap; replayed = !replayed; duration_ns = 0.0 };
         edbs = !edbs;
         wre_configs = !configs;
-        ops_since_checkpoint = !replayed;
-        in_hook = false;
       }
     in
     Database.set_journal db (Some (log_mutation t));

@@ -3,9 +3,11 @@
     An engine owns a directory holding two files — [wal.bin] (see
     {!Wal}) and [snapshot.bin] (see {!Snapshot}) — and a live
     {!Sqldb.Database.t} wired to them through {!Sqldb.Journal}: every
-    mutation that applies in memory is appended to the WAL as a
+    mutation that applies in memory is appended to the WAL as one
     {!Record.op} before control returns to the caller, and fsynced
-    according to the group-commit setting.
+    according to the group-commit setting. A statement is one mutation
+    ({!Sqldb.Table.apply}), so it is one record and, at the default
+    group commit, one fsync; recovery keeps whole statements.
 
     {!open_dir} recovers: load the latest snapshot if any, replay the
     WAL records past it (torn tail ignored and trimmed), and resume.
@@ -28,16 +30,10 @@ type recovery = {
   duration_ns : float;
 }
 
-val open_dir :
-  ?group_commit:int ->
-  ?checkpoint_every:int ->
-  dir:string ->
-  unit ->
-  t
+val open_dir : ?group_commit:int -> dir:string -> unit -> t
 (** Open (creating the directory and empty log on first use) and
-    recover. [group_commit] (default 1) = appends per fsync;
-    [checkpoint_every n] checkpoints automatically after every [n]
-    logged operations (default: manual checkpoints only). *)
+    recover. [group_commit] (default 1) = appends per fsync.
+    Checkpoints are explicit ({!checkpoint}). *)
 
 val db : t -> Sqldb.Database.t
 val dir : t -> string

@@ -16,9 +16,12 @@ type wre_config = {
 type op =
   | Create_table of { name : string; schema : Sqldb.Schema.t }
   | Create_index of { table : string; column : string }
-  | Insert of { table : string; row : Sqldb.Value.t array; prng : string option }
-  | Insert_batch of { table : string; rows : Sqldb.Value.t array array; prng : string option }
-  | Delete of { table : string; id : int }
+  | Apply of {
+      table : string;
+      deleted : int array;
+      rows : Sqldb.Value.t array array;
+      prng : string option;
+    }
   | Vacuum of { table : string }
   | Attach_wre of wre_config
 
@@ -143,21 +146,14 @@ let encode op =
       put_str b table;
       put_str b column;
       put_index_kind b
-  | Insert { table; row; prng } ->
-      put_u8 b 3;
+  | Apply { table; deleted; rows; prng } ->
+      put_u8 b 8;
       put_str b table;
-      put_row b row;
-      put_prng_opt b prng
-  | Insert_batch { table; rows; prng } ->
-      put_u8 b 4;
-      put_str b table;
+      put_u32 b (Array.length deleted);
+      Array.iter (put_u32 b) deleted;
       put_u32 b (Array.length rows);
       Array.iter (put_row b) rows;
       put_prng_opt b prng
-  | Delete { table; id } ->
-      put_u8 b 5;
-      put_str b table;
-      put_u32 b id
   | Vacuum { table } ->
       put_u8 b 6;
       put_str b table
@@ -165,6 +161,13 @@ let encode op =
       put_u8 b 7;
       put_wre_config b cfg);
   Buffer.contents b
+
+(* A count read from the input: each element takes at least one byte,
+   so a larger count is corrupt, caught before anything is allocated. *)
+let get_count s c =
+  let n = get_u32 c in
+  if n > String.length s then raise (Corrupt "batch size exceeds input");
+  n
 
 let decode s =
   let c = cursor s in
@@ -179,24 +182,31 @@ let decode s =
         let column = get_str c in
         get_index_kind c;
         Create_index { table; column }
+    (* Tags 3-5 are the per-row records of older builds (one insert,
+       one insert batch, one tombstone); each replays as the
+       one-statement apply it was. *)
     | 3 ->
         let table = get_str c in
         let row = get_row c in
         let prng = get_prng_opt c in
-        Insert { table; row; prng }
+        Apply { table; deleted = [||]; rows = [| row |]; prng }
     | 4 ->
         let table = get_str c in
-        let n = get_u32 c in
-        if n > String.length s then raise (Corrupt "batch size exceeds input");
-        let rows = Array.init n (fun _ -> get_row c) in
+        let rows = Array.init (get_count s c) (fun _ -> get_row c) in
         let prng = get_prng_opt c in
-        Insert_batch { table; rows; prng }
+        Apply { table; deleted = [||]; rows; prng }
     | 5 ->
         let table = get_str c in
         let id = get_u32 c in
-        Delete { table; id }
+        Apply { table; deleted = [| id |]; rows = [||]; prng = None }
     | 6 -> Vacuum { table = get_str c }
     | 7 -> Attach_wre (get_wre_config c)
+    | 8 ->
+        let table = get_str c in
+        let deleted = Array.init (get_count s c) (fun _ -> get_u32 c) in
+        let rows = Array.init (get_count s c) (fun _ -> get_row c) in
+        let prng = get_prng_opt c in
+        Apply { table; deleted; rows; prng }
     | n -> raise (Corrupt (Printf.sprintf "bad op tag %d" n))
   in
   if not (at_end c) then raise (Corrupt "trailing bytes after op");

@@ -3,11 +3,16 @@
     One {!op} per {!Sqldb.Journal.mutation}, plus {!Attach_wre}
     describing the client-side state of an encrypted table so recovery
     can rebuild its {!Wre.Encrypted_db.t} without replaying the
-    plaintext profile. Rows in [Insert]/[Insert_batch] are {e physical}
-    (already encrypted for WRE tables): replay applies them without any
-    key material, and the optional [prng] field carries the exported
-    weak-randomness state {e after} the operation, so a recovered
-    database continues the exact salt/nonce stream.
+    plaintext profile. A statement's write is one [Apply] record: the
+    ids it tombstoned and the rows it appended, {e physical} (already
+    encrypted for WRE tables), so replay applies them without any key
+    material. Its optional [prng] field carries the exported
+    weak-randomness state {e after} the statement, captured when it
+    inserted rows into an encrypted table, so a recovered database
+    continues the exact salt/nonce stream. The per-row records of older
+    builds (tags 3–5: one insert, one insert batch, one tombstone)
+    still decode, each as the one-statement [Apply] it was; nothing
+    writes them.
 
     Everything in a {!wre_config} — including the exported master-key
     halves — lives in the store directory, which is the {e trusted}
@@ -37,9 +42,12 @@ type op =
   | Create_index of { table : string; column : string }
       (** always a B-tree; the payload keeps the kind byte
           ({!Codec.put_index_kind}) *)
-  | Insert of { table : string; row : Sqldb.Value.t array; prng : string option }
-  | Insert_batch of { table : string; rows : Sqldb.Value.t array array; prng : string option }
-  | Delete of { table : string; id : int }
+  | Apply of {
+      table : string;
+      deleted : int array;
+      rows : Sqldb.Value.t array array;
+      prng : string option;
+    }  (** one statement ({!Sqldb.Table.apply}), tag 8 *)
   | Vacuum of { table : string }
   | Attach_wre of wre_config
 

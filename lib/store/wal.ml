@@ -61,20 +61,28 @@ let replay ~path f =
   | Some data ->
       let len = String.length data in
       let c = Codec.cursor data in
-      let max_lsn = ref 0L in
-      let valid = ref 0 in
-      (try
-         while Codec.pos c + 16 <= len do
-           let plen = Codec.get_u32 c in
-           let lsn = Codec.get_u64 c in
-           let crc = Int32.of_int (Codec.get_u32 c) in
-           if plen > len - Codec.pos c then raise Exit;
-           let payload = String.sub data (Codec.pos c) plen in
-           if Crc32.update (Crc32.digest (lsn_bytes lsn)) payload <> crc then raise Exit;
-           Codec.skip c plen;
-           f lsn payload;
-           max_lsn := lsn;
-           valid := Codec.pos c
-         done
-       with Exit | Codec.Corrupt _ -> ());
-      (!max_lsn, !valid)
+      (* The next intact frame, or [None] at a torn or corrupt tail. *)
+      let next () =
+        try
+          if Codec.pos c + 16 > len then raise Exit;
+          let plen = Codec.get_u32 c in
+          let lsn = Codec.get_u64 c in
+          let crc = Int32.of_int (Codec.get_u32 c) in
+          if plen > len - Codec.pos c then raise Exit;
+          let payload = String.sub data (Codec.pos c) plen in
+          if Crc32.update (Crc32.digest (lsn_bytes lsn)) payload <> crc then raise Exit;
+          Codec.skip c plen;
+          Some (lsn, payload)
+        with Exit | Codec.Corrupt _ -> None
+      in
+      (* [f] runs outside the tail check: a whole frame that [f] cannot
+         decode (a record kind from a newer build) raises instead of
+         ending the log, which the opener would then truncate. *)
+      let rec loop max_lsn valid =
+        match next () with
+        | None -> (max_lsn, valid)
+        | Some (lsn, payload) ->
+            f lsn payload;
+            loop lsn (Codec.pos c)
+      in
+      loop 0L 0

@@ -44,4 +44,7 @@ val replay : path:string -> (int64 -> string -> unit) -> int64 * int
 (** Scan the log, calling [f lsn payload] for each intact frame in
     order. Returns [(max_lsn, valid_len)]: the highest LSN seen (0 when
     the log is empty) and the byte offset where the valid prefix ends.
-    Never raises on torn/corrupt trailing data — it stops there. *)
+    Never raises on torn/corrupt trailing data — it stops there. An
+    exception from [f] on an intact frame (say [Codec.Corrupt] from a
+    record kind this build cannot decode) propagates: that frame was
+    written whole, so it is not a torn tail to trim. *)

@@ -323,6 +323,73 @@ let old_epoch_survives_checkpoint () =
   check_bool "epochs advanced" true (Sqldb.Read_view.epoch fresh > Sqldb.Read_view.epoch view);
   Store.Engine.close store
 
+(* A statement is one epoch: a reader freezing while the writer runs
+   multi-row UPDATEs sees each one whole or not at all. Every UPDATE
+   moves all the rows of one name to one city and keeps the row count,
+   so every view holds exactly [initial_rows] live rows, and the rows
+   of a name share one city (all old or all new). *)
+let whole_statements () =
+  with_temp_dir @@ fun dir ->
+  let store, shared, _prng = build ~dir ~seed:master_seed in
+  let exec sql =
+    match Wre.Proxy.execute shared.proxy sql with
+    | Ok r -> r.Wre.Proxy.affected
+    | Error e -> Alcotest.fail (sql ^ ": " ^ e)
+  in
+  check_bool "every row moved to one city" true
+    (exec (Printf.sprintf "UPDATE people SET city = '%s'" cities.(0)) = initial_rows);
+  let reader () =
+    let errors = ref [] and views = ref 0 in
+    while (not (Atomic.get shared.stop)) && !errors = [] do
+      incr views;
+      let view = Wre.Encrypted_db.freeze shared.edb in
+      let live = Sqldb.Read_view.live_count view in
+      if live <> initial_rows then
+        errors := Printf.sprintf "view holds %d live rows, not %d" live initial_rows :: !errors;
+      match Wre.Proxy.execute_snapshot ~view shared.proxy "SELECT * FROM people" with
+      | Error e -> errors := e :: !errors
+      | Ok r ->
+          let city_of = Hashtbl.create 8 in
+          List.iter
+            (fun row ->
+              match Hashtbl.find_opt city_of row.(1) with
+              | None -> Hashtbl.replace city_of row.(1) row.(2)
+              | Some c when c = row.(2) -> ()
+              | Some _ ->
+                  errors :=
+                    Printf.sprintf "rows of %s hold two cities (epoch %d)"
+                      (Sqldb.Sql.print_value row.(1))
+                      (Sqldb.Read_view.epoch view)
+                    :: !errors)
+            r.Wre.Proxy.rows
+    done;
+    (!views, !errors)
+  in
+  let readers = List.fold_left max 1 reader_configs in
+  let domains = List.init readers (fun _ -> Domain.spawn reader) in
+  let updates = max 1 (writer_ops / 4) in
+  (match
+     for i = 1 to updates do
+       let name = names.(i mod Array.length names) in
+       let city = cities.(i mod Array.length cities) in
+       ignore (exec (Printf.sprintf "UPDATE people SET city = '%s' WHERE name = '%s'" city name))
+     done
+   with
+  | () -> Atomic.set shared.stop true
+  | exception e ->
+      Atomic.set shared.stop true;
+      List.iter (fun d -> ignore (Domain.join d)) domains;
+      raise e);
+  let results = List.map Domain.join domains in
+  Store.Engine.close store;
+  List.iteri
+    (fun i (views, errors) ->
+      check_bool (Printf.sprintf "reader %d made progress" i) true (views > 0);
+      match errors with
+      | [] -> ()
+      | e :: _ -> Alcotest.fail (Printf.sprintf "reader %d saw half a statement: %s" i e))
+    results
+
 let () =
   Alcotest.run "concurrency"
     [
@@ -334,6 +401,8 @@ let () =
               `Quick (stress_case readers))
           reader_configs );
       ( "epochs",
-        [ Alcotest.test_case "old epoch survives checkpoint" `Quick old_epoch_survives_checkpoint ]
-      );
+        [
+          Alcotest.test_case "old epoch survives checkpoint" `Quick old_epoch_survives_checkpoint;
+          Alcotest.test_case "a reader never sees half a statement" `Quick whole_statements;
+        ] );
     ]

@@ -71,7 +71,7 @@ let test_table_insert_read () =
   check_int "count" 2 (Table.row_count t);
   Alcotest.(check string) "read back" "bob" (match (Read_view.read_row (Table.freeze t) 1).(1) with Value.Text s -> s | _ -> "?");
   Alcotest.check_raises "schema enforced"
-    (Invalid_argument "Table.insert(t): column \"name\" expects TEXT, got INT") (fun () ->
+    (Invalid_argument "Table.apply(t): row 0: column \"name\" expects TEXT, got INT") (fun () ->
       ignore (Table.insert t [| Value.Int 2L; Value.Int 3L; Value.Null |]))
 
 let test_table_pages_grow () =
@@ -122,7 +122,8 @@ let test_row_model_bytes_fixed () =
   done;
   note "delete";
   for id = 0 to 599 do
-    if id mod 5 = 2 && Table.is_live t id then ignore (Table.update t id (row (1000 + id)))
+    if id mod 5 = 2 && Table.is_live t id then
+      ignore (Table.apply t ~delete:[| id |] ~insert:[| row (1000 + id) |] : int * int)
   done;
   note "update";
   Table.vacuum t;
@@ -670,7 +671,7 @@ let test_database_catalog () =
   Alcotest.check_raises "duplicate name"
     (Invalid_argument "Database.create_table: table \"a\" already exists") (fun () ->
       ignore (Database.create_table db ~name:"a" ~schema:small_schema));
-  ignore (Database.insert db ~table:"a" (mk_row 0 "x" None));
+  ignore (Table.insert (Database.table db "a") (mk_row 0 "x" None));
   check_int "insert through catalog" 1 (Table.row_count (Database.table db "a"));
   check_bool "sizes positive" true (Database.total_bytes db >= Database.heap_bytes db)
 
@@ -757,19 +758,42 @@ let test_table_delete () =
   Read_view.scan (Table.freeze t) (fun _ _ -> incr seen);
   check_int "seq scan skips dead" 9 !seen
 
+(* An UPDATE is one [Table.apply]: tombstone the old versions, insert
+   the new ones, in one epoch. *)
 let test_table_update () =
   let t = Table.create ~name:"t" ~schema:small_schema in
   let id = Table.insert t (mk_row 0 "before" None) in
+  let other = Table.insert t (mk_row 1 "before" None) in
   ignore (Table.create_index t ~column:"name");
-  let new_id = Table.update t id (mk_row 0 "after" None) in
-  check_bool "new version gets a fresh id" true (new_id <> id);
-  check_bool "old version dead" false (Table.is_live t id);
+  let epoch () = Read_view.epoch (Table.freeze t) in
+  let e0 = epoch () in
+  let n, new_id =
+    Table.apply t ~delete:[| id; other |] ~insert:[| mk_row 0 "after" None; mk_row 1 "after" None |]
+  in
+  check_int "both tombstoned" 2 n;
+  check_int "new versions get fresh ids" 2 new_id;
+  check_int "one epoch" (e0 + 1) (epoch ());
+  check_bool "old versions dead" false (Table.is_live t id || Table.is_live t other);
   let r = Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids (Predicate.Eq ("name", Value.Text "after")) in
-  check_int "new value findable" 1 (Array.length r.row_ids);
+  Alcotest.(check (array int)) "new values findable" [| 2; 3 |] r.row_ids;
   let r2 = Executor.run_view (Table.freeze t) ~projection:Executor.Row_ids (Predicate.Eq ("name", Value.Text "before")) in
-  check_int "old value gone" 0 (Array.length r2.row_ids);
-  let raised = try ignore (Table.update t id (mk_row 0 "again" None)); false with Invalid_argument _ -> true in
-  check_bool "updating a dead row rejected" true raised
+  check_int "old values gone" 0 (Array.length r2.row_ids);
+  check_bool "a dead id is skipped" true (Table.apply t ~delete:[| id |] ~insert:[||] = (0, 4));
+  (* A bad row or id raises before anything changes. *)
+  let rejected delete insert =
+    match Table.apply t ~delete ~insert with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let snap = Table.snapshot t in
+  check_bool "bad row rejected" true
+    (rejected [| 2 |] [| mk_row 5 "ok" None; [| Value.Null; Value.Text "bad"; Value.Null |] |]);
+  check_bool "id out of range rejected" true (rejected [| 3; 4 |] [| mk_row 5 "ok" None |]);
+  check_bool "negative id rejected" true (rejected [| -1 |] [||]);
+  check_bool "nothing applied" true (Table.snapshot t = snap);
+  let e = epoch () in
+  check_bool "empty statement" true (Table.apply t ~delete:[||] ~insert:[||] = (0, 4));
+  check_int "empty statement publishes no epoch" e (epoch ())
 
 let test_sql_delete_update () =
   let db = Database.create () in
@@ -841,7 +865,7 @@ let test_table_vacuum_reclaims () =
   (* Churn: update every row once, then delete half the survivors —
      MVCC leaves every old version tombstoned with stale index entries. *)
   for i = 0 to 999 do
-    ignore (Table.update t i (mk_row i (Printf.sprintf "q%d" (i mod 5)) None))
+    ignore (Table.apply t ~delete:[| i |] ~insert:[| mk_row i (Printf.sprintf "q%d" (i mod 5)) None |])
   done;
   for i = 1000 to 1499 do
     ignore (Table.delete t i)
@@ -1247,8 +1271,7 @@ let test_multi_table_journal_isolated () =
     match ev with
     | Journal.Created_table { name; _ } -> name
     | Journal.Created_index { table; _ } -> table
-    | Journal.Inserted { table; _ } | Journal.Inserted_batch { table; _ } -> table
-    | Journal.Deleted { table; _ } -> table
+    | Journal.Applied { table; _ } -> table
     | Journal.Vacuumed { table } -> table
   in
   let for_table n = List.filter (fun e -> tables_of e = n) !events in

@@ -187,31 +187,20 @@ let test_stats_total_variation () =
 
 (* ---------------- Sampling ---------------- *)
 
-let test_weighted_respects_zero () =
-  let g = Stdx.Prng.create 17L in
-  for _ = 1 to 500 do
-    let i = Stdx.Sampling.weighted g [| 0.0; 1.0; 0.0 |] in
-    check_int "always middle" 1 i
-  done
-
-let test_weighted_rejects_bad_input () =
-  let g = Stdx.Prng.create 17L in
-  Alcotest.check_raises "negative" (Invalid_argument "Sampling: negative or NaN weight")
-    (fun () -> ignore (Stdx.Sampling.weighted g [| 1.0; -1.0 |]));
-  Alcotest.check_raises "zero sum" (Invalid_argument "Sampling: weights must have positive sum")
-    (fun () -> ignore (Stdx.Sampling.weighted g [| 0.0; 0.0 |]))
-
 let chi_square_uniformity counts expected =
   let acc = ref 0.0 in
   Array.iter (fun c -> acc := !acc +. (((float_of_int c -. expected) ** 2.0) /. expected)) counts;
   !acc
 
-let test_alias_matches_weights () =
-  let g = Stdx.Prng.create 23L in
-  let w = [| 0.1; 0.2; 0.3; 0.4 |] in
+(* Draws from an alias table over [w]: frequencies follow the weights,
+   unnormalized ones included, and a zero-weight index is never drawn. *)
+let check_alias_frequencies seed w =
+  let g = Stdx.Prng.create seed in
+  let total = Array.fold_left ( +. ) 0.0 w in
   let alias = Stdx.Sampling.Alias.create w in
+  check_int "size" (Array.length w) (Stdx.Sampling.Alias.size alias);
   let n = 40000 in
-  let counts = Array.make 4 0 in
+  let counts = Array.make (Array.length w) 0 in
   for _ = 1 to n do
     let i = Stdx.Sampling.Alias.sample alias g in
     counts.(i) <- counts.(i) + 1
@@ -219,8 +208,11 @@ let test_alias_matches_weights () =
   Array.iteri
     (fun i c ->
       let freq = float_of_int c /. float_of_int n in
-      check_bool (Printf.sprintf "weight %d" i) true (Float.abs (freq -. w.(i)) < 0.02))
+      check_bool (Printf.sprintf "weight %d" i) true (Float.abs (freq -. (w.(i) /. total)) < 0.02);
+      if w.(i) = 0.0 then check_int (Printf.sprintf "zero weight %d never drawn" i) 0 c)
     counts
+
+let test_alias_matches_weights () = check_alias_frequencies 23L [| 0.1; 0.2; 0.3; 0.4 |]
 
 let test_alias_single () =
   let g = Stdx.Prng.create 29L in
@@ -228,44 +220,23 @@ let test_alias_single () =
   check_int "only index" 0 (Stdx.Sampling.Alias.sample alias g);
   check_int "size" 1 (Stdx.Sampling.Alias.size alias)
 
-let test_cdf_matches_weights () =
-  let g = Stdx.Prng.create 41L in
-  let w = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let cdf = Stdx.Sampling.Cdf.create w in
-  check_int "size" 4 (Stdx.Sampling.Cdf.size cdf);
-  let n = 40000 in
-  let counts = Array.make 4 0 in
-  for _ = 1 to n do
-    let i = Stdx.Sampling.Cdf.sample cdf g in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      let freq = float_of_int c /. float_of_int n in
-      check_bool (Printf.sprintf "weight %d" i) true (Float.abs (freq -. w.(i)) < 0.02))
-    counts
+(* The zero-weight and bad-input cases below are named after the
+   inverse-CDF samplers ([weighted], [Cdf]) they were first written
+   for; [Alias] replaced both and now runs every one of them. *)
+let test_weighted_respects_zero () = check_alias_frequencies 17L [| 0.0; 1.0; 0.0 |]
+let test_cdf_respects_zero () = check_alias_frequencies 43L [| 0.0; 3.0; 0.0; 7.0 |]
 
-let test_cdf_respects_zero () =
-  let g = Stdx.Prng.create 43L in
-  let cdf = Stdx.Sampling.Cdf.create [| 0.0; 1.0; 0.0 |] in
-  for _ = 1 to 500 do
-    check_int "only positive-weight index" 1 (Stdx.Sampling.Cdf.sample cdf g)
-  done
+let test_weighted_rejects_bad_input () =
+  Alcotest.check_raises "negative" (Invalid_argument "Sampling: negative or NaN weight")
+    (fun () -> ignore (Stdx.Sampling.Alias.create [| 1.0; -1.0 |]));
+  Alcotest.check_raises "NaN" (Invalid_argument "Sampling: negative or NaN weight") (fun () ->
+      ignore (Stdx.Sampling.Alias.create [| 1.0; Float.nan |]))
 
 let test_cdf_rejects_bad_input () =
-  Alcotest.check_raises "negative" (Invalid_argument "Sampling: negative or NaN weight")
-    (fun () -> ignore (Stdx.Sampling.Cdf.create [| 1.0; -1.0 |]));
   Alcotest.check_raises "zero sum" (Invalid_argument "Sampling: weights must have positive sum")
-    (fun () -> ignore (Stdx.Sampling.Cdf.create [| 0.0; 0.0 |]))
-
-let test_weighted_norm_agrees () =
-  (* On normalized weights, weighted_norm must draw the same index as
-     weighted given the same PRNG stream. *)
-  let w = [| 0.25; 0.25; 0.5 |] in
-  let g1 = Stdx.Prng.create 47L and g2 = Stdx.Prng.create 47L in
-  for _ = 1 to 1000 do
-    check_int "same index" (Stdx.Sampling.weighted g1 w) (Stdx.Sampling.weighted_norm g2 w)
-  done
+    (fun () -> ignore (Stdx.Sampling.Alias.create [| 0.0; 0.0 |]));
+  Alcotest.check_raises "empty" (Invalid_argument "Alias.create: empty weights") (fun () ->
+      ignore (Stdx.Sampling.Alias.create [||]))
 
 (* ---------------- Task_pool ---------------- *)
 
@@ -524,10 +495,8 @@ let () =
           Alcotest.test_case "weighted bad input" `Quick test_weighted_rejects_bad_input;
           Alcotest.test_case "alias frequencies" `Quick test_alias_matches_weights;
           Alcotest.test_case "alias single" `Quick test_alias_single;
-          Alcotest.test_case "cdf frequencies" `Quick test_cdf_matches_weights;
           Alcotest.test_case "cdf zero weight" `Quick test_cdf_respects_zero;
           Alcotest.test_case "cdf bad input" `Quick test_cdf_rejects_bad_input;
-          Alcotest.test_case "weighted_norm agrees" `Quick test_weighted_norm_agrees;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "shuffle uniformity" `Quick test_shuffle_uniform_position;
         ] );

@@ -64,15 +64,16 @@ let setup_base dir =
   Store.Engine.checkpoint store;
   Store.Engine.close store
 
+(* In-memory replica of [setup_base]'s table. *)
+let memory_edb () =
+  Wre.Encrypted_db.create ~db:(Sqldb.Database.create ()) ~name:"t" ~plain_schema
+    ~key_column:"id" ~encrypted_columns:[ "name" ] ~kind ~master:(master ())
+    ~dist_of:(fun _ -> dist) ~seed:5L ()
+
 (* In-memory replica of [setup_base] + all [n] workload ops: the state
    a process that never crashed would hold. *)
 let reference_state n =
-  let db = Sqldb.Database.create () in
-  let edb =
-    Wre.Encrypted_db.create ~db ~name:"t" ~plain_schema ~key_column:"id"
-      ~encrypted_columns:[ "name" ] ~kind ~master:(master ()) ~dist_of:(fun _ -> dist) ~seed:5L
-      ()
-  in
+  let edb = memory_edb () in
   for i = 0 to n - 1 do
     ignore (Wre.Encrypted_db.insert edb (op_row i))
   done;
@@ -244,23 +245,60 @@ let test_codec_table_snapshot_roundtrip () =
   let back = Store.Codec.get_table_snapshot (Store.Codec.cursor (Buffer.contents b)) in
   check_bool "snapshot roundtrip" true (back = snap)
 
+let apply_op ?(deleted = [||]) ?(rows = [||]) ?prng () =
+  Store.Record.Apply { table = "t"; deleted; rows; prng }
+
 let test_record_roundtrip () =
+  let prng = String.make 32 'x' in
   let ops =
     [
       Store.Record.Create_table { name = "t"; schema = plain_schema };
       Store.Record.Create_index { table = "t"; column = "name" };
-      Store.Record.Insert { table = "t"; row = op_row 0; prng = Some (String.make 32 'x') };
-      Store.Record.Insert_batch
-        { table = "t"; rows = [| op_row 1; op_row 2 |]; prng = None };
-      Store.Record.Delete { table = "t"; id = 7 };
+      apply_op ~rows:[| op_row 0 |] ~prng ();
+      apply_op ~rows:[| op_row 1; op_row 2 |] ();
+      apply_op ~deleted:[| 7 |] ();
+      apply_op ~deleted:[| 0; 4 |] ~rows:[| op_row 8; op_row 9 |] ~prng ();
+      apply_op ~deleted:[| 3; 5 |] ~prng ();
+      apply_op ();
       Store.Record.Vacuum { table = "t" };
     ]
   in
   List.iter
     (fun op -> check_bool "op roundtrip" true (Store.Record.decode (Store.Record.encode op) = op))
     ops;
+  let tag8 = Store.Record.encode (apply_op ~deleted:[| 0; 4 |] ~rows:[| op_row 0 |] ()) in
+  Alcotest.(check string) "apply bytes"
+    ("08010000007402000000000000000400000001000000020000000100000000000000000305000000"
+    ^ "616c69636500")
+    (Stdx.Bytes_util.to_hex tag8);
   check_bool "trailing bytes rejected" true
     (match Store.Record.decode (Store.Record.encode (List.hd ops) ^ "x") with
+    | exception Store.Codec.Corrupt _ -> true
+    | _ -> false)
+
+(* The per-row records older builds wrote, as they wrote them: an
+   insert of [op_row 0] with a PRNG state, a batch of [op_row 1] and
+   [op_row 2] without one, and the tombstone of id 7. Each decodes as
+   the one-statement apply it was. *)
+let legacy_records =
+  [
+    ( "030100000074020000000100000000000000000305000000616c69636501200000007878787878787878"
+      ^ "787878787878787878787878787878787878787878787878",
+      apply_op ~rows:[| op_row 0 |] ~prng:(String.make 32 'x') () );
+    ( "04010000007402000000020000000101000000000000000303000000626f6202000000010200000000"
+      ^ "00000003050000006361726f6c00",
+      apply_op ~rows:[| op_row 1; op_row 2 |] () );
+    ("05010000007407000000", apply_op ~deleted:[| 7 |] ());
+  ]
+
+let test_legacy_records_decode () =
+  List.iter
+    (fun (hex, op) ->
+      check_bool ("tag " ^ String.sub hex 0 2) true
+        (Store.Record.decode (Stdx.Bytes_util.of_hex hex) = op))
+    legacy_records;
+  check_bool "batch count past the input rejected" true
+    (match Store.Record.decode (Stdx.Bytes_util.of_hex "0401000000740000ffff00") with
     | exception Store.Codec.Corrupt _ -> true
     | _ -> false)
 
@@ -314,6 +352,27 @@ let test_wal_corrupt_tail () =
       let got = ref [] in
       let _, _ = Store.Wal.replay ~path (fun _ p -> got := p :: !got) in
       check_bool "corrupt frame dropped" true (List.rev !got = [ "alpha" ]))
+
+(* A whole frame the decoder does not know (a record kind from a newer
+   build) fails the open and leaves the log as it was; it is not a
+   torn tail to trim. *)
+let test_wal_unknown_record_fails_open () =
+  with_temp_dir (fun dir ->
+      let path =
+        wal_roundtrip_payloads dir
+          [
+            Store.Record.encode (Store.Record.Create_table { name = "p"; schema = plain_schema });
+            "\x09\x01\x00\x00\x00p";
+          ]
+      in
+      let size = (Unix.stat path).Unix.st_size in
+      check_bool "open raises Corrupt" true
+        (match Store.Engine.open_dir ~dir () with
+        | exception Store.Codec.Corrupt _ -> true
+        | store ->
+            Store.Engine.close store;
+            false);
+      check_int "log untouched" size (Unix.stat path).Unix.st_size)
 
 let test_wal_group_commit_knob () =
   with_temp_dir (fun dir ->
@@ -407,22 +466,6 @@ let test_checkpoint_replays_only_tail () =
       let r = Store.Engine.recovery store in
       check_bool "snapshot loaded" true r.Store.Engine.snapshot_loaded;
       check_int "only the tail replayed" 5 r.Store.Engine.replayed;
-      let t = Wre.Encrypted_db.table (Option.get (Store.Engine.encrypted store "t")) in
-      check_int "all rows back" 25 (Sqldb.Table.row_count t);
-      Store.Engine.close store)
-
-let test_auto_checkpoint () =
-  with_temp_dir (fun dir ->
-      setup_base dir;
-      let store = Store.Engine.open_dir ~checkpoint_every:10 ~dir () in
-      let edb = Option.get (Store.Engine.encrypted store "t") in
-      for i = 0 to 24 do
-        ignore (Wre.Encrypted_db.insert edb (op_row i))
-      done;
-      Store.Engine.close store;
-      let store = Store.Engine.open_dir ~dir () in
-      let r = Store.Engine.recovery store in
-      check_bool "auto-checkpoint bounds replay" true (r.Store.Engine.replayed <= 10);
       let t = Wre.Encrypted_db.table (Option.get (Store.Engine.encrypted store "t")) in
       check_int "all rows back" 25 (Sqldb.Table.row_count t);
       Store.Engine.close store)
@@ -790,18 +833,32 @@ let test_kind_byte_legacy_hash_decodes () =
       check_bool "snapshot file with kind 1" true
         ((Option.get (Store.Snapshot.load ~dir)).Store.Snapshot.tables = [ snap ]))
 
-(* A store whose WAL created its index as a hash index replays it as a
+(* The tag-3 records an older build logged for inserting [op_row 0]
+   .. [op_row 7] into table "p". *)
+let legacy_p_inserts =
+  [
+    "030100000070020000000100000000000000000305000000616c69636500";
+    "030100000070020000000101000000000000000303000000626f6200";
+    "0301000000700200000001020000000000000003050000006361726f6c00";
+    "0301000000700200000001030000000000000003040000006461766500";
+    "030100000070020000000104000000000000000305000000616c69636500";
+    "030100000070020000000105000000000000000303000000626f6200";
+    "0301000000700200000001060000000000000003050000006361726f6c00";
+    "0301000000700200000001070000000000000003040000006461766500";
+  ]
+
+(* A store whose WAL created its index as a hash index, and inserted
+   its rows with the per-row records of that build, replays it as a
    B-tree that serves the lookups. *)
 let test_kind_byte_legacy_hash_store_opens () =
   with_temp_dir (fun dir ->
       let encode = Store.Record.encode in
       let hash_index = encode (Store.Record.Create_index { table = "p"; column = "name" }) in
-      let insert i = encode (Store.Record.Insert { table = "p"; row = op_row i; prng = None }) in
       ignore
         (wal_roundtrip_payloads dir
            (encode (Store.Record.Create_table { name = "p"; schema = plain_schema })
            :: with_byte hash_index (last hash_index) 1
-           :: List.init 8 insert));
+           :: List.map Stdx.Bytes_util.of_hex legacy_p_inserts));
       let store = Store.Engine.open_dir ~dir () in
       check_int "replayed" 10 (Store.Engine.recovery store).Store.Engine.replayed;
       let view = Sqldb.Table.freeze (Sqldb.Database.table (Store.Engine.db store) "p") in
@@ -1050,6 +1107,136 @@ let test_group_commit_window_of_loss () =
       check_int "unsynced window lost, base intact" 0 (Sqldb.Table.row_count t);
       Store.Engine.close store)
 
+(* ---------------- statement-atomic writes ---------------- *)
+
+(* Statements through the proxy, run after [n_ops] inserted rows
+   (names alice, bob, carol, dave, twice over): a 2-row UPDATE, a
+   2-row DELETE and an INSERT. Each is one write: one WAL record, one
+   fsync, and after a crash the whole statement or none of it. *)
+let statements =
+  [|
+    "UPDATE t SET name = 'bob' WHERE name = 'alice'";
+    "DELETE FROM t WHERE name = 'carol'";
+    "INSERT INTO t VALUES (8, 'dave')";
+  |]
+
+let run_statement edb sql =
+  match Wre.Proxy.execute (Wre.Proxy.create edb) sql with
+  | Ok r -> r.Wre.Proxy.affected
+  | Error e -> Alcotest.fail (sql ^ ": " ^ e)
+
+(* The uncrashed tables: [refs.(k)] before statement [k], the last
+   after every statement. *)
+let statement_refs () =
+  let edb = memory_edb () in
+  for i = 0 to n_ops - 1 do
+    ignore (Wre.Encrypted_db.insert edb (op_row i))
+  done;
+  let snap () = Sqldb.Table.snapshot (Wre.Encrypted_db.table edb) in
+  let before = snap () in
+  Array.append [| before |]
+    (Array.map
+       (fun sql ->
+         ignore (run_statement edb sql);
+         snap ())
+       statements)
+
+(* Open a store holding the rows and statements 0 .. k-1, arm a
+   failpoint with [arm], and run statement [k]. Returns whether it
+   crashed, and what the workload counted if nothing was armed. *)
+let statement_trial ~arm dir k =
+  setup_base dir;
+  let store = Store.Engine.open_dir ~dir () in
+  let edb = Option.get (Store.Engine.encrypted store "t") in
+  for i = 0 to n_ops - 1 do
+    ignore (Wre.Encrypted_db.insert edb (op_row i))
+  done;
+  for j = 0 to k - 1 do
+    ignore (run_statement edb statements.(j))
+  done;
+  arm ();
+  let crashed =
+    match run_statement edb statements.(k) with
+    | exception Store.Failpoints.Crash _ -> true
+    | _ -> false
+  in
+  let counted = (Store.Failpoints.counted_bytes (), Store.Failpoints.counted_events ()) in
+  Store.Failpoints.disarm ();
+  if not crashed then Store.Engine.close store;
+  (crashed, counted)
+
+let test_one_record_per_statement () =
+  Array.iteri
+    (fun k sql ->
+      with_temp_dir (fun dir ->
+          let _, (_, events) = statement_trial ~arm:Store.Failpoints.arm_counting dir k in
+          Alcotest.(check (list (pair string int)))
+            (sql ^ ": one record, one fsync")
+            [ ("wal.fsync", 1); ("wal.write", 1) ]
+            events))
+    statements
+
+(* Reopening after a crash inside statement [k] yields exactly the
+   table before it or the table after it, and running the rest of the
+   statements then reproduces the uncrashed reference, weak-randomness
+   stream included. *)
+let verify_statement_recovery ~label dir k refs =
+  let store = Store.Engine.open_dir ~dir () in
+  let edb = Option.get (Store.Engine.encrypted store "t") in
+  let snap () = Sqldb.Table.snapshot (Wre.Encrypted_db.table edb) in
+  let got = snap () in
+  let next =
+    if got = refs.(k) then k
+    else if got = refs.(k + 1) then k + 1
+    else Alcotest.fail (label ^ ": recovered neither the pre- nor the post-statement table")
+  in
+  for j = next to Array.length statements - 1 do
+    ignore (run_statement edb statements.(j))
+  done;
+  check_bool (label ^ ": final state = uncrashed reference") true
+    (snap () = refs.(Array.length statements));
+  Store.Engine.close store
+
+let test_statement_crash_matrix () =
+  let refs = statement_refs () in
+  Array.iteri
+    (fun k sql ->
+      let _, (bytes, events) =
+        with_temp_dir (fun dir -> statement_trial ~arm:Store.Failpoints.arm_counting dir k)
+      in
+      let cuts =
+        List.sort_uniq compare [ 0; 1; 15; bytes / 4; bytes / 2; (3 * bytes) / 4; bytes - 1 ]
+      in
+      let arms =
+        List.map
+          (fun cut ->
+            ( Printf.sprintf "cut %d bytes" cut,
+              fun ~lose_unsynced -> Store.Failpoints.arm_cut_bytes ~lose_unsynced cut ))
+          cuts
+        @ List.concat_map
+            (fun (point, count) ->
+              List.map
+                (fun n ->
+                  ( Printf.sprintf "%s #%d" point n,
+                    fun ~lose_unsynced -> Store.Failpoints.arm_at_event ~lose_unsynced point ~n ))
+                (List.sort_uniq compare [ 1; count ]))
+            events
+      in
+      List.iter
+        (fun lose ->
+          List.iter
+            (fun (what, arm) ->
+              with_temp_dir (fun dir ->
+                  let label = Printf.sprintf "%s: %s (lose=%b)" sql what lose in
+                  let crashed, _ =
+                    statement_trial ~arm:(fun () -> arm ~lose_unsynced:lose) dir k
+                  in
+                  check_bool (label ^ ": crashed") true crashed;
+                  verify_statement_recovery ~label dir k refs))
+            arms)
+        [ false; true ])
+    statements
+
 (* ---------------- Io syscall hardening ---------------- *)
 
 (* Regression (PR 7): [Io.write] used to issue one [Unix.write_substring]
@@ -1122,6 +1309,7 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
           Alcotest.test_case "table snapshot" `Quick test_codec_table_snapshot_roundtrip;
           Alcotest.test_case "record ops" `Quick test_record_roundtrip;
+          Alcotest.test_case "legacy records decode" `Quick test_legacy_records_decode;
         ] );
       ( "index kind",
         [
@@ -1137,6 +1325,7 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "corrupt tail" `Quick test_wal_corrupt_tail;
           Alcotest.test_case "group-commit knob" `Quick test_wal_group_commit_knob;
+          Alcotest.test_case "unknown record fails open" `Quick test_wal_unknown_record_fails_open;
         ] );
       ( "recovery",
         [
@@ -1144,7 +1333,6 @@ let () =
           Alcotest.test_case "encrypted + tag continuity" `Quick
             test_encrypted_roundtrip_continues_stream;
           Alcotest.test_case "checkpoint tail replay" `Quick test_checkpoint_replays_only_tail;
-          Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
           Alcotest.test_case "vacuum + checkpoint" `Quick
             test_vacuum_checkpoint_shrinks_no_resurrection;
         ] );
@@ -1164,6 +1352,8 @@ let () =
           Alcotest.test_case "checkpoint crash with live reader" `Quick
             test_checkpoint_crash_reader_holds_old_epoch;
           Alcotest.test_case "group-commit loss window" `Quick test_group_commit_window_of_loss;
+          Alcotest.test_case "one record per statement" `Quick test_one_record_per_statement;
+          Alcotest.test_case "statement crash matrix" `Slow test_statement_crash_matrix;
         ] );
       ( "io_syscalls",
         [

@@ -102,15 +102,6 @@ let test_salts_poisson_count_scales_with_lambda () =
   check_bool "lambda 100 ~ 11" true (Float.abs (avg 100.0 -. 11.0) < 2.0);
   check_bool "lambda 1000 ~ 101" true (Float.abs (avg 1000.0 -. 101.0) < 10.0)
 
-let test_salts_sample_follows_weights () =
-  let g = Stdx.Prng.create 2L in
-  let s = Wre.Salts.make ~salts:[| 5; 9 |] ~weights:[| 0.9; 0.1 |] in
-  let nine = ref 0 in
-  for _ = 1 to 5000 do
-    if Wre.Salts.sample s g = 9 then incr nine
-  done;
-  check_bool "follows weights" true (Float.abs ((float_of_int !nine /. 5000.0) -. 0.1) < 0.02)
-
 let test_salts_validate_catches_errors () =
   check_bool "dup salts" true
     (Result.is_error
@@ -821,7 +812,6 @@ let () =
           Alcotest.test_case "proportional aliasing" `Quick test_salts_proportional_aliasing;
           Alcotest.test_case "poisson deterministic" `Quick test_salts_poisson_deterministic;
           Alcotest.test_case "poisson count" `Quick test_salts_poisson_count_scales_with_lambda;
-          Alcotest.test_case "sample follows weights" `Quick test_salts_sample_follows_weights;
           Alcotest.test_case "first interarrival exponential" `Quick
             test_salts_poisson_first_interarrival_exponential;
           Alcotest.test_case "validate" `Quick test_salts_validate_catches_errors;

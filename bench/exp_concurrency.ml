@@ -37,16 +37,20 @@ let assign ~domains queries =
        queries);
   Array.map List.rev slices
 
+(* One query's server answer over the shared view: [SELECT ID] of the
+   rewritten tag IN-list. *)
+let search ~edb ~view (q : Sparta.Query_gen.query) =
+  ignore
+    (Sqldb.Executor.run_view view ~projection:Sqldb.Executor.Row_ids
+       (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value))
+
 (* Serve [queries] across [domains] reader domains, all against the
    same frozen view. Returns the number of queries served and the wall
    clock of the whole fan-out. *)
 let serve ~edb ~view ~domains queries =
   let slices = assign ~domains queries in
   let serve_slice d () =
-    List.iter
-      (fun (q : Sparta.Query_gen.query) ->
-        ignore (Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value))
-      slices.(d);
+    List.iter (search ~edb ~view) slices.(d);
     List.length slices.(d)
   in
   Stdx.Clock.time_it (fun () ->
@@ -67,10 +71,7 @@ let run ~rows:n ~n_queries () =
   (* Warm protocol: one priming pass fills the CPU caches, so every
      measured run starts from the same state and no domain count pays a
      first touch the others do not. *)
-  List.iter
-    (fun (q : Sparta.Query_gen.query) ->
-      ignore (Wre.Encrypted_db.search_ids ~view edb ~column:q.column q.value))
-    queries;
+  List.iter (search ~edb ~view) queries;
   let results =
     List.map
       (fun domains ->

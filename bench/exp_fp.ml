@@ -10,10 +10,14 @@ let run_one ~rows ~dist_of ~queries lambda =
        (if lambda < 5000.0 then "8" else "9")
        lambda);
   let edb, _ = Bench_util.build_encrypted ~kind:(Wre.Scheme.Bucketized lambda) ~dist_of rows in
+  let view = Wre.Encrypted_db.freeze edb in
   let pairs =
     List.map
       (fun (q : Sparta.Query_gen.query) ->
-        let raw = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
+        let raw =
+          Sqldb.Executor.run_view view ~projection:Sqldb.Executor.Row_ids
+            (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value)
+        in
         (q, Array.length raw.row_ids))
       queries
   in

@@ -50,7 +50,9 @@ let one_percent_ids rows edb =
         if gap v < gap best then v else best)
       (Dist.Empirical.support d).(0) (Dist.Empirical.support d)
   in
-  (Wre.Encrypted_db.search_ids edb ~column:"fname" value).Sqldb.Executor.row_ids
+  (Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Sqldb.Executor.Row_ids
+     (Wre.Encrypted_db.search_predicate edb ~column:"fname" value))
+    .row_ids
 
 (* A [SELECT *] reply of 167 plaintext SPARTA rows, 23 columns each. *)
 let sparta_reply rows =

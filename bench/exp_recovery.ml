@@ -51,6 +51,13 @@ let measure_reopen dir =
   done;
   (!total /. float_of_int open_trials, Option.get !last)
 
+(* How many rows the server returns for [lname = probe]. *)
+let server_hits edb probe =
+  Array.length
+    (Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Sqldb.Executor.Row_ids
+       (Wre.Encrypted_db.search_predicate edb ~column:"lname" probe))
+      .row_ids
+
 let run ~rows:n () =
   Bench_util.heading
     (Printf.sprintf "Recovery: reopen %d rows, checkpoint + %d-op tail vs full WAL replay" n
@@ -68,9 +75,7 @@ let run ~rows:n () =
   for i = 0 to tail_ops - 1 do
     ignore (Wre.Encrypted_db.insert edb rows.(i mod n))
   done;
-  let expected_hits =
-    Array.length (Wre.Encrypted_db.search_ids edb ~column:"lname" probe).Sqldb.Executor.row_ids
-  in
+  let expected_hits = server_hits edb probe in
   Store.Engine.close store;
   (* WAL-only store: same rows, one record per insert, never
      checkpointed — the recovery worst case. *)
@@ -88,10 +93,7 @@ let run ~rows:n () =
   assert (wal_rec.Store.Engine.replayed > n);
   let store = Store.Engine.open_dir ~dir:dir_ckpt () in
   let edb = Option.get (Store.Engine.encrypted store "main") in
-  let hits =
-    Array.length (Wre.Encrypted_db.search_ids edb ~column:"lname" probe).Sqldb.Executor.row_ids
-  in
-  assert (hits = expected_hits);
+  assert (server_hits edb probe = expected_hits);
   assert (Sqldb.Table.row_count (Wre.Encrypted_db.table edb) = n + tail_ops);
   Store.Engine.close store;
   let t = Stdx.Table_fmt.create [ "store"; "snapshot"; "records replayed"; "reopen (ms)" ] in

@@ -134,6 +134,9 @@ let sparta_edb ~dir ~seed ~kind data =
             (Array.length data) (Wre.Scheme.to_string kind) dir;
           (Some store, edb))
 
+(* Single-quote a value for the SQL parser (doubling embedded quotes). *)
+let sql_quote v = Sqldb.Sql.print_value (Sqldb.Value.Text v)
+
 let demo seed kind rows dir =
   let gen = Sparta.Generator.create ~seed in
   let data = Array.of_seq (Sparta.Generator.rows gen ~n:rows) in
@@ -142,9 +145,14 @@ let demo seed kind rows dir =
   Printf.printf "searching lname = %s:\n  %s\n" target
     (Format.asprintf "%a" Sqldb.Predicate.pp
        (Wre.Encrypted_db.search_predicate edb ~column:"lname" target));
-  let results, raw = Wre.Encrypted_db.search_rows edb ~column:"lname" target in
-  Printf.printf "server returned %d rows, client kept %d after decryption\n"
-    (Array.length raw.row_ids) (List.length results);
+  let sql = Printf.sprintf "SELECT * FROM main WHERE lname = %s" (sql_quote target) in
+  let r =
+    match Wre.Proxy.execute (Wre.Proxy.create edb) sql with
+    | Ok r -> r
+    | Error e -> failwith (Printf.sprintf "query failed (%s): %s" sql e)
+  in
+  Printf.printf "server returned %d rows, client kept %d after decryption\n" r.server_rows
+    (List.length r.rows);
   List.iteri
     (fun i row ->
       if i < 5 then
@@ -153,7 +161,7 @@ let demo seed kind rows dir =
           (Sparta.Generator.column_string row ~column:"lname")
           (Sparta.Generator.column_string row ~column:"city")
           (Sparta.Generator.column_string row ~column:"state"))
-    results;
+    r.rows;
   Option.iter Store.Engine.close store
 
 let opt_dir_arg =
@@ -174,18 +182,6 @@ let demo_cmd =
 let trace_arg =
   let doc = "Enable query tracing and print the span tree to stderr." in
   Arg.(value & flag & info [ "trace" ] ~doc)
-
-(* Single-quote a value for the SQL parser (doubling embedded quotes). *)
-let sql_quote v =
-  let buf = Buffer.create (String.length v + 2) in
-  Buffer.add_char buf '\'';
-  String.iter
-    (fun c ->
-      Buffer.add_char buf c;
-      if c = '\'' then Buffer.add_char buf c)
-    v;
-  Buffer.add_char buf '\'';
-  Buffer.contents buf
 
 let stats seed kind rows queries tracing dir =
   Obs.Trace.set_enabled tracing;

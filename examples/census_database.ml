@@ -65,6 +65,12 @@ let () =
           (Array.map (fun v -> (v, Dist.Empirical.count d v)) (Dist.Empirical.support d)))
       ~n:30 ()
   in
+  (* The encrypted server's answer to [SELECT * WHERE col = value]:
+     the rewritten tag IN-list over a frozen view. *)
+  let enc_select_star (q : Sparta.Query_gen.query) =
+    Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Executor.All_columns
+      (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value)
+  in
   (* One buffer pool per database, installed around that database's
      queries only. *)
   let plain_cache = Pager.cache () and enc_cache = Pager.cache () in
@@ -79,9 +85,7 @@ let () =
               (Predicate.Eq (q.column, Value.Text q.value)))
       in
       Pager.clear enc_cache;
-      let _rows, enc_res =
-        Pager.with_cache enc_cache (fun () -> Wre.Encrypted_db.search_rows edb ~column:q.column q.value)
-      in
+      let enc_res = Pager.with_cache enc_cache (fun () -> enc_select_star q) in
       Printf.printf "  %-8s %-22s %7d %12.2f %12.2f\n" q.column q.value
         (Array.length plain_res.row_ids)
         (Pager.sim_ms plain_res.stats) (Pager.sim_ms enc_res.stats))
@@ -102,7 +106,5 @@ let () =
       in
       Pager.sim_ms r.stats);
   warm_total "encrypted" (fun q ->
-      let _rows, r =
-        Pager.with_cache enc_cache (fun () -> Wre.Encrypted_db.search_rows edb ~column:q.column q.value)
-      in
+      let r = Pager.with_cache enc_cache (fun () -> enc_select_star q) in
       Pager.sim_ms r.stats)

@@ -1,5 +1,6 @@
-(* Quickstart: encrypt a small table with Poisson WRE, search it, and
-   decrypt the results.
+(* Quickstart: encrypt a small table with Poisson WRE, then query it in
+   plaintext SQL through the proxy, which rewrites the search and
+   decrypts the results.
 
      dune exec examples/quickstart.exe *)
 
@@ -50,20 +51,26 @@ let () =
   in
   List.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) rows;
 
-  (* 5. Search: the client expands "name = Alice" into an OR over this
-        plaintext's search tags; the server answers from its index. *)
+  (* 5. Search: the proxy expands "name = 'Alice'" into an OR over this
+        plaintext's search tags, the server answers from its index, and
+        the proxy decrypts what comes back. *)
   let query = Wre.Encrypted_db.search_predicate edb ~column:"name" "Alice" in
   Format.printf "SQL sent to the server:@.  SELECT * FROM accounts WHERE %a@.@." Predicate.pp
     query;
 
-  let results, server_result = Wre.Encrypted_db.search_rows edb ~column:"name" "Alice" in
+  let proxy = Wre.Proxy.create edb in
+  let result =
+    match Wre.Proxy.execute proxy "SELECT * FROM accounts WHERE name = 'Alice'" with
+    | Ok r -> r
+    | Error e -> failwith e
+  in
   Format.printf "server plan: %s, %d rows returned@."
-    (match server_result.plan with
+    (match (Option.get result.exec).plan with
     | Executor.Index_scan c -> "index scan on " ^ c
     | Executor.Or_index_scan cs -> "index-union scan on " ^ String.concat ", " cs
     | Executor.Range_traverse c -> "range-tree traversal probing " ^ c
     | Executor.Seq_scan -> "sequential scan")
-    (Array.length server_result.row_ids);
+    result.server_rows;
   Format.printf "decrypted results:@.";
   List.iter
     (fun row ->
@@ -71,7 +78,7 @@ let () =
       | [| Value.Int id; Value.Text name; Value.Text city; Value.Int balance |] ->
           Format.printf "  id=%Ld name=%s city=%s balance=%Ld@." id name city balance
       | _ -> assert false)
-    results;
+    result.rows;
 
   (* 6. What the snapshot adversary sees: tags and blobs only. *)
   let enc_row = Table.peek_row (Wre.Encrypted_db.table edb) 0 in

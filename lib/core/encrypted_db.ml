@@ -5,20 +5,10 @@ let tag_column c = c ^ "_tag"
 let data_column c = c ^ "_data"
 let rtag_column c = c ^ "_rtag"
 
-(* Row-level crypto counters (atomic bumps, nothing allocated per row)
-   plus the per-phase latency histograms of the read path. The same
-   query.* histograms are fed by the proxy's SELECT path, so one
-   registry covers both entry points. *)
+(* Row-level crypto counters: atomic bumps, nothing allocated per row. *)
 let m_rows_encrypted = Obs.Metrics.counter "edb.rows_encrypted_total"
 let m_rows_decrypted = Obs.Metrics.counter "edb.rows_decrypted_total"
 let m_columns_decrypted = Obs.Metrics.counter "edb.columns_decrypted_total"
-let h_rewrite = Obs.Metrics.histogram "query.rewrite_ns"
-let h_exec = Obs.Metrics.histogram "query.exec_ns"
-let h_decrypt = Obs.Metrics.histogram "query.decrypt_ns"
-let h_filter = Obs.Metrics.histogram "query.filter_ns"
-
-(* One query phase: latency histogram + trace span under one name. *)
-let phase h name f = Obs.Metrics.time h (fun () -> Obs.Trace.with_span name f)
 
 (* What one plain column becomes in the encrypted table: its
    encrypted-schema positions plus the key material its cells need,
@@ -359,15 +349,6 @@ let search_predicate t ~column m =
 
 let freeze t = Table.freeze t.table
 
-(* Every search runs over a view: the caller's, or one frozen now. *)
-let view_or_freeze ?view t = match view with Some v -> v | None -> freeze t
-
-let search_ids ?view t ~column m =
-  Obs.Trace.with_span "edb.search_ids" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  phase h_exec "query.exec" (fun () ->
-      Executor.run_view (view_or_freeze ?view t) ~projection:Executor.Row_ids pred)
-
 let range_index t column =
   match Hashtbl.find_opt t.range_indexes column with
   | Some ri -> ri
@@ -431,36 +412,3 @@ let decrypt_row ?mask t enc_row =
   Obs.Metrics.incr m_rows_decrypted;
   Obs.Metrics.add m_columns_decrypted !decrypted;
   out
-
-(* Back half of a row search: decrypt every returned row, then the
-   bucketized client-side false-positive filter. *)
-let decrypt_and_filter t ~column m (result : Executor.result) =
-  let col_pos = Schema.column_index t.plain_schema column in
-  let decrypted =
-    phase h_decrypt "query.decrypt" (fun () ->
-        Array.to_list (Array.map (decrypt_row t) result.rows))
-  in
-  let rows =
-    phase h_filter "query.filter" (fun () ->
-        if Scheme.is_bucketized t.kind then
-          (* Client-side false-positive filter (paper §V-C1). Compares a
-             decrypted plaintext against the query value, so it runs
-             constant-time like every other match on secret data. *)
-          List.filter
-            (fun row ->
-              match row.(col_pos) with
-              | Value.Text s -> Stdx.Bytes_util.ct_equal s m
-              | _ -> false)
-            decrypted
-        else decrypted)
-  in
-  (rows, result)
-
-let search_rows ?view t ~column m =
-  Obs.Trace.with_span "edb.search_rows" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run_view (view_or_freeze ?view t) ~projection:Executor.All_columns pred)
-  in
-  decrypt_and_filter t ~column m result

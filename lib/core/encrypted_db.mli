@@ -6,12 +6,15 @@
     remaining non-key columns are stored as AES-CTR blobs; the integer
     primary key stays in the clear so [SELECT ID] works. The server
     never runs custom code — searches compile to
-    [WHERE col_tag IN (t₁, …, t_k)].
+    [WHERE col_tag IN (t₁, …, t_k)] ({!search_predicate}).
 
-    For the bucketized scheme, server results can contain false
-    positives; {!search_rows} filters them client-side after
-    decryption, {!search_ids} returns the raw server answer (what the
-    false-positive experiments of Figs. 8–9 measure). *)
+    This module holds the client state and the row-level crypto; it
+    answers no queries. {!Proxy.execute} is the one read path: it runs
+    the rewritten predicate over a {!freeze}, decrypts with
+    {!decrypt_row} and drops the bucketized scheme's false positives.
+    What the server alone returns (what the false-positive experiments
+    of Figs. 8–9 measure) is
+    [Sqldb.Executor.run_view (freeze t) ~projection (search_predicate t ~column m)]. *)
 
 type t
 
@@ -126,31 +129,10 @@ val insert_batch :
 val encrypted_schema : t -> Sqldb.Schema.t
 (** The schema of the encrypted table (for export). *)
 
-(* Searches run over a frozen epoch: the given [view] (freeze once,
-   query many, from any domain while writers proceed) or one frozen at
-   call time. A search runs on the domain that calls it. *)
-
 val freeze : t -> Sqldb.Read_view.t
-(** {!Sqldb.Table.freeze} of the underlying encrypted table. *)
-
-val search_ids :
-  ?view:Sqldb.Read_view.t ->
-  t ->
-  column:string ->
-  string ->
-  Sqldb.Executor.result
-(** [SELECT ID WHERE col = m], server-side only (index scan over tags;
-    may include bucketized false positives). *)
-
-val search_rows :
-  ?view:Sqldb.Read_view.t ->
-  t ->
-  column:string ->
-  string ->
-  Sqldb.Value.t array list * Sqldb.Executor.result
-(** [SELECT * WHERE col = m]: fetches rows, decrypts them client-side,
-    and (for bucketized schemes) drops false positives. Returns the
-    plaintext rows and the raw server-side result. *)
+(** {!Sqldb.Table.freeze} of the underlying encrypted table: one
+    epoch, which any number of domains may query while writers
+    proceed. *)
 
 val decrypt_row : ?mask:bool array -> t -> Sqldb.Value.t array -> Sqldb.Value.t array
 (** Decrypt one encrypted-table row back to [plain_schema] order.
@@ -170,7 +152,8 @@ val fetch_positions : ?mask:bool array -> t -> int array
     arity. *)
 
 val search_predicate : t -> column:string -> string -> Sqldb.Predicate.t
-(** The WHERE clause a search compiles to (exposed for tests/EXPLAIN). *)
+(** The WHERE clause [col = m] compiles to: the server leg the proxy
+    ships, and what the benches time on the server alone. *)
 
 val tags_for : t -> column:string -> string -> int64 list
 

@@ -43,8 +43,8 @@ type query_result = {
 
 (* Statement mix plus the per-phase latency breakdown of the full
    round-trip (parse -> rewrite -> server exec -> decrypt -> residual
-   filter). The query.* histograms are shared with [Encrypted_db]'s
-   search entry points — both paths measure the same pipeline. *)
+   filter). The proxy is the only read path, so it alone feeds the
+   query.* histograms. *)
 let m_select = Obs.Metrics.counter "proxy.select_total"
 let m_join = Obs.Metrics.counter "proxy.join_total"
 let m_insert = Obs.Metrics.counter "proxy.insert_total"

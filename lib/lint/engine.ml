@@ -374,11 +374,6 @@ let lint_source ~rules ~path source =
   | Error _ as e -> e
   | Ok structure -> Ok (lint_structure ~rules ~path structure)
 
-let lint_file ~rules path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | source -> lint_source ~rules ~path source
-
 (* ---------------- tree walking + R4 ---------------- *)
 
 let rec walk acc p =
@@ -401,18 +396,3 @@ let missing_interface ~rules path =
   else []
 
 let walk_all paths = List.rev (List.fold_left walk [] paths)
-
-let lint_paths ~rules paths =
-  let missing, present = List.partition (fun p -> not (Sys.file_exists p)) paths in
-  let files = walk_all present in
-  let diags, errors =
-    List.fold_left
-      (fun (diags, errors) f ->
-        let r4 = missing_interface ~rules f in
-        match lint_file ~rules f with
-        | Ok ds -> (diags @ r4 @ ds, errors)
-        | Error e -> (diags @ r4, errors @ [ e ]))
-      ([], List.map (fun p -> p ^ ": no such file or directory") missing)
-      files
-  in
-  (List.sort Diagnostic.compare diags, errors)

@@ -15,13 +15,6 @@ val lint_structure : rules:Rule.t list -> path:string -> Parsetree.structure -> 
 val lint_source : rules:Rule.t list -> path:string -> string -> (Diagnostic.t list, string) result
 (** Parse [source] (attributed to [path]) and lint it. *)
 
-val lint_file : rules:Rule.t list -> string -> (Diagnostic.t list, string) result
-
-val lint_paths : rules:Rule.t list -> string list -> Diagnostic.t list * string list
-(** Walk files and directories (skipping [_build] and dot-dirs),
-    lint every [.ml], and apply the R4 interface-coverage check.
-    Returns sorted diagnostics plus read/parse errors. *)
-
 val parse_implementation :
   path:string -> string -> (Parsetree.structure, string) result
 (** Parse one unit with compiler-libs, attributing positions to [path].

@@ -395,8 +395,8 @@ let lint_units ?(check_mli = false) ~rules units =
     summary_ns;
   }
 
-(* Walk roots exactly like {!Engine.lint_paths}, then run the project
-   pipeline over everything found — the driver's entry point. *)
+(* Walk roots ({!Engine.walk_all}), then run the project pipeline over
+   everything found — the driver's entry point. *)
 let lint_paths ~rules paths =
   let missing, present = List.partition (fun p -> not (Sys.file_exists p)) paths in
   let files = Engine.walk_all present in

@@ -23,8 +23,9 @@ val lint_units : ?check_mli:bool -> rules:Rule.t list -> unit_src list -> result
     on for tree runs, off for fixture tests. *)
 
 val lint_paths : rules:Rule.t list -> string list -> result
-(** Walk files and directories like {!Engine.lint_paths}, then run
-    [lint_units] over everything found. The driver's entry point. *)
+(** Walk files and directories ({!Engine.walk_all}), then run
+    [lint_units] over everything found, with R4 on. The driver's entry
+    point. *)
 
 (**/**)
 

@@ -1,6 +1,6 @@
-(* lint: guarded-by lock — the session registry, thread lists and sid
-   counter are only touched with [lock] held; cross-thread shutdown is
-   signalled through the [stopping] atomic. *)
+(* lint: guarded-by lock — the session registry and sid counter are
+   only touched with [lock] held; cross-thread shutdown is signalled
+   through the [stopping] atomic. *)
 
 let server_name = "wre_server/1"
 
@@ -34,9 +34,10 @@ type t = {
   stopping : bool Atomic.t;
   lock : Mutex.t;
   sessions : (int64, Unix.file_descr) Hashtbl.t;
+      (** live sessions only: each one removes itself when it ends *)
+  session_ended : Condition.t;  (** signalled under [lock] when a session leaves [sessions] *)
   mutable next_sid : int64;
   mutable accept_thread : Thread.t option;
-  mutable session_threads : Thread.t list;
 }
 
 let response_of_result = function
@@ -107,7 +108,6 @@ let rec session_loop t sid proxy fd =
           | exception Unix.Unix_error _ -> ()))
 
 let run_session t sid fd =
-  let proxy = Wre.Proxy.create_multi t.edbs in
   Fun.protect
     ~finally:(fun () ->
       (* Remove-then-close under the registry lock, so [stop]'s
@@ -116,8 +116,11 @@ let run_session t sid fd =
       Hashtbl.remove t.sessions sid;
       Obs.Metrics.set_gauge m_active (Hashtbl.length t.sessions);
       (try Unix.close fd with Unix.Unix_error _ -> ());
+      Condition.broadcast t.session_ended;
       Mutex.unlock t.lock)
-    (fun () -> try session_loop t sid proxy fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let proxy = Wre.Proxy.create_multi t.edbs in
+      try session_loop t sid proxy fd with Unix.Unix_error _ -> ())
 
 let accept_loop t =
   let running = ref true in
@@ -136,7 +139,7 @@ let accept_loop t =
           Hashtbl.replace t.sessions sid fd;
           Obs.Metrics.incr m_sessions;
           Obs.Metrics.set_gauge m_active (Hashtbl.length t.sessions);
-          t.session_threads <- Thread.create (fun () -> run_session t sid fd) () :: t.session_threads;
+          ignore (Thread.create (fun () -> run_session t sid fd) () : Thread.t);
           Mutex.unlock t.lock)
   done
 
@@ -175,9 +178,9 @@ let start cfg engine =
           stopping = Atomic.make false;
           lock = Mutex.create ();
           sessions = Hashtbl.create 64;
+          session_ended = Condition.create ();
           next_sid = 1L;
           accept_thread = None;
-          session_threads = [];
         }
       in
       t.accept_thread <- Some (Thread.create accept_loop t);
@@ -199,15 +202,17 @@ let stop t =
         Thread.join th;
         t.accept_thread <- None
     | None -> ());
-    (* Kick every live session off its blocking read; each session
-       thread closes its own fd on the way out. *)
+    (* Kick every live session off its blocking read, then wait for the
+       registry to empty: each session thread closes its own fd and
+       removes itself on the way out. *)
     Mutex.lock t.lock;
     Hashtbl.iter
       (fun _ fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       t.sessions;
-    let threads = t.session_threads in
+    while Hashtbl.length t.sessions > 0 do
+      Condition.wait t.session_ended t.lock
+    done;
     Mutex.unlock t.lock;
-    List.iter Thread.join threads;
     Admission.stop t.adm;
     Stdx.Task_pool.shutdown t.pool;
     (try Unix.close t.listener with Unix.Unix_error _ -> ());

@@ -7,17 +7,28 @@ type t =
   | Or of t list
   | Not of t
 
+(* TEXT equality runs in constant time: the proxy's residual compares
+   decrypted secrets, and only the outcome may leak. An IN tests a TEXT
+   cell against every TEXT value in the list, without stopping at a
+   match; other cells take the hash set. *)
+let text_equal_any texts s =
+  List.fold_left (fun hit t -> Stdx.Bytes_util.ct_equal s t || hit) false texts
+
 let rec compile schema p =
   match p with
   | True -> fun _ -> true
+  | Eq (col, Value.Text t) ->
+      let i = Schema.column_index schema col in
+      fun row -> (match row.(i) with Value.Text s -> Stdx.Bytes_util.ct_equal s t | _ -> false)
   | Eq (col, v) ->
       let i = Schema.column_index schema col in
       fun row -> Value.equal row.(i) v
   | In (col, vs) ->
       let i = Schema.column_index schema col in
+      let texts = List.filter_map (function Value.Text t -> Some t | _ -> None) vs in
       let set = Hashtbl.create (List.length vs) in
-      List.iter (fun v -> Hashtbl.replace set v ()) vs;
-      fun row -> Hashtbl.mem set row.(i)
+      List.iter (function Value.Text _ -> () | v -> Hashtbl.replace set v ()) vs;
+      fun row -> (match row.(i) with Value.Text s -> text_equal_any texts s | v -> Hashtbl.mem set v)
   | Range (col, lo, hi) ->
       let i = Schema.column_index schema col in
       fun row ->

@@ -16,7 +16,10 @@ type t =
 
 val compile : Schema.t -> t -> (Value.t array -> bool)
 (** Resolve column names once; the returned closure evaluates rows.
-    Raises [Not_found] for unknown columns. *)
+    TEXT equality — an [Eq] on a TEXT value, and a TEXT cell against
+    every TEXT value of an [In] — runs in constant time
+    ({!Stdx.Bytes_util.ct_equal}): the proxy's residual compares
+    decrypted secrets. Raises [Not_found] for unknown columns. *)
 
 val columns : t -> string list
 (** Column names referenced, without duplicates. *)

@@ -31,7 +31,6 @@ type t = {
   cur_fill : int;
   data_bytes : int;
   live_bytes : int;
-  dict_overhead_bytes : int;
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
   indexes : (string * Table_index.t) list; (* postings roots at freeze time, sorted by column *)
@@ -39,11 +38,9 @@ type t = {
 }
 
 let make ~epoch ~name ~schema ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
-    ~cur_page ~cur_fill ~data_bytes ~live_bytes ~dict_overhead_bytes ~reclaimed ~row_bytes
-    ~indexes ~range_trees =
+    ~cur_page ~cur_fill ~data_bytes ~live_bytes ~reclaimed ~row_bytes ~indexes ~range_trees =
   { epoch; name; schema; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
-    cur_page; cur_fill; data_bytes; live_bytes; dict_overhead_bytes; reclaimed; row_bytes;
-    indexes; range_trees }
+    cur_page; cur_fill; data_bytes; live_bytes; reclaimed; row_bytes; indexes; range_trees }
 
 let epoch t = t.epoch
 let name t = t.name
@@ -130,7 +127,6 @@ let cur_page t = t.cur_page
 let cur_fill t = t.cur_fill
 let data_bytes t = t.data_bytes
 let live_bytes t = t.live_bytes
-let dict_overhead_bytes t = t.dict_overhead_bytes
 
 (* Columnar internals, for the checkpoint serializer: everything the
    wire format needs, without materializing rows. *)

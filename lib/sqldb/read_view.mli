@@ -35,7 +35,6 @@ val make :
   cur_fill:int ->
   data_bytes:int ->
   live_bytes:int ->
-  dict_overhead_bytes:int ->
   reclaimed:Value.t array ->
   row_bytes:(Value.t array -> int) ->
   indexes:(string * Table_index.t) list ->
@@ -103,9 +102,6 @@ val live_bytes : t -> int
 (** Heap-cursor and accounting state at freeze time, so a physical
     checkpoint taken from the view ([Table.snapshot_of_view]) restores
     byte-identically. *)
-
-val dict_overhead_bytes : t -> int
-(** Dictionary-resident bytes across all columns at freeze time. *)
 
 (* Columnar internals — the checkpoint serializer streams these
    directly instead of materializing rows. *)

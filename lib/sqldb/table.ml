@@ -285,14 +285,11 @@ let set_range_tree t ~column tree =
    pages — dictionary pages are hot by construction (every materialize
    hits them), matching the all-in-memory dictionaries of EncDBDB. *)
 
-let dict_overhead_bytes t =
-  Array.fold_left (fun acc col -> acc + Column_dict.overhead_bytes col.dict) 0 t.cols
-
 let page_size = Pager.cost_model.page_size
 let tuple_pages t = if t.data_bytes = 0 then 0 else t.cur_page + 1
 
 let dict_pages t =
-  let b = dict_overhead_bytes t in
+  let b = Array.fold_left (fun acc col -> acc + Column_dict.overhead_bytes col.dict) 0 t.cols in
   (b + page_size - 1) / page_size
 
 let heap_pages t = tuple_pages t + dict_pages t
@@ -397,8 +394,7 @@ let build_view t =
     ~cols ~n
     ~live:(Array.init n (Stdx.Vec.get t.live))
     ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
-    ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes
-    ~dict_overhead_bytes:(dict_overhead_bytes t) ~reclaimed
+    ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
       (Hashtbl.fold (fun col idx acc -> (col, Table_index.snapshot idx) :: acc) t.indexes []

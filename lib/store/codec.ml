@@ -84,97 +84,36 @@ let put_fixed b width n =
   | 2 -> Buffer.add_uint16_le b (n land 0xFFFF)
   | _ -> Buffer.add_int32_le b (Int32.of_int n)
 
-(* A table snapshot abstracted over its source, so checkpointing can
-   stream straight from a frozen view — cell by cell, with [flush]
-   giving the sink a chance to spill the buffer — without ever
-   materializing the whole table as one record. *)
-type table_writer = {
-  w_name : string;
-  w_schema : Schema.t;
-  w_rows : int;
-  w_cols : int;
-  w_dict_len : int -> int;
-  w_dict_entry : int -> int -> (Value.t * bool) option;
-  w_dict_appends : int -> int;
-  w_dict_intern_on : int -> bool;
-  w_col_id : int -> int -> int;  (* col -> row id -> dictionary id (-1 = reclaimed) *)
-  w_live : int -> bool;
-  w_row_page : int -> int;
-  w_row_size : int -> int;
-  w_cur_page : int;
-  w_cur_fill : int;
-  w_data_bytes : int;
-  w_live_bytes : int;
-  w_indexes : string list;
-}
-
-let writer_of_snapshot (s : Table.snapshot) =
-  {
-    w_name = s.Table.s_name;
-    w_schema = s.s_schema;
-    w_rows = Array.length s.s_live;
-    w_cols = Array.length s.s_cols;
-    w_dict_len = (fun c -> Array.length s.s_cols.(c).Table.cs_entries);
-    w_dict_entry = (fun c i -> s.s_cols.(c).Table.cs_entries.(i));
-    w_dict_appends = (fun c -> s.s_cols.(c).Table.cs_appends);
-    w_dict_intern_on = (fun c -> s.s_cols.(c).Table.cs_intern_on);
-    w_col_id = (fun c id -> s.s_cols.(c).Table.cs_ids.(id));
-    w_live = (fun id -> s.s_live.(id));
-    w_row_page = (fun id -> s.s_row_pages.(id));
-    w_row_size = (fun id -> s.s_row_sizes.(id));
-    w_cur_page = s.s_cur_page;
-    w_cur_fill = s.s_cur_fill;
-    w_data_bytes = s.s_data_bytes;
-    w_live_bytes = s.s_live_bytes;
-    w_indexes = s.s_indexes;
-  }
-
-let writer_of_view v =
-  {
-    w_name = Read_view.name v;
-    w_schema = Read_view.schema v;
-    w_rows = Read_view.row_count v;
-    w_cols = Read_view.n_cols v;
-    w_dict_len = (fun c -> Column_dict.frozen_len (Read_view.dict v ~col:c));
-    w_dict_entry = (fun c i -> Column_dict.frozen_entry (Read_view.dict v ~col:c) i);
-    w_dict_appends = (fun c -> Column_dict.frozen_appends (Read_view.dict v ~col:c));
-    w_dict_intern_on = (fun c -> Column_dict.frozen_intern_on (Read_view.dict v ~col:c));
-    w_col_id = (fun c id -> Read_view.col_id v ~col:c id);
-    w_live = Read_view.is_live v;
-    w_row_page = Read_view.row_page v;
-    w_row_size = Read_view.row_size v;
-    w_cur_page = Read_view.cur_page v;
-    w_cur_fill = Read_view.cur_fill v;
-    w_data_bytes = Read_view.data_bytes v;
-    w_live_bytes = Read_view.live_bytes v;
-    w_indexes = List.map fst (Read_view.indexes v);
-  }
-
-let put_table_writer ?(flush = fun () -> ()) b w =
-  put_str b w.w_name;
-  put_schema b w.w_schema;
-  let n = w.w_rows in
+(* A table, serialized straight from a frozen view: cell by cell, with
+   [flush] giving the sink a chance to spill the buffer, so the table is
+   never materialized as one record. *)
+let put_table_view ?(flush = fun () -> ()) b v =
+  put_str b (Read_view.name v);
+  put_schema b (Read_view.schema v);
+  let n = Read_view.row_count v in
+  let n_cols = Read_view.n_cols v in
   put_u32 b n;
-  put_u32 b w.w_cols;
-  for c = 0 to w.w_cols - 1 do
-    let dict_len = w.w_dict_len c in
+  put_u32 b n_cols;
+  for c = 0 to n_cols - 1 do
+    let dict = Read_view.dict v ~col:c in
+    let dict_len = Column_dict.frozen_len dict in
     put_u32 b dict_len;
     for i = 0 to dict_len - 1 do
       (* bit0 = entry present (not a vacuumed hole), bit1 = accounted *)
-      (match w.w_dict_entry c i with
-      | Some (v, accounted) ->
+      (match Column_dict.frozen_entry dict i with
+      | Some (value, accounted) ->
           put_u8 b (1 lor if accounted then 2 else 0);
-          put_value b v
+          put_value b value
       | None -> put_u8 b 0);
       if i land 0xFF = 0xFF then flush ()
     done;
-    put_u64 b (Int64.of_int (w.w_dict_appends c));
-    put_bool b (w.w_dict_intern_on c);
+    put_u64 b (Int64.of_int (Column_dict.frozen_appends dict));
+    put_bool b (Column_dict.frozen_intern_on dict);
     (* ids stored as id+1 (0 = reclaimed slot) at the narrowest width
        that fits the dictionary. *)
     let idw = Column_dict.width_for (dict_len + 1) in
     for id = 0 to n - 1 do
-      put_fixed b idw (w.w_col_id c id + 1);
+      put_fixed b idw (Read_view.col_id v ~col:c id + 1);
       if id land 0x1FFF = 0x1FFF then flush ()
     done;
     flush ()
@@ -182,7 +121,7 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   (* Visibility bitmap, packed. *)
   let byte = ref 0 in
   for id = 0 to n - 1 do
-    if w.w_live id then byte := !byte lor (1 lsl (id land 7));
+    if Read_view.is_live v id then byte := !byte lor (1 lsl (id land 7));
     if id land 7 = 7 then begin
       put_u8 b !byte;
       byte := 0
@@ -190,30 +129,30 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   done;
   if n land 7 <> 0 then put_u8 b !byte;
   flush ();
-  put_u32 b w.w_cur_page;
-  put_u32 b w.w_cur_fill;
-  let pw = Column_dict.width_for (w.w_cur_page + 1) in
+  let cur_page = Read_view.cur_page v in
+  put_u32 b cur_page;
+  put_u32 b (Read_view.cur_fill v);
+  let pw = Column_dict.width_for (cur_page + 1) in
   for id = 0 to n - 1 do
-    put_fixed b pw (w.w_row_page id);
+    put_fixed b pw (Read_view.row_page v id);
     if id land 0x1FFF = 0x1FFF then flush ()
   done;
   flush ();
   for id = 0 to n - 1 do
-    put_u32 b (w.w_row_size id);
+    put_u32 b (Read_view.row_size v id);
     if id land 0x1FFF = 0x1FFF then flush ()
   done;
   flush ();
-  put_u64 b (Int64.of_int w.w_data_bytes);
-  put_u64 b (Int64.of_int w.w_live_bytes);
-  put_u32 b (List.length w.w_indexes);
+  put_u64 b (Int64.of_int (Read_view.data_bytes v));
+  put_u64 b (Int64.of_int (Read_view.live_bytes v));
+  let indexes = Read_view.indexes v in
+  put_u32 b (List.length indexes);
   List.iter
-    (fun col ->
+    (fun (col, _) ->
       put_str b col;
       put_index_kind b)
-    w.w_indexes;
+    indexes;
   flush ()
-
-let put_table_snapshot b s = put_table_writer b (writer_of_snapshot s)
 
 (* Readers *)
 

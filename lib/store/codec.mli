@@ -35,23 +35,15 @@ val put_index_kind : Buffer.t -> unit
     index entries and WRE configs carry. Every index is a B-tree, so
     it is always written as 0. *)
 
-type table_writer
-(** A table snapshot abstracted over its source — a materialized
-    {!Sqldb.Table.snapshot} record or a live frozen view — so the
-    checkpoint path can stream cell by cell instead of building the
-    whole record in memory. *)
-
-val writer_of_snapshot : Sqldb.Table.snapshot -> table_writer
-val writer_of_view : Sqldb.Read_view.t -> table_writer
-
-val put_table_writer : ?flush:(unit -> unit) -> Buffer.t -> table_writer -> unit
-(** Serialize; [flush] is called at least once per few thousand cells
-    (and at every section boundary) so the caller can spill the buffer
-    to disk. Dictionary ids and page numbers are written at the
-    narrowest fixed width that fits their range. *)
-
-val put_table_snapshot : Buffer.t -> Sqldb.Table.snapshot -> unit
-(** [put_table_writer] over [writer_of_snapshot], no flushing. *)
+val put_table_view : ?flush:(unit -> unit) -> Buffer.t -> Sqldb.Read_view.t -> unit
+(** Serialize a table straight from a frozen view, cell by cell, so
+    the checkpoint path never materializes it as a
+    {!Sqldb.Table.snapshot} record; {!get_table_snapshot} decodes the
+    bytes as [Table.snapshot_of_view] of the same view. [flush] is
+    called at least once per few thousand cells (and at every section
+    boundary) so the caller can spill the buffer to disk. Dictionary
+    ids and page numbers are written at the narrowest fixed width that
+    fits their range. *)
 
 val get_u8 : cursor -> int
 val get_u32 : cursor -> int

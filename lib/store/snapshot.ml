@@ -43,15 +43,18 @@ let sink_drain s =
 
 let sink_flush s = if Buffer.length s.buf >= flush_threshold then sink_drain s
 
-let write_stream ~dir ~last_lsn ~table_writers ~wre =
+(* The checkpoint path: stream straight from frozen views, so no
+   snapshot record (rows × columns of boxed values) is ever
+   materialized — peak memory is the spill buffer. *)
+let write_views ~dir ~last_lsn ~views ~wre =
   let dst = path ~dir in
   let tmp = dst ^ ".tmp" in
   let f = Io.open_trunc tmp in
   Io.write ~point:"snapshot.write" f magic;
   let s = { file = f; buf = Buffer.create (flush_threshold + 4096); crc = Crc32.digest "" } in
   Codec.put_u64 s.buf last_lsn;
-  Codec.put_u32 s.buf (List.length table_writers);
-  List.iter (fun w -> Codec.put_table_writer ~flush:(fun () -> sink_flush s) s.buf w) table_writers;
+  Codec.put_u32 s.buf (List.length views);
+  List.iter (Codec.put_table_view ~flush:(fun () -> sink_flush s) s.buf) views;
   Codec.put_u32 s.buf (List.length wre);
   List.iter (Record.put_wre_config s.buf) wre;
   sink_drain s;
@@ -62,16 +65,6 @@ let write_stream ~dir ~last_lsn ~table_writers ~wre =
   Io.close f;
   Io.rename ~point:"snapshot.rename" tmp dst;
   Io.fsync_dir ~point:"dir.fsync" dir
-
-let write ~dir t =
-  write_stream ~dir ~last_lsn:t.last_lsn
-    ~table_writers:(List.map Codec.writer_of_snapshot t.tables) ~wre:t.wre
-
-(* The checkpoint path: stream straight from frozen views, so the
-   snapshot record (rows × columns of boxed values) is never
-   materialized — peak memory is the spill buffer. *)
-let write_views ~dir ~last_lsn ~views ~wre =
-  write_stream ~dir ~last_lsn ~table_writers:(List.map Codec.writer_of_view views) ~wre
 
 let decode_body ~legacy body =
   let c = Codec.cursor body in

@@ -34,19 +34,17 @@ val path : dir:string -> string
 val wal_path : dir:string -> string
 (** [dir/wal.bin]. *)
 
-val write : dir:string -> t -> unit
-(** Atomic publish as described above. *)
-
 val write_views :
   dir:string ->
   last_lsn:int64 ->
   views:Sqldb.Read_view.t list ->
   wre:Record.wre_config list ->
   unit
-(** The checkpoint path: identical bytes to {!write} of the equivalent
-    record ([Table.snapshot_of_view] per view), but streamed straight
-    from the frozen views — the snapshot record is never materialized,
-    so checkpointing a 10M-row table runs in bounded memory. *)
+(** Atomic publish as described above, streamed straight from the
+    frozen views ({!Codec.put_table_view}) — no snapshot record is ever
+    materialized, so checkpointing a 10M-row table runs in bounded
+    memory. {!load} decodes each table as [Table.snapshot_of_view] of
+    its view. *)
 
 val load : dir:string -> t option
 (** [None] when no snapshot has ever been published; raises

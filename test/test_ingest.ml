@@ -117,8 +117,11 @@ let test_batch_multidomain_matches_sequential_contents () =
   List.iter
     (fun (q : Sparta.Query_gen.query) ->
       let ids edb =
-        let r = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
-        List.sort compare (Array.to_list r.Sqldb.Executor.row_ids)
+        let r =
+          Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Sqldb.Executor.Row_ids
+            (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value)
+        in
+        List.sort compare (Array.to_list r.row_ids)
       in
       check_bool (Printf.sprintf "%s=%s" q.column q.value) true (ids seq = ids par))
     queries

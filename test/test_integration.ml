@@ -39,6 +39,11 @@ let build_encrypted kind =
   Array.iter (fun r -> ignore (Wre.Encrypted_db.insert edb r)) (Lazy.force rows);
   (db, edb)
 
+(* The plaintext SQL of a query, for the proxy. *)
+let select_star (q : Sparta.Query_gen.query) =
+  Printf.sprintf "SELECT * FROM main WHERE %s = %s" q.column
+    (Sqldb.Sql.print_value (Sqldb.Value.Text q.value))
+
 let queries () =
   Sparta.Query_gen.generate ~seed:9L ~columns:enc_columns
     ~counts:(fun col ->
@@ -50,13 +55,14 @@ let queries () =
 let test_queries_agree_with_plaintext kind () =
   let _pdb, plain = build_plain () in
   let _edb_db, edb = build_encrypted kind in
+  let proxy = Wre.Proxy.create edb in
   List.iter
     (fun (q : Sparta.Query_gen.query) ->
       let reference =
         Sqldb.Executor.run_view (Sqldb.Table.freeze plain) ~projection:Sqldb.Executor.Row_ids
           (Sqldb.Predicate.Eq (q.column, Sqldb.Value.Text q.value))
       in
-      let enc_rows, _raw = Wre.Encrypted_db.search_rows edb ~column:q.column q.value in
+      let enc_rows = (Result.get_ok (Wre.Proxy.execute proxy (select_star q))).rows in
       check_int
         (Printf.sprintf "%s=%s" q.column q.value)
         (Array.length reference.row_ids) (List.length enc_rows);
@@ -81,7 +87,10 @@ let test_queries_agree_with_plaintext kind () =
 let test_cold_warm_ordering () =
   let _db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
   let q = List.hd (List.filter (fun (q : Sparta.Query_gen.query) -> q.expected > 50) (queries ())) in
-  let search () = Wre.Encrypted_db.search_ids edb ~column:q.column q.value in
+  let search () =
+    Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Sqldb.Executor.Row_ids
+      (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value)
+  in
   let cache = Sqldb.Pager.cache () in
   let r_cold = Sqldb.Pager.with_cache cache search in
   let r_warm = Sqldb.Pager.with_cache cache search in
@@ -91,9 +100,13 @@ let test_cold_warm_ordering () =
 let test_select_star_costs_more () =
   let _db, edb = build_encrypted (Wre.Scheme.Poisson 500.0) in
   let q = List.hd (List.filter (fun (q : Sparta.Query_gen.query) -> q.expected > 50) (queries ())) in
-  let cold f = Sqldb.Pager.with_cache (Sqldb.Pager.cache ()) f in
-  let ids = cold (fun () -> Wre.Encrypted_db.search_ids edb ~column:q.column q.value) in
-  let _rows, star = cold (fun () -> Wre.Encrypted_db.search_rows edb ~column:q.column q.value) in
+  let cold projection =
+    Sqldb.Pager.with_cache (Sqldb.Pager.cache ()) (fun () ->
+        Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection
+          (Wre.Encrypted_db.search_predicate edb ~column:q.column q.value))
+  in
+  let ids = cold Sqldb.Executor.Row_ids in
+  let star = cold Sqldb.Executor.All_columns in
   check_bool "select * touches more pages" true (star.stats.misses > ids.stats.misses)
 
 let test_storage_expansion_bounds () =
@@ -151,12 +164,13 @@ let test_snapshot_attack_on_full_pipeline () =
 
 let test_bucketized_pipeline_false_positive_rate () =
   let _db, edb = build_encrypted (Wre.Scheme.Bucketized 200.0) in
+  let proxy = Wre.Proxy.create edb in
   let fp = ref 0 and total = ref 0 in
   List.iter
-    (fun (q : Sparta.Query_gen.query) ->
-      let rows_, raw = Wre.Encrypted_db.search_rows edb ~column:q.column q.value in
-      fp := !fp + (Array.length raw.row_ids - List.length rows_);
-      total := !total + Array.length raw.row_ids)
+    (fun q ->
+      let r = Result.get_ok (Wre.Proxy.execute proxy (select_star q)) in
+      fp := !fp + (r.server_rows - List.length r.rows);
+      total := !total + r.server_rows)
     (queries ());
   check_bool "some false positives at low lambda" true (!fp > 0);
   check_bool "but bounded" true (float_of_int !fp < 0.9 *. float_of_int !total)

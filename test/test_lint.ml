@@ -106,18 +106,18 @@ let write_file path contents = Out_channel.with_open_text path (fun oc -> output
 let r4_missing_mli () =
   with_temp_tree (fun root dir ->
       write_file (Filename.concat dir "orphan.ml") "let x = 1\n";
-      let diags, errors = Lint.Engine.lint_paths ~rules:all [ root ] in
-      Alcotest.(check (list string)) "no errors" [] errors;
+      let r = Lint.Project.lint_paths ~rules:all [ root ] in
+      Alcotest.(check (list string)) "no errors" [] r.errors;
       Alcotest.(check bool) "R4 fires" true
-        (List.exists (fun d -> Lint.Rule.equal d.Lint.Diagnostic.rule Lint.Rule.R4) diags))
+        (List.exists (fun d -> Lint.Rule.equal d.Lint.Diagnostic.rule Lint.Rule.R4) r.diagnostics))
 
 let r4_with_mli () =
   with_temp_tree (fun root dir ->
       write_file (Filename.concat dir "covered.ml") "let x = 1\n";
       write_file (Filename.concat dir "covered.mli") "val x : int\n";
-      let diags, errors = Lint.Engine.lint_paths ~rules:all [ root ] in
-      Alcotest.(check (list string)) "no errors" [] errors;
-      Alcotest.(check int) "silent" 0 (List.length diags))
+      let r = Lint.Project.lint_paths ~rules:all [ root ] in
+      Alcotest.(check (list string)) "no errors" [] r.errors;
+      Alcotest.(check int) "silent" 0 (List.length r.diagnostics))
 
 (* ---------------- R5: partial escapes ---------------- *)
 

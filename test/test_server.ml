@@ -10,8 +10,9 @@
      containment, stop/drain;
    - Daemon: a live in-process server over a real Unix-domain socket —
      byte-identity with the in-process snapshot path, session isolation
-     under a garbage client, concurrent-client correctness, and INSERT
-     durability across a server stop + engine reopen. *)
+     under a garbage client, concurrent-client correctness, INSERT
+     durability across a server stop + engine reopen, and a stop with
+     an idle session connected. *)
 
 module Wire = Server.Wire
 module Admission = Server.Admission
@@ -490,6 +491,35 @@ let test_server_insert_durable_across_restart () =
           let q = Result.get_ok (Wre.Proxy.execute proxy "SELECT * FROM people WHERE name = 'zed'") in
           check_int "insert survived restart" 1 (List.length q.Wre.Proxy.rows)))
 
+(* [stop] with a client connected and idle: it kicks the session off
+   its blocking read and waits for the session to leave the registry,
+   so it returns, and the client's next statement fails instead of
+   hanging. Stop runs on its own thread so a hang fails the case. *)
+let test_server_stop_with_idle_session () =
+  with_temp_dir (fun dir ->
+      with_server ~dir (fun (d, _store, _edb) ->
+          let sql = "SELECT * FROM people WHERE name = 'ann'" in
+          let c = Result.get_ok (Client.connect ~socket_path:(Daemon.socket_path d) ()) in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              check_bool "session served before stop" true (Result.is_ok (Client.query c sql));
+              let stopped = Atomic.make false in
+              let stopper =
+                Thread.create
+                  (fun () ->
+                    Daemon.stop d;
+                    Atomic.set stopped true)
+                  ()
+              in
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+                Thread.delay 0.01
+              done;
+              check_bool "stop returns with a session connected" true (Atomic.get stopped);
+              Thread.join stopper;
+              check_bool "next query fails" true (Result.is_error (Client.query c sql)))))
+
 let test_server_control_requests () =
   with_temp_dir (fun dir ->
       with_server ~dir (fun (d, _store, _edb) ->
@@ -638,6 +668,7 @@ let () =
           Alcotest.test_case "insert durable across restart" `Quick
             test_server_insert_durable_across_restart;
           Alcotest.test_case "ping/stats" `Quick test_server_control_requests;
+          Alcotest.test_case "stop with idle session" `Quick test_server_stop_with_idle_session;
           Alcotest.test_case "refuses plain store" `Quick test_server_requires_encrypted_tables;
           Alcotest.test_case "refuses batch_max 0" `Quick test_server_rejects_zero_batch_max;
           Alcotest.test_case "oversized reply fails cleanly" `Quick

@@ -1159,6 +1159,32 @@ let qcheck_csv_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (1 -- 5) (list_size (1 -- 5) cell)))
     (fun rows -> Csv.parse (Csv.render rows) = Ok rows)
 
+(* Compiled Eq and In compare TEXT in constant time; they must decide
+   exactly what [Value.equal] and list membership decide, over TEXT
+   (short strings over a tiny alphabet, so equal, prefix and
+   same-length pairs all arise), NULL and INT cells. *)
+let qcheck_compiled_equality =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Value.Null);
+          (2, map (fun i -> Value.Int (Int64.of_int i)) (int_range (-2) 2));
+          (5, map (fun s -> Value.Text s) (string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 3)));
+        ])
+  in
+  let print (cell, (v, vs)) =
+    String.concat " " (List.map Value.to_string (cell :: v :: vs))
+  in
+  let schema = Schema.create [ { name = "c"; ty = TText; nullable = true } ] in
+  QCheck.Test.make ~name:"compiled Eq/In agree with Value.equal" ~count:500
+    (QCheck.make ~print QCheck.Gen.(pair value (pair value (list_size (0 -- 5) value))))
+    (fun (cell, (v, vs)) ->
+      let row = [| cell |] in
+      Predicate.compile schema (Predicate.Eq ("c", v)) row = Value.equal cell v
+      && Predicate.compile schema (Predicate.In ("c", vs)) row
+         = List.exists (Value.equal cell) vs)
+
 let qcheck_index_vs_scan =
   QCheck.Test.make ~name:"index scan = seq scan on random data" ~count:30
     QCheck.(list_of_size Gen.(1 -- 200) (int_bound 10))
@@ -1412,5 +1438,6 @@ let () =
             qcheck_executor_vs_naive;
             qcheck_csv_roundtrip;
             qcheck_views_isolated;
+            qcheck_compiled_equality;
           ] );
     ]

@@ -64,6 +64,9 @@ let setup_base dir =
   Store.Engine.checkpoint store;
   Store.Engine.close store
 
+(* The server predicate of a search for [name = 'alice']. *)
+let alice edb = Wre.Encrypted_db.search_predicate edb ~column:"name" "alice"
+
 (* In-memory replica of [setup_base]'s table. *)
 let memory_edb () =
   Wre.Encrypted_db.create ~db:(Sqldb.Database.create ()) ~name:"t" ~plain_schema
@@ -78,7 +81,8 @@ let reference_state n =
     ignore (Wre.Encrypted_db.insert edb (op_row i))
   done;
   ( Sqldb.Table.snapshot (Wre.Encrypted_db.table edb),
-    (Wre.Encrypted_db.search_ids edb ~column:"name" "alice").Sqldb.Executor.row_ids )
+    (Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Row_ids (alice edb))
+      .row_ids )
 
 (* ---------------- crc32 ---------------- *)
 
@@ -239,11 +243,11 @@ let test_codec_table_snapshot_roundtrip () =
   ignore (Sqldb.Table.create_index t ~column:"name");
   ignore (Sqldb.Table.delete t 3);
   Sqldb.Table.vacuum t;
-  let snap = Sqldb.Table.snapshot t in
+  let view = Sqldb.Table.freeze t in
   let b = Buffer.create 256 in
-  Store.Codec.put_table_snapshot b snap;
+  Store.Codec.put_table_view b view;
   let back = Store.Codec.get_table_snapshot (Store.Codec.cursor (Buffer.contents b)) in
-  check_bool "snapshot roundtrip" true (back = snap)
+  check_bool "snapshot roundtrip" true (back = Sqldb.Table.snapshot_of_view view)
 
 let apply_op ?(deleted = [||]) ?(rows = [||]) ?prng () =
   Store.Record.Apply { table = "t"; deleted; rows; prng }
@@ -446,7 +450,9 @@ let test_encrypted_roundtrip_continues_stream () =
       check_bool "byte-identical to uncrashed reference" true
         (Sqldb.Table.snapshot t = ref_snap);
       check_bool "search agrees" true
-        ((Wre.Encrypted_db.search_ids edb ~column:"name" "alice").Sqldb.Executor.row_ids = ref_ids);
+        ((Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Row_ids (alice edb))
+           .row_ids
+        = ref_ids);
       Store.Engine.close store)
 
 let test_checkpoint_replays_only_tail () =
@@ -505,7 +511,10 @@ let test_vacuum_checkpoint_shrinks_no_resurrection () =
       done;
       (* No resurrection through the index either: every id a search
          returns must be a live post-vacuum row. *)
-      let ids = (Wre.Encrypted_db.search_ids edb ~column:"name" "alice").Sqldb.Executor.row_ids in
+      let ids =
+        (Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Row_ids (alice edb))
+          .row_ids
+      in
       Array.iter
         (fun id ->
           check_bool "search hits only live rows" true (id >= 20 && Sqldb.Table.is_live t id))
@@ -544,10 +553,10 @@ let test_corrupt_snapshot_rejected () =
         | exception Store.Snapshot.Corrupt_snapshot _ -> true
         | _ -> false))
 
-(* The streaming checkpoint writer must be byte-for-byte the same
-   format as serializing the materialized snapshot record — stream two
-   churned tables both ways and compare files and decoded state. *)
-let test_snapshot_stream_equals_record () =
+(* A checkpoint streamed from the frozen views of two churned tables
+   (one empty) decodes to those views' snapshot records and keeps its
+   LSN. *)
+let test_checkpoint_roundtrips_views () =
   with_temp_dir (fun dir ->
       let t1 = Sqldb.Table.create ~name:"t1" ~schema:plain_schema in
       for i = 0 to 499 do
@@ -567,13 +576,9 @@ let test_snapshot_stream_equals_record () =
       let views = [ Sqldb.Table.freeze t1; Sqldb.Table.freeze t2 ] in
       let last_lsn = 42L in
       Store.Snapshot.write_views ~dir ~last_lsn ~views ~wre:[];
-      let streamed = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
-      let tables = List.map Sqldb.Table.snapshot_of_view views in
-      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn; tables; wre = [] };
-      let recorded = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
-      check_bool "identical bytes" true (String.equal streamed recorded);
       let loaded = Option.get (Store.Snapshot.load ~dir) in
-      check_bool "decodes to the frozen state" true (loaded.Store.Snapshot.tables = tables);
+      check_bool "decodes to the frozen state" true
+        (loaded.Store.Snapshot.tables = List.map Sqldb.Table.snapshot_of_view views);
       check_bool "lsn preserved" true (loaded.Store.Snapshot.last_lsn = last_lsn))
 
 (* ---------------- WRESNAP2 compatibility ---------------- *)
@@ -768,7 +773,7 @@ let kind_table () =
   ignore (Sqldb.Table.insert t (op_row 0));
   ignore (Sqldb.Table.insert t (op_row 1));
   ignore (Sqldb.Table.create_index t ~column:"name");
-  Sqldb.Table.snapshot t
+  Sqldb.Table.freeze t
 
 let encoded f =
   let b = Buffer.create 64 in
@@ -811,7 +816,7 @@ let test_kind_byte_pinned () =
       ^ "000000000003010100000000000000020000000000000001010202000000030305000000616c696365030303"
       ^ "000000626f620200000000000000010102030000000028000000000014000000140000002800000000000000"
       ^ "280000000000000001000000040000006e616d6500")
-    (hex (encoded (fun b -> Store.Codec.put_table_snapshot b (kind_table ()))));
+    (hex (encoded (fun b -> Store.Codec.put_table_view b (kind_table ()))));
   check_int "config kind byte" 0
     (Char.code (encoded (fun b -> Store.Record.put_wre_config b kind_config)).[kind_config_pos])
 
@@ -823,12 +828,13 @@ let test_kind_byte_legacy_hash_decodes () =
   check_bool "WRE config with kind 1" true
     (Store.Record.get_wre_config (Store.Codec.cursor (with_byte config kind_config_pos 1))
     = kind_config);
-  let snap = kind_table () in
-  let table = encoded (fun b -> Store.Codec.put_table_snapshot b snap) in
+  let view = kind_table () in
+  let snap = Sqldb.Table.snapshot_of_view view in
+  let table = encoded (fun b -> Store.Codec.put_table_view b view) in
   check_bool "snapshot index entry with kind 1" true
     (Store.Codec.get_table_snapshot (Store.Codec.cursor (with_byte table (last table) 1)) = snap);
   with_temp_dir (fun dir ->
-      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn = 0L; tables = [ snap ]; wre = [] };
+      Store.Snapshot.write_views ~dir ~last_lsn:0L ~views:[ view ] ~wre:[];
       patch_snapshot_kind ~dir 1;
       check_bool "snapshot file with kind 1" true
         ((Option.get (Store.Snapshot.load ~dir)).Store.Snapshot.tables = [ snap ]))
@@ -876,8 +882,7 @@ let test_kind_byte_unknown_rejected () =
     | exception Store.Codec.Corrupt _ -> true
     | _ -> false);
   with_temp_dir (fun dir ->
-      let tables = [ kind_table () ] in
-      Store.Snapshot.write ~dir { Store.Snapshot.last_lsn = 0L; tables; wre = [] };
+      Store.Snapshot.write_views ~dir ~last_lsn:0L ~views:[ kind_table () ] ~wre:[];
       patch_snapshot_kind ~dir 2;
       check_bool "Snapshot.load raises Corrupt_snapshot" true
         (match Store.Snapshot.load ~dir with
@@ -942,7 +947,9 @@ let verify_recovery ~label ~completed dir (ref_snap, ref_ids) =
   check_bool (label ^ ": final state = uncrashed reference") true
     (Sqldb.Table.snapshot t = ref_snap);
   check_bool (label ^ ": search tags agree") true
-    ((Wre.Encrypted_db.search_ids edb ~column:"name" "alice").Sqldb.Executor.row_ids = ref_ids);
+    ((Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Row_ids (alice edb))
+       .row_ids
+    = ref_ids);
   Store.Engine.close store
 
 (* Enumerate the crash matrix for the workload: total bytes written and
@@ -1057,8 +1064,7 @@ let test_checkpoint_crash_reader_holds_old_epoch () =
           done;
           let view = Wre.Encrypted_db.freeze edb in
           let alice_at_freeze =
-            (Wre.Encrypted_db.search_ids ~view edb ~column:"name" "alice")
-              .Sqldb.Executor.row_ids
+            (Sqldb.Executor.run_view view ~projection:Row_ids (alice edb)).row_ids
           in
           for i = half to n_ops - 1 do
             ignore (Wre.Encrypted_db.insert edb (op_row i))
@@ -1071,10 +1077,7 @@ let test_checkpoint_crash_reader_holds_old_epoch () =
           in
           Store.Failpoints.disarm ();
           check_bool (point ^ ": checkpoint crashed") true crashed;
-          let alice_after =
-            (Wre.Encrypted_db.search_ids ~view edb ~column:"name" "alice")
-              .Sqldb.Executor.row_ids
-          in
+          let alice_after = (Sqldb.Executor.run_view view ~projection:Row_ids (alice edb)).row_ids in
           check_bool (point ^ ": view answers unchanged") true (alice_after = alice_at_freeze);
           check_int (point ^ ": view stays at its epoch") half (Sqldb.Read_view.live_count view);
           check_bool (point ^ ": writer rows invisible through view") true
@@ -1340,7 +1343,7 @@ let () =
         [
           Alcotest.test_case "tmp ignored" `Quick test_snapshot_tmp_ignored;
           Alcotest.test_case "corrupt rejected" `Quick test_corrupt_snapshot_rejected;
-          Alcotest.test_case "stream = record" `Quick test_snapshot_stream_equals_record;
+          Alcotest.test_case "checkpoint roundtrips views" `Quick test_checkpoint_roundtrips_views;
           Alcotest.test_case "WRESNAP2 store opens" `Quick test_v2_snapshot_opens;
           Alcotest.test_case "atomic_write_text" `Quick test_atomic_write_text_crash_safe;
         ] );

@@ -469,28 +469,34 @@ let make_edb kind =
 let truth name =
   List.length (List.filter (fun r -> r.(1) = Sqldb.Value.Text name) edb_rows)
 
+(* The plaintext SQL of a search for [name = m]: what the proxy
+   answers, decrypting and dropping bucketized false positives. *)
+let select_name m = Printf.sprintf "SELECT * FROM t WHERE name = '%s'" m
+
 let test_edb_search_exact_all_kinds () =
   List.iter
     (fun kind ->
       let _db, edb = make_edb kind in
+      let proxy = Wre.Proxy.create edb in
       Array.iter
         (fun m ->
-          let rows, _raw = Wre.Encrypted_db.search_rows edb ~column:"name" m in
+          let r = Result.get_ok (Wre.Proxy.execute proxy (select_name m)) in
           check_int
             (Printf.sprintf "%s search %s" (Wre.Scheme.to_string kind) m)
-            (truth m) (List.length rows);
-          List.iter (fun r -> check_bool "right value" true (r.(1) = Sqldb.Value.Text m)) rows)
+            (truth m) (List.length r.rows);
+          List.iter (fun row -> check_bool "right value" true (row.(1) = Sqldb.Value.Text m)) r.rows)
         (Dist.Empirical.support small_dist))
     all_kinds
 
 let test_edb_bucketized_superset () =
   let _db, edb = make_edb (Wre.Scheme.Bucketized 50.0) in
+  let proxy = Wre.Proxy.create edb in
   let total_fp = ref 0 in
   Array.iter
     (fun m ->
-      let rows, raw = Wre.Encrypted_db.search_rows edb ~column:"name" m in
-      check_bool "server >= client" true (Array.length raw.row_ids >= List.length rows);
-      total_fp := !total_fp + Array.length raw.row_ids - List.length rows)
+      let r = Result.get_ok (Wre.Proxy.execute proxy (select_name m)) in
+      check_bool "server >= client" true (r.server_rows >= List.length r.rows);
+      total_fp := !total_fp + r.server_rows - List.length r.rows)
     (Dist.Empirical.support small_dist);
   check_bool "false positives exist at low lambda" true (!total_fp > 0)
 
@@ -498,11 +504,12 @@ let test_edb_non_bucketized_no_fp () =
   List.iter
     (fun kind ->
       let _db, edb = make_edb kind in
+      let proxy = Wre.Proxy.create edb in
       Array.iter
         (fun m ->
-          let rows, raw = Wre.Encrypted_db.search_rows edb ~column:"name" m in
-          check_int (Wre.Scheme.to_string kind ^ " exact server count") (List.length rows)
-            (Array.length raw.row_ids))
+          let r = Result.get_ok (Wre.Proxy.execute proxy (select_name m)) in
+          check_int (Wre.Scheme.to_string kind ^ " exact server count") (List.length r.rows)
+            r.server_rows)
         (Dist.Empirical.support small_dist))
     [ Wre.Scheme.Det; Wre.Scheme.Fixed 8; Wre.Scheme.Poisson 200.0 ]
 
@@ -529,7 +536,10 @@ let test_edb_schema_shape () =
 
 let test_edb_search_uses_index () =
   let _db, edb = make_edb (Wre.Scheme.Poisson 100.0) in
-  let r = Wre.Encrypted_db.search_ids edb ~column:"name" "alpha" in
+  let r =
+    Sqldb.Executor.run_view (Wre.Encrypted_db.freeze edb) ~projection:Sqldb.Executor.Row_ids
+      (Wre.Encrypted_db.search_predicate edb ~column:"name" "alpha")
+  in
   check_bool "index scan" true (r.plan = Sqldb.Executor.Index_scan "name_tag")
 
 let test_edb_rejects_bad_config () =
@@ -547,9 +557,9 @@ let test_edb_rejects_bad_config () =
 
 let test_edb_unknown_search_empty () =
   let _db, edb = make_edb (Wre.Scheme.Poisson 100.0) in
-  let rows, raw = Wre.Encrypted_db.search_rows edb ~column:"name" "absent-value" in
-  check_int "no rows" 0 (List.length rows);
-  check_int "no server rows" 0 (Array.length raw.row_ids)
+  let r = Result.get_ok (Wre.Proxy.execute (Wre.Proxy.create edb) (select_name "absent-value")) in
+  check_int "no rows" 0 (List.length r.rows);
+  check_int "no server rows" 0 r.server_rows
 
 (* ---------------- Range index (extension) ---------------- *)
 

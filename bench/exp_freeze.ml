@@ -1,6 +1,6 @@
 (* Epoch-view cost: what a reader pays for the first view after a
    write, and what the indexes cost writers and memory to make that
-   view cheap (DESIGN.md §5f, EXPERIMENTS.md A10).
+   view cheap (DESIGN.md §5f, EXPERIMENTS.md A10 and A20).
 
    One table per size (id, name, score) with B-tree indexes on all
    three columns — the shape of test_sqldb's "freeze cost bounded".
@@ -8,11 +8,18 @@
 
    - words reachable from the table per row, before the first view and
      after it (the cached view included);
-   - [Table.freeze] right after one insert: words allocated per row and
-     wall time (median of 21 insert + freeze cycles);
+   - [Table.freeze] right after one insert: words allocated per freeze
+     (absolute, not per row; median of 101 insert + freeze cycles) and
+     wall time (mean over the same cycles: the clock ticks in whole
+     microseconds, and the mean of the ticks a freeze spans is an
+     unbiased estimate of a sub-microsecond freeze);
    - [Table.insert] with the three indexes: wall time and words
-     allocated per insert, over 2000 inserts with no freeze between;
-   - the freeze that follows those 2000 inserts.
+     allocated per insert, over 2000 inserts with no freeze between.
+
+   Writes BENCH_freeze.json with [freeze_flat]: true when the words one
+   freeze allocates at the largest size are at most the smallest
+   size's plus [slack_words], i.e. a freeze copies nothing row-sized
+   (CI greps it).
 
    Uses only the [Table] API, so the same file measures any revision. *)
 
@@ -28,15 +35,31 @@ let schema =
 
 let row i = [| Value.Int (Int64.of_int i); Value.Text (Printf.sprintf "n%d" (i mod 97)); Value.Real (float_of_int i) |]
 
-(* Words allocated anywhere (minor and major, promotions counted once). *)
+(* Words allocated anywhere (minor and major, promotions counted once).
+   The minor count comes from [Gc.minor_words]: the one in
+   [Gc.counters] reads an eighth of the true count on OCaml 5.1. *)
 let allocated () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
   a.(Array.length a / 2)
+
+type size = {
+  n : int;
+  held_no_view : float;  (* words reachable per row *)
+  held_view : float;
+  freeze_words : float;  (* allocated by one freeze after one insert, median *)
+  freeze_us : float;  (* mean *)
+  insert_us : float;
+  insert_words : float;
+}
+
+(* A freeze allocates a fixed number of words per column and per index;
+   this bounds any difference between sizes that is not row-sized. *)
+let slack_words = 64.0
 
 let measure n =
   let t = Table.create ~name:"f" ~schema in
@@ -52,11 +75,11 @@ let measure n =
   ignore (Table.freeze t);
   let held_view = held () in
   let cycles =
-    List.init 21 (fun k ->
+    List.init 101 (fun k ->
         ignore (Table.insert t (row (n + k)));
         let before = allocated () in
         let _, ns = Stdx.Clock.time_it (fun () -> Sys.opaque_identity (Table.freeze t)) in
-        ((allocated () -. before) /. float_of_int n, ns))
+        (allocated () -. before, ns))
   in
   let inserts = 2000 in
   let before = allocated () in
@@ -67,17 +90,50 @@ let measure n =
         done)
   in
   let insert_words = (allocated () -. before) /. float_of_int inserts in
-  let _, bulk_ns = Stdx.Clock.time_it (fun () -> Sys.opaque_identity (Table.freeze t)) in
-  [
-    string_of_int n;
-    Printf.sprintf "%.1f" held_no_view;
-    Printf.sprintf "%.1f" held_view;
-    Printf.sprintf "%.2f" (median (List.map fst cycles));
-    Printf.sprintf "%.3f" (median (List.map snd cycles) /. 1e6);
-    Printf.sprintf "%.2f" (insert_ns /. float_of_int inserts /. 1e3);
-    Printf.sprintf "%.0f" insert_words;
-    Printf.sprintf "%.3f" (bulk_ns /. 1e6);
-  ]
+  {
+    n;
+    held_no_view;
+    held_view;
+    freeze_words = median (List.map fst cycles);
+    freeze_us = Stdx.Stats.mean (Array.of_list (List.map snd cycles)) /. 1e3;
+    insert_us = insert_ns /. float_of_int inserts /. 1e3;
+    insert_words;
+  }
+
+let write_json sizes ~freeze_flat =
+  let open Bench_util in
+  let metrics =
+    List.concat_map
+      (fun s ->
+        let k name = Printf.sprintf "%s_%d" name s.n in
+        [
+          (k "held_words_per_row", Printf.sprintf "%.2f" s.held_view);
+          (k "freeze_words", Printf.sprintf "%.0f" s.freeze_words);
+          (k "freeze_us", Printf.sprintf "%.2f" s.freeze_us);
+          (k "insert_us", Printf.sprintf "%.2f" s.insert_us);
+          (k "insert_words", Printf.sprintf "%.0f" s.insert_words);
+        ])
+      sizes
+    @ [ ("freeze_flat", if freeze_flat then "true" else "false") ]
+  in
+  let json =
+    json_obj
+      [
+        ("name", "\"freeze\"");
+        ( "config",
+          json_obj
+            [
+              ( "rows",
+                "[" ^ String.concat ", " (List.map (fun s -> string_of_int s.n) sizes) ^ "]" );
+              ("cores", string_of_int (Domain.recommended_domain_count ()));
+              ("indexes", "3");
+              ("slack_words", Printf.sprintf "%.0f" slack_words);
+            ] );
+        ("metrics", json_obj metrics);
+      ]
+  in
+  write_bench_json ~path:"BENCH_freeze.json" json;
+  Printf.printf "wrote BENCH_freeze.json (freeze words flat across sizes: %b)\n" freeze_flat
 
 let run ~rows () =
   Bench_util.heading "Epoch views: freeze after a write, index insert cost, memory";
@@ -87,12 +143,26 @@ let run ~rows () =
         "rows";
         "words/row, no view";
         "with view";
-        "freeze words/row";
-        "freeze ms";
+        "freeze words";
+        "freeze us";
         "insert us";
         "insert words";
-        "freeze after 2000 inserts ms";
       ]
   in
-  List.iter (fun n -> Stdx.Table_fmt.add_row t (measure n)) [ max 1 (rows / 50); max 1 (rows / 5); rows ];
-  Stdx.Table_fmt.print t
+  let sizes = List.map measure [ max 1 (rows / 50); max 1 (rows / 5); rows ] in
+  List.iter
+    (fun s ->
+      Stdx.Table_fmt.add_row t
+        [
+          string_of_int s.n;
+          Printf.sprintf "%.1f" s.held_no_view;
+          Printf.sprintf "%.1f" s.held_view;
+          Printf.sprintf "%.0f" s.freeze_words;
+          Printf.sprintf "%.2f" s.freeze_us;
+          Printf.sprintf "%.2f" s.insert_us;
+          Printf.sprintf "%.0f" s.insert_words;
+        ])
+    sizes;
+  Stdx.Table_fmt.print t;
+  let smallest = List.hd sizes and largest = List.nth sizes (List.length sizes - 1) in
+  write_json sizes ~freeze_flat:(largest.freeze_words <= smallest.freeze_words +. slack_words)

@@ -73,13 +73,30 @@ let print_figure title pick (all : series list) =
     all;
   Stdx.Table_fmt.print t
 
-(* Executor latency percentiles + plan and salt-cache counters, pulled
-   from the Obs registry the run just filled. The figures time the
-   server query alone, so the proxy's query.* phases and the decrypt
-   counters stay empty here and are not written. The
-   {"name","config","metrics"} shape matches BENCH_ingest.json. *)
-let write_query_json ~rows ~n_queries =
+(* One scheme's executor latency percentiles + plan and salt-cache
+   counters, pulled from the Obs registry its run just filled (the
+   registry is reset before each scheme). The figures time the server
+   query alone, so the proxy's query.* phases and the decrypt counters
+   stay empty here and are not written. *)
+let scheme_metrics_json () =
   let counter name = string_of_int (Obs.Metrics.counter_value (Obs.Metrics.counter name)) in
+  Bench_util.json_obj
+    (("executor.wall_ns", Bench_util.json_histogram "executor.wall_ns")
+    :: List.map
+         (fun c -> (c, counter c))
+         [
+           "executor.queries_total";
+           "executor.plan_index_total";
+           "executor.plan_or_index_total";
+           "executor.plan_seq_total";
+           "column_enc.salt_cache_hits_total";
+           "column_enc.salt_cache_misses_total";
+         ])
+
+(* [per_scheme] holds one {!scheme_metrics_json} object per scheme
+   name. The {"name","config","metrics"} shape matches
+   BENCH_ingest.json. *)
+let write_query_json ~rows ~n_queries per_scheme =
   let json =
     Bench_util.json_obj
       [
@@ -95,19 +112,7 @@ let write_query_json ~rows ~n_queries =
                     (List.map (fun (n, _) -> Printf.sprintf "%S" n) Bench_util.schemes_for_latency)
                 ^ "]" );
             ] );
-        ( "metrics",
-          Bench_util.json_obj
-            (("executor.wall_ns", Bench_util.json_histogram "executor.wall_ns")
-            :: List.map
-                (fun c -> (c, counter c))
-                [
-                  "executor.queries_total";
-                  "executor.plan_index_total";
-                  "executor.plan_or_index_total";
-                  "executor.plan_seq_total";
-                  "column_enc.salt_cache_hits_total";
-                  "column_enc.salt_cache_misses_total";
-                ]) );
+        ("metrics", Bench_util.json_obj per_scheme);
       ]
   in
   Bench_util.write_bench_json ~path:"BENCH_query.json" json;
@@ -117,12 +122,20 @@ let run ~rows:n_rows ~n_queries () =
   Bench_util.heading
     (Printf.sprintf "Figures 4-7: modeled query latency, %d rows, %d queries per protocol" n_rows
        n_queries);
-  (* Clean registry so BENCH_query.json reflects only this run. *)
-  Obs.Metrics.reset_all ();
   let rows = Bench_util.generate_rows n_rows in
   let dist_of = Bench_util.dist_of_rows rows in
   let queries = Bench_util.make_queries ~dist_of ~n:n_queries in
-  let all = List.map (run_scheme ~rows ~dist_of ~queries) Bench_util.schemes_for_latency in
+  (* A clean registry per scheme, so each BENCH_query.json entry holds
+     that scheme's queries alone. *)
+  let all, per_scheme =
+    List.split
+      (List.map
+         (fun ((name, _) as scheme) ->
+           Obs.Metrics.reset_all ();
+           let s = run_scheme ~rows ~dist_of ~queries scheme in
+           (s, (name, scheme_metrics_json ())))
+         Bench_util.schemes_for_latency)
+  in
   print_figure "Figure 4: cold cache, SELECT ID, modeled ms" (fun s -> s.fig4) all;
   print_figure "Figure 5: cold cache, SELECT *, modeled ms" (fun s -> s.fig5) all;
   print_figure "Figure 6: warm cache, SELECT ID, modeled ms" (fun s -> s.fig6) all;
@@ -142,4 +155,4 @@ let run ~rows:n_rows ~n_queries () =
         p.warm_total_ms w.warm_total_ms
         (100.0 *. ((w.warm_total_ms /. p.warm_total_ms) -. 1.0))
   | _ -> ());
-  write_query_json ~rows:n_rows ~n_queries
+  write_query_json ~rows:n_rows ~n_queries per_scheme

@@ -27,7 +27,7 @@ let create ~master ~column ~boundaries =
      separate "/range/node" key so the two tag spaces never overlap. *)
   let leaf_prf = Crypto.Keys.prf_key master ~column:(column ^ "/range") in
   let node_prf = Crypto.Keys.prf_key master ~column:(column ^ "/range/node") in
-  let nodes = Stdx.Vec.create ~capacity:((2 * b) - 1) () in
+  let nodes = Stdx.Vec.create () in
   (* Balanced mid-split over [blo, bhi), children in preorder. *)
   let rec build blo bhi =
     let me = Stdx.Vec.length nodes in

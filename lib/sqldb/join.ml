@@ -24,14 +24,24 @@ let h_wall = Obs.Metrics.histogram "join.wall_ns"
 (* Sorted, deduplicated pair set: the canonical order the result
    ships in, and what makes multiplicities exact when bucketized tag
    sharing emits the same pair from several buckets. *)
+let compare_pairs ((a1, b1) : int * int) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
 let normalize_pairs pairs =
-  Array.sort (fun (a : int * int) b -> compare a b) pairs;
+  Array.stable_sort compare_pairs pairs;
   let n = Array.length pairs in
   if n = 0 then pairs
   else begin
-    let out = Stdx.Vec.create ~capacity:n () in
-    Array.iteri (fun i p -> if i = 0 || p <> pairs.(i - 1) then Stdx.Vec.push out p) pairs;
-    Stdx.Vec.to_array out
+    (* Compact the duplicates in place: [kept] pairs are distinct so far. *)
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      if compare_pairs pairs.(i) pairs.(!kept - 1) <> 0 then begin
+        pairs.(!kept) <- pairs.(i);
+        incr kept
+      end
+    done;
+    Array.sub pairs 0 !kept
   end
 
 (* value -> row-id list from one scan ([Read_view.scan] surfaces live

@@ -140,7 +140,13 @@ let union_ids arrays =
   let n = Array.length all in
   if n = 0 then all
   else begin
-    let out = Stdx.Vec.create ~capacity:n () in
-    Array.iteri (fun i id -> if i = 0 || id <> all.(i - 1) then Stdx.Vec.push out id) all;
-    Stdx.Vec.to_array out
+    (* Compact the duplicates in place: [kept] ids are distinct so far. *)
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      if all.(i) <> all.(!kept - 1) then begin
+        all.(!kept) <- all.(i);
+        incr kept
+      end
+    done;
+    Array.sub all 0 !kept
   end

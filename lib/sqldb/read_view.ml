@@ -1,15 +1,20 @@
-(* An immutable point-in-time view of one table: the copy-on-write
-   snapshot a reader domain works against while writers keep mutating
-   the live table. The columnar storage is shared with the table by
-   pointer — per-column dictionary backings and id arrays are append-
-   only (vacuum replaces them wholesale instead of mutating shared
-   slots), so everything below a frozen length is immutable forever —
-   and so are the index postings, persistent trees whose current roots
-   the view holds. Only the visibility bitmap is copied (the table
-   tombstones in place), so no later insert/delete/vacuum/checkpoint is
-   observable through the view. Built by [Table.freeze] under the
-   table's writer lock; every accessor here is a pure read plus pager
-   charges, safe to call from any domain. *)
+(* An immutable point-in-time view of one table: the snapshot a reader
+   domain works against while writers keep mutating the live table.
+   Nothing row-sized is copied. The columnar storage is shared with the
+   table by pointer — per-column dictionary backings and id arrays are
+   append-only (vacuum replaces them wholesale instead of mutating
+   shared slots), so everything below a frozen length is immutable
+   forever — and so are the index postings, persistent trees whose
+   current roots the view holds. Visibility is shared too: the table
+   tombstones a slot in place by writing its statement's epoch, always
+   above every published view's, so a slot is live here while its death
+   epoch is above [epoch]. A racy read of that immediate int sees the
+   old value or the new one, and both read as live to this view; a push
+   that reallocates the backing leaves this view on the old array,
+   which then misses only later deaths. So no later insert, delete,
+   vacuum or checkpoint is observable through the view. Built by
+   [Table.freeze] under the table's writer lock; every accessor here is
+   a pure read plus pager charges, safe to call from any domain. *)
 
 type col = {
   dict : Column_dict.frozen;
@@ -23,7 +28,7 @@ type t = {
   heap_rel : Pager.rel;
   cols : col array;
   n : int;  (* heap slots at freeze time; shared backings may be longer *)
-  live : bool array;  (* copied: the table tombstones in place *)
+  dead_at : int array;  (* shared backing; death epoch per slot, [max_int] while live *)
   row_pages : int array;  (* shared backing *)
   row_sizes : int array;  (* shared backing; physical tuple bytes *)
   n_dead : int;
@@ -37,9 +42,9 @@ type t = {
   range_trees : (string * Range_tree.t) list; (* boundary trees by rtag column *)
 }
 
-let make ~epoch ~name ~schema ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
+let make ~epoch ~name ~schema ~heap_rel ~cols ~n ~dead_at ~row_pages ~row_sizes ~n_dead
     ~cur_page ~cur_fill ~data_bytes ~live_bytes ~reclaimed ~row_bytes ~indexes ~range_trees =
-  { epoch; name; schema; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
+  { epoch; name; schema; heap_rel; cols; n; dead_at; row_pages; row_sizes; n_dead;
     cur_page; cur_fill; data_bytes; live_bytes; reclaimed; row_bytes; indexes; range_trees }
 
 let epoch t = t.epoch
@@ -57,7 +62,7 @@ let check t id =
 
 let is_live t id =
   check t id;
-  t.live.(id)
+  t.dead_at.(id) > t.epoch
 
 (* Index entries may point at tombstoned tuples; drop them — the
    visibility check a real executor performs. *)
@@ -113,7 +118,7 @@ let scan t f =
       Pager.touch t.heap_rel page;
       last_page := page
     end;
-    if t.live.(id) then f id (peek_row t id)
+    if t.dead_at.(id) > t.epoch then f id (peek_row t id)
   done;
   Pager.charge_rows t.n
 

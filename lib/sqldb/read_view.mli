@@ -4,14 +4,16 @@
     lock; afterwards every accessor is a pure read plus pager charges,
     so any number of reader domains can query the view while writers
     keep mutating the live table — readers never block writers and
-    vice versa. The columnar storage (per-column dictionaries and id
-    arrays) is shared by pointer — safe because those structures are
-    append-only, with vacuum swapping in fresh backings instead of
-    mutating shared slots — and so are the index postings, persistent
-    trees of which the view keeps the roots current at freeze time.
-    Only the visibility bitmap is copied, so later mutations —
-    including vacuum and checkpoint — are invisible through the
-    view. *)
+    vice versa. Nothing row-sized is copied. The columnar storage
+    (per-column dictionaries and id arrays) is shared by pointer — safe
+    because those structures are append-only, with vacuum swapping in
+    fresh backings instead of mutating shared slots — and so are the
+    index postings, persistent trees of which the view keeps the roots
+    current at freeze time, and the table's per-slot delete epochs: a
+    slot is live in the view while the epoch that tombstoned it is
+    above the view's {!epoch}, and every delete after the freeze writes
+    a higher one. So later mutations — including vacuum and checkpoint
+    — are invisible through the view. *)
 
 type t
 
@@ -27,7 +29,7 @@ val make :
   heap_rel:Pager.rel ->
   cols:col array ->
   n:int ->
-  live:bool array ->
+  dead_at:int array ->
   row_pages:int array ->
   row_sizes:int array ->
   n_dead:int ->

@@ -15,7 +15,11 @@ type t = {
   schema : Schema.t;
   heap_rel : Pager.rel;
   cols : col array;  (* one per schema column: dictionary-encoded columnar storage *)
-  live : bool Stdx.Vec.t;
+  dead_at : int Stdx.Vec.t;
+      (* per slot: the epoch of the statement that tombstoned it, [max_int]
+         while live. Views share the backing and read a slot as live when
+         its death epoch is above theirs; [apply] sets a slot once, in
+         place, at an epoch above every published view's. *)
   mutable row_pages : int Stdx.Vec.t;
   mutable row_sizes : int Stdx.Vec.t;  (* physical tuple bytes per slot; 0 = reclaimed *)
   mutable n_dead : int;
@@ -65,7 +69,7 @@ let create ~name ~schema =
       Array.map
         (fun (_ : Schema.column) -> { dict = Column_dict.create (); ids = Stdx.Vec.create () })
         (Schema.columns schema);
-    live = Stdx.Vec.create ();
+    dead_at = Stdx.Vec.create ();
     row_pages = Stdx.Vec.create ();
     row_sizes = Stdx.Vec.create ();
     n_dead = 0;
@@ -93,9 +97,9 @@ let tuple_bytes schema row =
   let null_bitmap = if Array.exists (fun v -> v = Value.Null) row then (Schema.arity schema + 7) / 8 else 0 in
   row_tuple_header + line_pointer + maxalign (data + null_bitmap)
 
-let row_count t = Stdx.Vec.length t.live
+let row_count t = Stdx.Vec.length t.dead_at
 let live_count t = row_count t - t.n_dead
-let is_live t id = Stdx.Vec.get t.live id
+let is_live t id = Stdx.Vec.get t.dead_at id = max_int
 
 (* Shared sentinel for vacuumed-away tuples: physical identity
    distinguishes it from any real row (all empty arrays are the same
@@ -107,7 +111,7 @@ let is_reclaimed_slot t id = n_cols t > 0 && Stdx.Vec.get t.cols.(0).ids id < 0
 let value_at t c id = Column_dict.get t.cols.(c).dict (Stdx.Vec.get t.cols.(c).ids id)
 
 let peek_row t id =
-  ignore (Stdx.Vec.get t.live id : bool) (* bound-check even for 0-column schemas *);
+  ignore (Stdx.Vec.get t.dead_at id : int) (* bound-check even for 0-column schemas *);
   if n_cols t = 0 || is_reclaimed_slot t id then reclaimed
   else Array.init (n_cols t) (fun c -> value_at t c id)
 
@@ -137,10 +141,10 @@ let append_row t row =
   t.cur_fill <- t.cur_fill + bytes;
   t.data_bytes <- t.data_bytes + bytes;
   t.live_bytes <- t.live_bytes + bytes;
-  let id = Stdx.Vec.length t.live in
+  let id = row_count t in
   Stdx.Vec.push t.row_pages t.cur_page;
   Stdx.Vec.push t.row_sizes bytes;
-  Stdx.Vec.push t.live true;
+  Stdx.Vec.push t.dead_at max_int;
   id
 
 (* Index column positions, resolved once per call instead of once per
@@ -167,12 +171,13 @@ let apply t ~delete ~insert =
     mutate t @@ fun () ->
     (* Dead tuples keep their heap storage (and dictionary references)
        until vacuum, but stop counting toward the live-byte totals that
-       [avg_row_bytes] reports. *)
+       [avg_row_bytes] reports. [mutate] has already bumped the epoch,
+       so every view published so far still reads the slot as live. *)
     let deleted = ref [] in
     Array.iter
       (fun id ->
-        if Stdx.Vec.get t.live id then begin
-          Stdx.Vec.set t.live id false;
+        if is_live t id then begin
+          Stdx.Vec.set t.dead_at id t.epoch;
           t.n_dead <- t.n_dead + 1;
           t.live_bytes <- t.live_bytes - Stdx.Vec.get t.row_sizes id;
           deleted := id :: !deleted
@@ -180,7 +185,7 @@ let apply t ~delete ~insert =
       delete;
     let deleted = Array.of_list (List.rev !deleted) in
     let positions = index_positions t in
-    let first = Stdx.Vec.length t.live in
+    let first = row_count t in
     Array.iter
       (fun row ->
         let id = append_row t row in
@@ -212,7 +217,7 @@ let vacuum t =
        are still readable through the old dictionaries), then release
        their dictionary references. *)
     for id = 0 to n - 1 do
-      if (not (Stdx.Vec.get t.live id)) && not (is_reclaimed_slot t id) then begin
+      if (not (is_live t id)) && not (is_reclaimed_slot t id) then begin
         List.iter (fun (pos, idx) -> Table_index.remove idx (value_at t pos id) id) positions;
         Array.iter (fun col -> Column_dict.release col.dict (Stdx.Vec.get col.ids id)) t.cols
       end
@@ -235,7 +240,7 @@ let vacuum t =
     t.live_bytes <- 0;
     let usable = Pager.cost_model.page_size - page_header in
     for id = 0 to n - 1 do
-      if Stdx.Vec.get t.live id then begin
+      if is_live t id then begin
         let bytes = Stdx.Vec.get t.row_sizes id in
         if t.cur_fill + bytes > usable && t.cur_fill > 0 then begin
           t.cur_page <- t.cur_page + 1;
@@ -388,12 +393,12 @@ let build_view t =
         { Read_view.dict = Column_dict.freeze col.dict; ids })
       t.cols
   in
+  let dead_at, _ = Stdx.Vec.backing t.dead_at in
   let row_pages, _ = Stdx.Vec.backing t.row_pages in
   let row_sizes, _ = Stdx.Vec.backing t.row_sizes in
   Read_view.make ~epoch:t.epoch ~name:t.name ~schema:t.schema ~heap_rel:t.heap_rel
-    ~cols ~n
-    ~live:(Array.init n (Stdx.Vec.get t.live))
-    ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
+    ~cols ~n ~dead_at ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page
+    ~cur_fill:t.cur_fill
     ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
@@ -401,10 +406,11 @@ let build_view t =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
     ~range_trees:t.range_trees
 
-(* Publish the current epoch as an immutable read view. Cached: the
-   one copy (the visibility bitmap — the columnar storage and the index
-   postings roots are shared by pointer, see Read_view) happens at most
-   once per epoch, and only when a reader actually asks. *)
+(* Publish the current epoch as an immutable read view. Cached per
+   epoch, and O(columns + indexes) to build when it is not: the columnar
+   storage, the per-slot delete epochs and the index postings roots are
+   all shared by pointer (see Read_view), so nothing row-sized is
+   copied. *)
 let freeze t =
   Mutex.protect t.writer @@ fun () ->
   match t.frozen with
@@ -475,7 +481,8 @@ let of_snapshot s =
   let t = create ~name:s.s_name ~schema:s.s_schema in
   let n = Array.length s.s_live in
   (* Dictionaries first (reference counts rebuilt from the heap slots
-     below), then the heap vectors verbatim. *)
+     below), then the heap vectors verbatim. A dead slot's death epoch
+     is 0: at or below the epoch of every view of the restored table. *)
   Array.iteri
     (fun c cs ->
       let col = t.cols.(c) in
@@ -486,7 +493,7 @@ let of_snapshot s =
     s.s_cols;
   let n_dead = ref 0 in
   for id = 0 to n - 1 do
-    Stdx.Vec.push t.live s.s_live.(id);
+    Stdx.Vec.push t.dead_at (if s.s_live.(id) then max_int else 0);
     Stdx.Vec.push t.row_pages s.s_row_pages.(id);
     Stdx.Vec.push t.row_sizes s.s_row_sizes.(id);
     if not s.s_live.(id) then incr n_dead

@@ -88,12 +88,13 @@ val freeze : t -> Read_view.t
     way to query a table. Every mutation (a statement's {!apply}, a
     vacuum, an index creation, a range-tree registration) publishes
     one new epoch, so a view holds whole statements. The view is
-    cached per epoch, so repeated freezes between mutations are O(1);
-    after a mutation the next freeze copies the visibility bitmap (one
-    word per row) and nothing else: the columnar storage is shared by
-    pointer and each index contributes its current postings root, O(1)
-    per index whatever its size. Readers use the view from any domain without locking; writers
-    keep mutating the live table — neither blocks the other. *)
+    cached per epoch, and building one costs O(columns + indexes)
+    whatever the row count: the columnar storage and the per-slot
+    delete epochs are shared by pointer (a delete writes its
+    statement's epoch, above every published view's, into the shared
+    slot) and each index contributes its current postings root.
+    Readers use the view from any domain without locking; writers keep
+    mutating the live table — neither blocks the other. *)
 
 (* Storage accounting (Table I). *)
 

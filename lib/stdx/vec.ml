@@ -1,6 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-let create ?capacity:(_ = 16) () = { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -6,7 +6,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
@@ -28,13 +28,15 @@ val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 
 val backing : 'a t -> 'a array * int
-(** The current backing array and logical length, without copying. The
-    first [len] slots stay valid as long as the vector is only pushed
-    to: a push that outgrows the capacity reallocates, leaving the
-    returned array behind, and {!set} is the only operation that would
-    mutate a shared slot in place. For zero-copy snapshot sharing
-    (e.g. [Table.freeze]); callers must treat the array as read-only
-    and never index at or beyond the returned length. *)
+(** The current backing array and logical length, without copying. For
+    zero-copy snapshot sharing (e.g. [Table.freeze]); callers must treat
+    the array as read-only and never index at or beyond the returned
+    length. A push that outgrows the capacity reallocates, leaving the
+    returned array behind with the first [len] slots as they were; {!set}
+    writes through to the returned array while the vector has not
+    reallocated since. [Table]'s per-slot delete epochs rely on both:
+    a tombstone is a [set] that the views sharing the backing do see,
+    at an epoch above theirs (see [Read_view]). *)
 
 val to_list : 'a t -> 'a list
 val of_array : 'a array -> 'a t

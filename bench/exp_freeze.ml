@@ -16,12 +16,20 @@
    - [Table.insert] with the three indexes: wall time and words
      allocated per insert, over 2000 inserts with no freeze between.
 
+   Then one SPARTA encrypted table at the largest size, capped at
+   [encrypted_cap] rows (the figure has settled by then), under
+   bucketized-1000 (wrebench's [sparta] scheme), loaded with
+   [insert_batch]: the words reachable from its table per row, the
+   live size the column dictionaries and vectors hold (EXPERIMENTS.md
+   A21).
+
    Writes BENCH_freeze.json with [freeze_flat]: true when the words one
    freeze allocates at the largest size are at most the smallest
    size's plus [slack_words], i.e. a freeze copies nothing row-sized
-   (CI greps it).
+   (CI greps it), and [encrypted_words_per_row].
 
-   Uses only the [Table] API, so the same file measures any revision. *)
+   Uses only the [Table] and [Encrypted_db] APIs, so the same file
+   measures any revision that has them. *)
 
 open Sqldb
 
@@ -100,7 +108,25 @@ let measure n =
     insert_words;
   }
 
-let write_json sizes ~freeze_flat =
+(* Rows of the encrypted table at most: its words per row are within
+   about 1% of the 10k-row figure by 20k (EXPERIMENTS.md A21). *)
+let encrypted_cap = 20_000
+
+(* Words reachable from an encrypted SPARTA table per row, right after
+   one [insert_batch] of [n] generated rows. *)
+let encrypted_words_per_row n =
+  let rows = Bench_util.generate_rows n in
+  let edb =
+    Wre.Encrypted_db.create ~db:(Database.create ()) ~name:"main"
+      ~plain_schema:Sparta.Generator.schema ~key_column:"id"
+      ~encrypted_columns:Bench_util.enc_columns ~kind:(Wre.Scheme.Bucketized 1000.0)
+      ~master:(Crypto.Keys.generate (Stdx.Prng.create 1L))
+      ~dist_of:(Bench_util.dist_of_rows rows) ~seed:2L ()
+  in
+  ignore (Wre.Encrypted_db.insert_batch edb rows);
+  float_of_int (Obj.reachable_words (Obj.repr (Wre.Encrypted_db.table edb))) /. float_of_int n
+
+let write_json sizes ~freeze_flat ~encrypted_rows ~encrypted =
   let open Bench_util in
   let metrics =
     List.concat_map
@@ -114,7 +140,10 @@ let write_json sizes ~freeze_flat =
           (k "insert_words", Printf.sprintf "%.0f" s.insert_words);
         ])
       sizes
-    @ [ ("freeze_flat", if freeze_flat then "true" else "false") ]
+    @ [
+        ("freeze_flat", if freeze_flat then "true" else "false");
+        ("encrypted_words_per_row", Printf.sprintf "%.1f" encrypted);
+      ]
   in
   let json =
     json_obj
@@ -127,6 +156,7 @@ let write_json sizes ~freeze_flat =
                 "[" ^ String.concat ", " (List.map (fun s -> string_of_int s.n) sizes) ^ "]" );
               ("cores", string_of_int (Domain.recommended_domain_count ()));
               ("indexes", "3");
+              ("encrypted_rows", string_of_int encrypted_rows);
               ("slack_words", Printf.sprintf "%.0f" slack_words);
             ] );
         ("metrics", json_obj metrics);
@@ -165,4 +195,9 @@ let run ~rows () =
     sizes;
   Stdx.Table_fmt.print t;
   let smallest = List.hd sizes and largest = List.nth sizes (List.length sizes - 1) in
-  write_json sizes ~freeze_flat:(largest.freeze_words <= smallest.freeze_words +. slack_words)
+  let encrypted_rows = min largest.n encrypted_cap in
+  let encrypted = encrypted_words_per_row encrypted_rows in
+  Printf.printf "encrypted SPARTA table, bucketized-1000, %d rows: %.1f words/row\n"
+    encrypted_rows encrypted;
+  write_json sizes ~encrypted_rows ~encrypted
+    ~freeze_flat:(largest.freeze_words <= smallest.freeze_words +. slack_words)

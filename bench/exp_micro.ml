@@ -123,10 +123,11 @@ let fetch_tests ~edb ~id_mask ~ids =
       (Staged.stage (fun () -> Array.map (fun i -> Sqldb.Read_view.read_cols view i id) ids));
   ]
 
-(* The reply's two wire halves: encode + frame on the server, CRC check
-   + decode on the client (the frame's payload as [recv] hands it
-   over). *)
+(* The reply's two wire halves: encode + frame on the server, in a
+   session's reused encoder, and CRC check + decode on the client (the
+   frame's payload as [recv] hands it over). *)
 let wire_tests reply =
+  let enc = Server.Wire.encoder () in
   let framed = Server.Wire.frame (Server.Wire.encode_response reply) in
   let hdr = Server.Wire.header_bytes in
   let payload = String.sub framed hdr (String.length framed - hdr) in
@@ -137,7 +138,7 @@ let wire_tests reply =
   in
   [
     Test.make ~name:"wire/send-reply"
-      (Staged.stage (fun () -> Server.Wire.frame (Server.Wire.encode_response reply)));
+      (Staged.stage (fun () -> Server.Wire.frame_response enc reply));
     Test.make ~name:"wire/recv-reply"
       (Staged.stage (fun () ->
            match Server.Wire.check_payload ~crc payload with

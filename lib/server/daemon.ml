@@ -90,21 +90,21 @@ let handle_request t sid proxy req =
             | r -> r
             | exception Invalid_argument _ -> Wire.Failed { message = "server is shutting down" }))
 
-let rec session_loop t sid proxy fd =
+let rec session_loop t sid proxy enc fd =
   match Wire.recv_request fd with
   | Error `Eof -> ()
   | Error (`Err e) ->
       (* Reject this session only; a best-effort explanation, then
          close. Everyone else keeps being served. *)
       Obs.Metrics.incr m_rejected;
-      (try Wire.send_response fd (Wire.Failed { message = Wire.error_string e })
+      (try Wire.send_response enc fd (Wire.Failed { message = Wire.error_string e })
        with Unix.Unix_error _ -> ())
   | Ok req -> (
       match handle_request t sid proxy req with
-      | None -> ( try Wire.send_response fd Wire.Bye with Unix.Unix_error _ -> ())
+      | None -> ( try Wire.send_response enc fd Wire.Bye with Unix.Unix_error _ -> ())
       | Some resp -> (
-          match Wire.send_response fd resp with
-          | () -> session_loop t sid proxy fd
+          match Wire.send_response enc fd resp with
+          | () -> session_loop t sid proxy enc fd
           | exception Unix.Unix_error _ -> ()))
 
 let run_session t sid fd =
@@ -120,7 +120,7 @@ let run_session t sid fd =
       Mutex.unlock t.lock)
     (fun () ->
       let proxy = Wre.Proxy.create_multi t.edbs in
-      try session_loop t sid proxy fd with Unix.Unix_error _ -> ())
+      try session_loop t sid proxy (Wire.encoder ()) fd with Unix.Unix_error _ -> ())
 
 let accept_loop t =
   let running = ref true in

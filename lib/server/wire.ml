@@ -1,3 +1,7 @@
+(* lint: guarded-by the session thread that owns the encoder — an
+   [encoder]'s buffers are reused across one session's replies, and
+   only that session's thread ever touches them. *)
+
 (* Length-prefixed, CRC-checksummed wire frames over a byte stream,
    following the Store.Wal framing discipline: a fixed header carries a
    magic preamble, the payload length and the payload's CRC-32, so a
@@ -50,12 +54,15 @@ let crc_int payload = Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF
 (* Header and payload go straight into the one buffer that is sent: the
    payload is copied once, and the little-endian words are the bytes
    [Codec.put_u32] would write. *)
+let set_header b len crc =
+  Bytes.set_int32_le b 0 (Int32.of_int magic);
+  Bytes.set_int32_le b 4 (Int32.of_int len);
+  Bytes.set_int32_le b 8 crc
+
 let frame payload =
   let len = String.length payload in
   let b = Bytes.create (header_bytes + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int magic);
-  Bytes.set_int32_le b 4 (Int32.of_int len);
-  Bytes.set_int32_le b 8 (Crc32.digest payload);
+  set_header b len (Crc32.digest payload);
   Bytes.blit_string payload 0 b header_bytes len;
   Bytes.unsafe_to_string b
 
@@ -131,9 +138,8 @@ let decode_request payload =
       | 5 -> Quit
       | t -> raise (Codec.Corrupt (Printf.sprintf "unknown request tag %d" t)))
 
-let encode_response r =
-  let b = Buffer.create 256 in
-  (match r with
+let put_response b r =
+  match r with
   | Welcome { session_id; server; tables } ->
       Codec.put_u8 b 1;
       Codec.put_u64 b session_id;
@@ -152,7 +158,11 @@ let encode_response r =
   | Stats_reply { text } ->
       Codec.put_u8 b 5;
       Codec.put_str b text
-  | Bye -> Codec.put_u8 b 6);
+  | Bye -> Codec.put_u8 b 6
+
+let encode_response r =
+  let b = Buffer.create 256 in
+  put_response b r;
   Buffer.contents b
 
 let decode_response payload =
@@ -228,12 +238,40 @@ let send_request fd r =
   if String.length payload > max_frame then Error (Oversized (String.length payload))
   else Ok (Store.Io.write_fd_all fd (frame payload))
 
-let send_response fd r =
-  let payload = encode_response r in
-  let payload =
-    if String.length payload <= max_frame then payload
-    else
-      encode_response
-        (Failed { message = "reply " ^ error_string (Oversized (String.length payload)) })
-  in
-  Store.Io.write_fd_all fd (frame payload)
+(* A session's reply encoder: the payload buffer and the frame bytes,
+   reused from one reply to the next while they stay at most
+   [keep_bytes], so a steady stream of replies allocates nothing. A
+   larger reply gets fresh buffers, dropped once it is framed. *)
+type encoder = { buf : Buffer.t; mutable frame : Bytes.t }
+
+let keep_bytes = 256 * 1024
+let encoder () = { buf = Buffer.create 256; frame = Bytes.create (header_bytes + 256) }
+
+let frame_bytes enc total =
+  if total <= Bytes.length enc.frame then enc.frame
+  else if total > keep_bytes then Bytes.create total
+  else begin
+    enc.frame <- Bytes.create (max total (min keep_bytes (2 * Bytes.length enc.frame)));
+    enc.frame
+  end
+
+let frame_response enc r =
+  let b = enc.buf in
+  Buffer.clear b;
+  put_response b r;
+  let n = Buffer.length b in
+  if n > max_frame then begin
+    Buffer.reset b;
+    put_response b (Failed { message = "reply " ^ error_string (Oversized n) })
+  end;
+  let len = Buffer.length b in
+  let f = frame_bytes enc (header_bytes + len) in
+  Buffer.blit b 0 f header_bytes len;
+  if len > keep_bytes then Buffer.reset b;
+  (* [f] is not written again before the CRC returns. *)
+  set_header f len (Crc32.update_sub 0l (Bytes.unsafe_to_string f) header_bytes len);
+  (f, header_bytes + len)
+
+let send_response enc fd r =
+  let f, n = frame_response enc r in
+  Store.Io.write_fd_bytes fd f 0 n

@@ -81,11 +81,23 @@ val send_request : Unix.file_descr -> request -> (unit, error) result
     is refused as [Oversized] and nothing is written, so the stream
     stays in step. *)
 
-val send_response : Unix.file_descr -> response -> unit
-(** Frame and write a response. One whose payload exceeds {!max_frame}
-    goes out as [Failed], its message naming the size and the limit —
-    the peer would reject the oversized frame and lose its place in the
-    stream. *)
+type encoder
+(** One session's reply buffers, reused across its replies while they
+    stay at most 256 KiB; a larger reply gets fresh buffers that are
+    dropped after it. Owned by one thread at a time. *)
+
+val encoder : unit -> encoder
+
+val frame_response : encoder -> response -> Bytes.t * int
+(** [(b, n)]: the first [n] bytes of [b] are the response's frame,
+    byte for byte [frame (encode_response r)], encoded and checksummed
+    in the encoder's buffers. They stay valid until the encoder's next
+    reply. One whose payload exceeds {!max_frame} is framed as [Failed],
+    its message naming the size and the limit — the peer would reject
+    the oversized frame and lose its place in the stream. *)
+
+val send_response : encoder -> Unix.file_descr -> response -> unit
+(** {!frame_response}, then write the frame. *)
 
 val recv_request : Unix.file_descr -> (request, [ `Eof | `Err of error ]) result
 (** [`Eof] at a clean frame boundary, or when the peer reset the

@@ -1,6 +1,7 @@
 (* lint: guarded-by the owning table's writer lock — a dictionary is
    private to one [Table.t] and is only mutated inside [Table.mutate];
-   frozen views share the immutable entries backing (see [freeze]). *)
+   frozen views share the immutable prefix of the value and flag
+   arrays (see [freeze]). *)
 
 (* Per-column dictionary of interned values (EncDBDB-style dictionary
    encoding). Repeated ciphertext/tag bytes are stored once; rows hold
@@ -12,12 +13,20 @@
    unique-ish ("raw mode": every append is a fresh entry, accounted as
    inline column storage rather than dictionary storage).
 
-   Concurrency contract: entry ids are never remapped or reused and
-   the entries backing array is only ever (a) appended to in place at
-   indexes past every frozen length, or (b) replaced wholesale by
-   [vacuum]. A [frozen] handle therefore stays valid forever without
-   copying. Reference counts are only touched under the owning table's
-   writer lock and are never read through a frozen handle. *)
+   Layout: an entry is one slot in each of three parallel arrays, so a
+   raw-mode cell costs its value and nothing else on the heap. The
+   values array holds [hole] at vacuumed ids, the [rcs] array holds
+   reference counts, and [flags] holds one byte per id, [accounted] when
+   the entry was created while interning.
+
+   Concurrency contract: entry ids are never remapped or reused. The
+   values and flag arrays are only ever (a) written in place at indexes
+   past every frozen length, or (b) replaced by fresh arrays, by
+   [vacuum] (values only) and [grow] (all three), which leave the old
+   ones to existing views. A [frozen] handle therefore stays valid
+   forever without copying. Reference counts are only touched under the
+   owning table's writer lock and are never read through a frozen
+   handle. *)
 
 module VH = Hashtbl.Make (struct
   type t = Value.t
@@ -26,14 +35,17 @@ module VH = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type entry = {
-  value : Value.t;
-  accounted : bool;  (* created while interning: storage lives in the dictionary *)
-  mutable rc : int;  (* references from non-reclaimed heap slots *)
-}
+(* The value slot of a vacuumed id. Allocated at run time, so no value
+   a caller holds is physically equal to it; [get] refuses it, so none
+   ever will be. *)
+let hole : Value.t = Value.Blob (String.make 1 '\000')
+
+let accounted = '\001'
 
 type t = {
-  mutable entries : entry option array;  (* [None] = vacuumed hole; ids stable *)
+  mutable values : Value.t array;  (* [hole] = vacuumed; ids stable *)
+  mutable rcs : int array;  (* references from non-reclaimed heap slots *)
+  mutable flags : Bytes.t;  (* [accounted]: storage lives in the dictionary *)
   mutable len : int;  (* ids allocated so far (monotone) *)
   mutable intern_tbl : int VH.t option;  (* [None] once raw mode is entered *)
   mutable appends : int;  (* total interns ever (monotone) — drives raw-mode switch *)
@@ -54,7 +66,9 @@ let width_for n = if n <= 0x100 then 1 else if n <= 0x1_0000 then 2 else 4
 
 let create () =
   {
-    entries = [||];
+    values = [||];
+    rcs = [||];
+    flags = Bytes.empty;
     len = 0;
     intern_tbl = Some (VH.create 64);
     appends = 0;
@@ -73,37 +87,50 @@ let id_width t = width_for t.len
 
 let check t id =
   if id < 0 || id >= t.len then
-    invalid_arg (Printf.sprintf "Column_dict: id %d out of bounds (len %d)" id t.len)
+    invalid_arg (Printf.sprintf "Column_dict: id %d out of bounds (len %d)" id t.len);
+  if t.values.(id) == hole then
+    invalid_arg (Printf.sprintf "Column_dict: id %d is a vacuumed hole" id)
 
-let entry_exn t id =
+let get t id =
   check t id;
-  match t.entries.(id) with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Column_dict: id %d is a vacuumed hole" id)
+  t.values.(id)
 
-let get t id = (entry_exn t id).value
-let rc t id = (entry_exn t id).rc
-let is_accounted t id = (entry_exn t id).accounted
+let rc t id =
+  check t id;
+  t.rcs.(id)
 
-let grow t =
-  let cap = Array.length t.entries in
-  let new_cap = if cap = 0 then 64 else cap * 2 in
-  let a = Array.make new_cap None in
-  Array.blit t.entries 0 a 0 t.len;
-  t.entries <- a
+let is_accounted t id =
+  check t id;
+  Bytes.get t.flags id = accounted
 
-let alloc t e =
-  if t.len = Array.length t.entries then grow t;
-  t.entries.(t.len) <- Some e;
-  t.len <- t.len + 1;
-  t.len - 1
-
-let add_fresh t v ~accounted =
+(* Resident bytes of one entry, for the live/value/overhead totals. *)
+let account t v ~acc =
   let vb = Value.heap_bytes v in
-  let id = alloc t { value = v; accounted; rc = 1 } in
   t.live <- t.live + 1;
   t.value_bytes <- t.value_bytes + vb;
-  if accounted then t.overhead_bytes <- t.overhead_bytes + vb + dir_entry_bytes;
+  if acc then t.overhead_bytes <- t.overhead_bytes + vb + dir_entry_bytes
+
+let grow t =
+  let cap = Array.length t.values in
+  let new_cap = if cap = 0 then 64 else cap * 2 in
+  let values = Array.make new_cap hole in
+  Array.blit t.values 0 values 0 t.len;
+  let rcs = Array.make new_cap 0 in
+  Array.blit t.rcs 0 rcs 0 t.len;
+  let flags = Bytes.make new_cap '\000' in
+  Bytes.blit t.flags 0 flags 0 t.len;
+  t.values <- values;
+  t.rcs <- rcs;
+  t.flags <- flags
+
+let add_fresh t v ~acc =
+  if t.len = Array.length t.values then grow t;
+  let id = t.len in
+  t.values.(id) <- v;
+  t.rcs.(id) <- 1;
+  if acc then Bytes.set t.flags id accounted;
+  t.len <- id + 1;
+  account t v ~acc;
   id
 
 let intern t v =
@@ -121,58 +148,66 @@ let intern t v =
   | Some tbl -> (
       match VH.find_opt tbl v with
       | Some id ->
-          (entry_exn t id).rc <- (entry_exn t id).rc + 1;
+          t.rcs.(id) <- t.rcs.(id) + 1;
           id
       | None ->
-          let id = add_fresh t v ~accounted:true in
+          let id = add_fresh t v ~acc:true in
           VH.replace tbl v id;
           id)
-  | None -> add_fresh t v ~accounted:false
+  | None -> add_fresh t v ~acc:false
 
 let release t id =
-  let e = entry_exn t id in
-  if e.rc <= 0 then invalid_arg (Printf.sprintf "Column_dict.release: id %d already at rc 0" id);
-  e.rc <- e.rc - 1
+  check t id;
+  if t.rcs.(id) <= 0 then
+    invalid_arg (Printf.sprintf "Column_dict.release: id %d already at rc 0" id);
+  t.rcs.(id) <- t.rcs.(id) - 1
 
 let addref t id =
-  let e = entry_exn t id in
-  e.rc <- e.rc + 1
+  check t id;
+  t.rcs.(id) <- t.rcs.(id) + 1
 
-(* Drop rc=0 entries. Copy-on-write: frozen views keep the old entries
-   backing; surviving ids are unchanged and holes are never reused, so
-   no id stored anywhere (rows, indexes, older views) is remapped. *)
+(* Drop rc=0 entries. Copy-on-write: frozen views keep the old values
+   array; surviving ids are unchanged and holes are never reused, so no
+   id stored anywhere (rows, indexes, older views) is remapped. The
+   flags of a hole are never read again, so the flag array stays
+   shared. *)
 let vacuum t =
-  let fresh = Array.make (max (Array.length t.entries) 1) None in
+  let values = Array.copy t.values in
   let tbl = match t.intern_tbl with Some _ -> Some (VH.create 64) | None -> None in
   t.live <- 0;
   t.value_bytes <- 0;
   t.overhead_bytes <- 0;
   for i = 0 to t.len - 1 do
-    match t.entries.(i) with
-    | Some e when e.rc > 0 ->
-        fresh.(i) <- Some e;
-        (match tbl with Some tb -> VH.replace tb e.value i | None -> ());
-        t.live <- t.live + 1;
-        let vb = Value.heap_bytes e.value in
-        t.value_bytes <- t.value_bytes + vb;
-        if e.accounted then t.overhead_bytes <- t.overhead_bytes + vb + dir_entry_bytes
-    | _ -> ()
+    let v = values.(i) in
+    if v != hole then
+      if t.rcs.(i) > 0 then begin
+        (match tbl with Some tb -> VH.replace tb v i | None -> ());
+        account t v ~acc:(Bytes.get t.flags i = accounted)
+      end
+      else values.(i) <- hole
   done;
-  t.entries <- fresh;
+  t.values <- values;
   t.intern_tbl <- tbl
 
-(* Frozen handle: the backing array plus the lengths/counters at freeze
-   time. Readers only dereference ids below [f_len], all of which are
-   immutable forever (see the concurrency contract above). *)
+(* Frozen handle: the value and flag arrays plus the lengths/counters
+   at freeze time. Readers only dereference ids below [f_len], all of
+   which are immutable forever (see the concurrency contract above). *)
 type frozen = {
-  f_entries : entry option array;
+  f_values : Value.t array;
+  f_flags : Bytes.t;
   f_len : int;
   f_appends : int;
   f_intern_on : bool;
 }
 
 let freeze t =
-  { f_entries = t.entries; f_len = t.len; f_appends = t.appends; f_intern_on = intern_on t }
+  {
+    f_values = t.values;
+    f_flags = t.flags;
+    f_len = t.len;
+    f_appends = t.appends;
+    f_intern_on = intern_on t;
+  }
 
 let frozen_len f = f.f_len
 
@@ -182,17 +217,18 @@ let frozen_check f id =
 
 let frozen_get f id =
   frozen_check f id;
-  match f.f_entries.(id) with
-  | Some e -> e.value
-  | None -> invalid_arg (Printf.sprintf "Column_dict: frozen id %d is a vacuumed hole" id)
-
-let frozen_entry f id =
-  frozen_check f id;
-  match f.f_entries.(id) with Some e -> Some (e.value, e.accounted) | None -> None
+  let v = f.f_values.(id) in
+  if v == hole then invalid_arg (Printf.sprintf "Column_dict: frozen id %d is a vacuumed hole" id);
+  v
 
 let frozen_is_accounted f id =
   frozen_check f id;
-  match f.f_entries.(id) with Some e -> e.accounted | None -> false
+  f.f_values.(id) != hole && Bytes.get f.f_flags id = accounted
+
+let frozen_entry f id =
+  frozen_check f id;
+  let v = f.f_values.(id) in
+  if v == hole then None else Some (v, Bytes.get f.f_flags id = accounted)
 
 let frozen_appends f = f.f_appends
 let frozen_intern_on f = f.f_intern_on
@@ -203,29 +239,28 @@ let frozen_id_width f = width_for f.f_len
    the exact counts a crash-free run would hold. *)
 let of_entries ~appends ~intern_on ents =
   let n = Array.length ents in
+  let cap = max n 1 in
   let t =
     {
-      entries = Array.make (max n 1) None;
+      values = Array.make cap hole;
+      rcs = Array.make cap 0;
+      flags = Bytes.make cap '\000';
       len = n;
-      intern_tbl = None;
+      intern_tbl = (if intern_on then Some (VH.create (max 64 n)) else None);
       appends;
       live = 0;
       value_bytes = 0;
       overhead_bytes = 0;
     }
   in
-  let tbl = if intern_on then Some (VH.create (max 64 n)) else None in
   Array.iteri
     (fun i slot ->
       match slot with
-      | Some (v, accounted) ->
-          t.entries.(i) <- Some { value = v; accounted; rc = 0 };
-          (match tbl with Some tb -> VH.replace tb v i | None -> ());
-          t.live <- t.live + 1;
-          let vb = Value.heap_bytes v in
-          t.value_bytes <- t.value_bytes + vb;
-          if accounted then t.overhead_bytes <- t.overhead_bytes + vb + dir_entry_bytes
+      | Some (v, acc) ->
+          t.values.(i) <- v;
+          if acc then Bytes.set t.flags i accounted;
+          (match t.intern_tbl with Some tb -> VH.replace tb v i | None -> ());
+          account t v ~acc
       | None -> ())
     ents;
-  t.intern_tbl <- tbl;
   t

@@ -12,6 +12,11 @@
     slots point at each entry; an entry is reclaimed by the next
     {!vacuum} once its count reaches zero.
 
+    Entries are flat: an id indexes one slot in each of three parallel
+    arrays (the value, its reference count, its accounted flag byte),
+    so an entry costs its value plus about two words, and a raw-mode
+    cell carries no box of the dictionary's own.
+
     Not thread-safe on its own: mutation must happen under the owning
     table's writer lock. {!freeze} hands out an immutable view that any
     domain may read concurrently with further appends. *)
@@ -40,7 +45,7 @@ val addref : t -> int -> unit
 
 val vacuum : t -> unit
 (** Drop every entry with reference count zero. Copy-on-write over the
-    entries backing, so concurrent readers of a {!frozen} handle are
+    values array, so concurrent readers of a {!frozen} handle are
     unaffected; ids are never remapped or reused. *)
 
 (* Sizing and accounting. *)
@@ -78,9 +83,10 @@ val rc : t -> int -> int
 type frozen
 
 val freeze : t -> frozen
-(** O(1): shares the entries backing. Valid forever — later appends
-    land past the frozen length and vacuum never mutates shared
-    slots. *)
+(** O(1): shares the value and flag arrays by pointer. Valid forever —
+    later appends land past the frozen length, vacuum never mutates a
+    shared slot, and a grow copies into fresh arrays and leaves the old
+    ones to existing views. *)
 
 val frozen_len : frozen -> int
 val frozen_get : frozen -> int -> Value.t

@@ -23,6 +23,7 @@ type t = {
   mutable row_pages : int Stdx.Vec.t;
   mutable row_sizes : int Stdx.Vec.t;  (* physical tuple bytes per slot; 0 = reclaimed *)
   mutable n_dead : int;
+  mutable n_unreclaimed : int;  (* dead slots the next vacuum reclaims *)
   mutable cur_page : int;
   mutable cur_fill : int; (* bytes used on the current heap page *)
   mutable data_bytes : int; (* physical tuple bytes, live + dead-but-unvacuumed *)
@@ -73,6 +74,7 @@ let create ~name ~schema =
     row_pages = Stdx.Vec.create ();
     row_sizes = Stdx.Vec.create ();
     n_dead = 0;
+    n_unreclaimed = 0;
     cur_page = 0;
     cur_fill = 0;
     data_bytes = 0;
@@ -179,6 +181,7 @@ let apply t ~delete ~insert =
         if is_live t id then begin
           Stdx.Vec.set t.dead_at id t.epoch;
           t.n_dead <- t.n_dead + 1;
+          t.n_unreclaimed <- t.n_unreclaimed + 1;
           t.live_bytes <- t.live_bytes - Stdx.Vec.get t.row_sizes id;
           deleted := id :: !deleted
         end)
@@ -208,9 +211,13 @@ let insert_batch t rows = snd (apply t ~delete:[||] ~insert:rows)
 let delete t id = fst (apply t ~delete:[| id |] ~insert:[||]) = 1
 let row_page t id = Stdx.Vec.get t.row_pages id
 
+(* A vacuum with nothing to reclaim takes no lock, publishes no epoch
+   and logs nothing, like an empty statement. The count is read before
+   the lock: an [apply] racing that read is ordered either side of the
+   vacuum, and two racing vacuums at worst repack twice. *)
 let vacuum t =
-  mutate t @@ fun () ->
-  if t.n_dead > 0 then begin
+  if t.n_unreclaimed > 0 then
+    mutate t @@ fun () ->
     let positions = index_positions t in
     let n = row_count t in
     (* 1. Drop dead tuples: index entries first (while the key values
@@ -224,7 +231,7 @@ let vacuum t =
     done;
     (* 2. Reclaim dictionary space: entries whose last reference just
        went away become holes. Copy-on-write — frozen views keep the
-       old entries backing, and surviving ids are never remapped. *)
+       old values arrays, and surviving ids are never remapped. *)
     Array.iter (fun col -> Column_dict.vacuum col.dict) t.cols;
     (* 3. Repack the heap: reassign pages over live tuples only, into
        fresh vectors so frozen views keep the old backings. Row ids are
@@ -261,8 +268,8 @@ let vacuum t =
     Array.iteri (fun c col -> col.ids <- ids'.(c)) t.cols;
     t.row_pages <- pages';
     t.row_sizes <- sizes';
+    t.n_unreclaimed <- 0;
     emit t (Journal.Vacuumed { table = t.name })
-  end
 
 let create_index t ~column =
   mutate t @@ fun () ->
@@ -491,14 +498,15 @@ let of_snapshot s =
       col.ids <- Stdx.Vec.of_array cs.cs_ids;
       Array.iter (fun did -> if did >= 0 then Column_dict.addref col.dict did) cs.cs_ids)
     s.s_cols;
-  let n_dead = ref 0 in
   for id = 0 to n - 1 do
     Stdx.Vec.push t.dead_at (if s.s_live.(id) then max_int else 0);
     Stdx.Vec.push t.row_pages s.s_row_pages.(id);
     Stdx.Vec.push t.row_sizes s.s_row_sizes.(id);
-    if not s.s_live.(id) then incr n_dead
+    if not s.s_live.(id) then begin
+      t.n_dead <- t.n_dead + 1;
+      if not (is_reclaimed_slot t id) then t.n_unreclaimed <- t.n_unreclaimed + 1
+    end
   done;
-  t.n_dead <- !n_dead;
   t.cur_page <- s.s_cur_page;
   t.cur_fill <- s.s_cur_fill;
   t.data_bytes <- s.s_data_bytes;

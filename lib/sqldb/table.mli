@@ -57,8 +57,10 @@ val vacuum : t -> unit
     dictionary references (unreferenced dictionary entries are
     reclaimed too), and repack live tuples onto a fresh page
     assignment. Row ids are stable — dead ids stay dead and
-    [peek_row] on them returns an empty row afterwards. No-op when
-    nothing is dead. *)
+    [peek_row] on them returns an empty row afterwards. When no dead
+    tuple is left unreclaimed (nothing deleted since the last vacuum
+    or restore) it does nothing: no lock, no epoch, no journal
+    event. *)
 
 val peek_row : t -> int -> Value.t array
 (** Materialize from the column dictionaries without cost accounting
@@ -86,7 +88,7 @@ val set_range_tree : t -> column:string -> Range_tree.t -> unit
 val freeze : t -> Read_view.t
 (** Publish the current epoch as an immutable {!Read_view.t} — the only
     way to query a table. Every mutation (a statement's {!apply}, a
-    vacuum, an index creation, a range-tree registration) publishes
+    vacuum that reclaims, an index creation, a range-tree registration) publishes
     one new epoch, so a view holds whole statements. The view is
     cached per epoch, and building one costs O(columns + indexes)
     whatever the row count: the columnar storage and the per-slot

@@ -4,14 +4,21 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-type cursor = { s : string; mutable p : int }
+(* A cursor reads [s] from [p] up to [lim], the end of the substring
+   it was made for: every reader goes through [need], so nothing past
+   the bound is ever read. *)
+type cursor = { s : string; mutable p : int; lim : int }
 
-let cursor s = { s; p = 0 }
+let cursor ?(off = 0) ?len s =
+  let len = match len with Some n -> n | None -> String.length s - off in
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Codec.cursor";
+  { s; p = off; lim = off + len }
+
 let pos c = c.p
-let remaining c = String.length c.s - c.p
-let at_end c = c.p >= String.length c.s
+let remaining c = c.lim - c.p
+let at_end c = c.p >= c.lim
 
-let need c n = if c.p + n > String.length c.s then corrupt "truncated at byte %d (need %d)" c.p n
+let need c n = if n > c.lim - c.p then corrupt "truncated at byte %d (need %d)" c.p n
 
 let skip c n =
   need c n;
@@ -203,7 +210,7 @@ let get_value c =
 
 let get_row c =
   let n = get_u32 c in
-  if n > String.length c.s - pos c then corrupt "row arity %d exceeds input" n;
+  if n > remaining c then corrupt "row arity %d exceeds input" n;
   Array.init n (fun _ -> get_value c)
 
 let ty_of_code = function
@@ -215,7 +222,7 @@ let ty_of_code = function
 
 let get_schema c =
   let n = get_u32 c in
-  if n > String.length c.s - pos c then corrupt "schema arity %d exceeds input" n;
+  if n > remaining c then corrupt "schema arity %d exceeds input" n;
   let cols =
     List.init n (fun _ ->
         let name = get_str c in

@@ -10,14 +10,23 @@ exception Corrupt of string
 
 type cursor
 
-val cursor : string -> cursor
+val cursor : ?off:int -> ?len:int -> string -> cursor
+(** A cursor over the [len] bytes of the string starting at [off]
+    (default: from 0, to the end), read in place without copying:
+    reading past the bound raises {!Corrupt} as reading past the end
+    of a string does. Raises [Invalid_argument] if the range is not
+    inside the string. *)
+
 val pos : cursor -> int
+(** The offset of the next byte, in the whole string. *)
 
 val remaining : cursor -> int
-(** Bytes left to read — lets decoders bound element counts by the
-    payload actually present before allocating. *)
+(** Bytes left to read before the bound — lets decoders bound element
+    counts by the payload actually present before allocating. *)
 
 val at_end : cursor -> bool
+(** No byte is left before the bound. *)
+
 val skip : cursor -> int -> unit
 
 val put_u8 : Buffer.t -> int -> unit

@@ -25,11 +25,12 @@ let t7 = next t6
    32-bit value — always inside the 256-entry tables. *)
 let ( .%() ) = Array.unsafe_get
 
-let update crc s =
-  let len = String.length s in
+let update_sub crc s off len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Crc32.update_sub";
+  let stop = off + len in
   let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
-  let i = ref 0 in
-  while !i + 8 <= len do
+  let i = ref off in
+  while !i + 8 <= stop do
     let w = String.get_int64_le s !i in
     let one = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
     let two = Int64.to_int (Int64.shift_right_logical w 32) in
@@ -44,10 +45,12 @@ let update crc s =
       lxor t0.%(two lsr 24);
     i := !i + 8
   done;
-  while !i < len do
+  while !i < stop do
     c := t0.%((!c lxor Char.code (String.unsafe_get s !i)) land 0xFF) lxor (!c lsr 8);
     incr i
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let update crc s = update_sub crc s 0 (String.length s)
 
 let digest s = update 0l s

@@ -129,9 +129,9 @@ let open_dir ?(group_commit = 1) ~dir () =
     let replayed = ref 0 in
     let wal_path = Snapshot.wal_path ~dir in
     let max_lsn, valid_len =
-      Wal.replay ~path:wal_path (fun lsn payload ->
+      Wal.replay_in_place ~path:wal_path (fun lsn data ~off ~len ->
           if Int64.compare lsn last_lsn > 0 then begin
-            let op = Record.decode payload in
+            let op = Record.decode ~off ~len data in
             apply_op (db, edbs) op;
             (match op with
             | Record.Attach_wre cfg -> configs := (cfg.table_name, cfg) :: !configs

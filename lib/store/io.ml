@@ -90,6 +90,12 @@ let write ?(point = "write") f s =
 
 let write_fd_all fd s = write_retry ~progress:ignore fd s 0 (String.length s)
 
+(* The caller does not write [b] until this returns, so reading it as a
+   string meanwhile is sound. *)
+let write_fd_bytes fd b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Io.write_fd_bytes";
+  write_retry ~progress:ignore fd (Bytes.unsafe_to_string b) off len
+
 let rec read_fd fd buf pos len =
   match Unix.read fd buf pos len with
   | n -> n

@@ -76,5 +76,11 @@ val write_fd_all : Unix.file_descr -> string -> unit
     until every byte is accepted. Intended for blocking descriptors;
     fatal errors ([EPIPE], …) propagate as [Unix.Unix_error]. *)
 
+val write_fd_bytes : Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_fd_bytes fd b off len]: {!write_fd_all} of the [len] bytes
+    of [b] at [off], without copying them. [b] must not change until it
+    returns. Raises [Invalid_argument] if the range is not inside
+    [b]. *)
+
 val read_fd : Unix.file_descr -> bytes -> int -> int -> int
 (** [Unix.read] retrying [EINTR]/[EAGAIN]; returns 0 only at EOF. *)

@@ -163,14 +163,15 @@ let encode op =
   Buffer.contents b
 
 (* A count read from the input: each element takes at least one byte,
-   so a larger count is corrupt, caught before anything is allocated. *)
-let get_count s c =
+   so a count past the bytes left is corrupt, caught before anything is
+   allocated. *)
+let get_count c =
   let n = get_u32 c in
-  if n > String.length s then raise (Corrupt "batch size exceeds input");
+  if n > remaining c then raise (Corrupt "batch size exceeds input");
   n
 
-let decode s =
-  let c = cursor s in
+let decode ?off ?len s =
+  let c = cursor ?off ?len s in
   let op =
     match get_u8 c with
     | 1 ->
@@ -192,7 +193,7 @@ let decode s =
         Apply { table; deleted = [||]; rows = [| row |]; prng }
     | 4 ->
         let table = get_str c in
-        let rows = Array.init (get_count s c) (fun _ -> get_row c) in
+        let rows = Array.init (get_count c) (fun _ -> get_row c) in
         let prng = get_prng_opt c in
         Apply { table; deleted = [||]; rows; prng }
     | 5 ->
@@ -203,8 +204,8 @@ let decode s =
     | 7 -> Attach_wre (get_wre_config c)
     | 8 ->
         let table = get_str c in
-        let deleted = Array.init (get_count s c) (fun _ -> get_u32 c) in
-        let rows = Array.init (get_count s c) (fun _ -> get_row c) in
+        let deleted = Array.init (get_count c) (fun _ -> get_u32 c) in
+        let rows = Array.init (get_count c) (fun _ -> get_row c) in
         let prng = get_prng_opt c in
         Apply { table; deleted; rows; prng }
     | n -> raise (Corrupt (Printf.sprintf "bad op tag %d" n))

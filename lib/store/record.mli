@@ -52,8 +52,10 @@ type op =
   | Attach_wre of wre_config
 
 val encode : op -> string
-val decode : string -> op
-(** Raises {!Codec.Corrupt} on malformed input. *)
+val decode : ?off:int -> ?len:int -> string -> op
+(** Decode the record held in the [len] bytes at [off] (default: the
+    whole string), in place. Raises {!Codec.Corrupt} on malformed
+    input, trailing bytes before the bound included. *)
 
 val put_wre_config : Buffer.t -> wre_config -> unit
 val get_wre_config : Codec.cursor -> wre_config

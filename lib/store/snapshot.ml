@@ -66,8 +66,10 @@ let write_views ~dir ~last_lsn ~views ~wre =
   Io.rename ~point:"snapshot.rename" tmp dst;
   Io.fsync_dir ~point:"dir.fsync" dir
 
-let decode_body ~legacy body =
-  let c = Codec.cursor body in
+(* The body is decoded where it lies in the file's bytes, bounded by
+   the footer. *)
+let decode_body ~legacy data ~off ~len =
+  let c = Codec.cursor ~off ~len data in
   let last_lsn = Codec.get_u64 c in
   if legacy then Codec.skip c v2_cost_model_bytes;
   let get_table = if legacy then Codec.get_table_snapshot_v2 else Codec.get_table_snapshot in
@@ -82,11 +84,12 @@ let load ~dir =
   match Io.read_file (path ~dir) with
   | None -> None
   | Some data -> (
-      let m = if String.length data < 12 then "" else String.sub data 0 8 in
+      let n = String.length data in
+      let m = if n < 12 then "" else String.sub data 0 8 in
       if m <> magic && m <> magic_v2 then raise (Corrupt_snapshot "bad magic");
       let legacy = m = magic_v2 in
-      let body = String.sub data 8 (String.length data - 12) in
-      let c = Codec.cursor (String.sub data (String.length data - 4) 4) in
-      let crc = Int32.of_int (Codec.get_u32 c) in
-      if Crc32.digest body <> crc then raise (Corrupt_snapshot "checksum mismatch");
-      try Some (decode_body ~legacy body) with Codec.Corrupt e -> raise (Corrupt_snapshot e))
+      let off = 8 and len = n - 12 in
+      let crc = Codec.get_u32 (Codec.cursor ~off:(n - 4) data) in
+      if Int32.to_int (Crc32.update_sub 0l data off len) land 0xFFFFFFFF <> crc then
+        raise (Corrupt_snapshot "checksum mismatch");
+      try Some (decode_body ~legacy data ~off ~len) with Codec.Corrupt e -> raise (Corrupt_snapshot e))

@@ -55,24 +55,30 @@ let next_lsn t = t.next_lsn
 let size t = Io.size t.file
 let close t = Io.close t.file
 
-let replay ~path f =
+(* Frames are checked and handed over in place: [f] gets the file's
+   bytes and the payload's offset and length, so no byte is copied. *)
+let replay_in_place ~path f =
   match Io.read_file path with
   | None -> (0L, 0)
   | Some data ->
       let len = String.length data in
       let c = Codec.cursor data in
-      (* The next intact frame, or [None] at a torn or corrupt tail. *)
+      (* The next intact frame's LSN and payload offset and length, or
+         [None] at a torn or corrupt tail. The CRC covers the LSN bytes
+         (offset 4 of the frame) and the payload. *)
       let next () =
         try
-          if Codec.pos c + 16 > len then raise Exit;
+          let start = Codec.pos c in
+          if start + 16 > len then raise Exit;
           let plen = Codec.get_u32 c in
           let lsn = Codec.get_u64 c in
           let crc = Int32.of_int (Codec.get_u32 c) in
-          if plen > len - Codec.pos c then raise Exit;
-          let payload = String.sub data (Codec.pos c) plen in
-          if Crc32.update (Crc32.digest (lsn_bytes lsn)) payload <> crc then raise Exit;
+          let off = Codec.pos c in
+          if plen > len - off then raise Exit;
+          if Crc32.update_sub (Crc32.update_sub 0l data (start + 4) 8) data off plen <> crc then
+            raise Exit;
           Codec.skip c plen;
-          Some (lsn, payload)
+          Some (lsn, off, plen)
         with Exit | Codec.Corrupt _ -> None
       in
       (* [f] runs outside the tail check: a whole frame that [f] cannot
@@ -81,8 +87,11 @@ let replay ~path f =
       let rec loop max_lsn valid =
         match next () with
         | None -> (max_lsn, valid)
-        | Some (lsn, payload) ->
-            f lsn payload;
+        | Some (lsn, off, plen) ->
+            f lsn data ~off ~len:plen;
             loop lsn (Codec.pos c)
       in
       loop 0L 0
+
+let replay ~path f =
+  replay_in_place ~path (fun lsn data ~off ~len -> f lsn (String.sub data off len))

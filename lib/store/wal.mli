@@ -48,3 +48,10 @@ val replay : path:string -> (int64 -> string -> unit) -> int64 * int
     exception from [f] on an intact frame (say [Codec.Corrupt] from a
     record kind this build cannot decode) propagates: that frame was
     written whole, so it is not a torn tail to trim. *)
+
+val replay_in_place :
+  path:string -> (int64 -> string -> off:int -> len:int -> unit) -> int64 * int
+(** {!replay} without a copy per frame: [f lsn data ~off ~len] gets the
+    whole log's bytes and where the frame's payload lies in them. The
+    CRCs are checked in place too, so the open reads each log byte
+    once. *)

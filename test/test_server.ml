@@ -144,6 +144,26 @@ let test_golden_reply_frame () =
     (Wire.decode_response (String.sub framed Wire.header_bytes (String.length framed - Wire.header_bytes))
     = Ok golden_reply)
 
+(* One session's encoder, reused across a random run of replies (now
+   and then one past the 256 KiB it keeps, which gets buffers of its
+   own): every frame is byte for byte the one [frame] builds, and the
+   golden reply still frames to its pinned bytes afterwards. *)
+let qcheck_encoder_frames =
+  let big =
+    QCheck.Gen.(map (fun n -> Wire.Stats_reply { text = String.make n 'x' }) (300_000 -- 600_000))
+  in
+  let reply = QCheck.Gen.(frequency [ (12, response_gen); (1, big) ]) in
+  QCheck.Test.make ~count:60 ~name:"encoder frames = frame of encode_response"
+    (QCheck.make QCheck.Gen.(list_size (1 -- 12) reply))
+    (fun rs ->
+      let enc = Wire.encoder () in
+      let framed r =
+        let b, n = Wire.frame_response enc r in
+        Bytes.sub_string b 0 n
+      in
+      List.for_all (fun r -> framed r = Wire.frame (Wire.encode_response r)) rs
+      && Stdx.Bytes_util.to_hex (framed golden_reply) = golden_reply_frame_hex)
+
 (* ---------------- wire: adversarial decode ---------------- *)
 
 (* Feed exact byte prefixes through a real pipe so the blocking reader
@@ -675,5 +695,11 @@ let () =
             test_server_oversized_reply_fails_cleanly;
         ] );
       ( "wire_properties",
-        q [ qcheck_request_roundtrip; qcheck_response_roundtrip; qcheck_frame_roundtrip ] );
+        q
+          [
+            qcheck_request_roundtrip;
+            qcheck_response_roundtrip;
+            qcheck_frame_roundtrip;
+            qcheck_encoder_frames;
+          ] );
     ]

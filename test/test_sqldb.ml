@@ -552,8 +552,11 @@ let test_freeze_cost_bounded () =
    An insert that outgrows the backing leaves older views on the old
    array, and a delete afterwards writes only the new one: views frozen
    before the delete still see the row, views frozen after it do not.
-   Every starting size from 1 to 70 rows passes through a full backing
-   whatever the growth policy's first capacities are. *)
+   The column dictionaries' arrays grow the same way, and an entry
+   reads the same (value and accounted flag) through every view taken
+   before or after its arrays grew. Every starting size from 1 to 70
+   rows passes through a full backing whatever the growth policy's
+   first capacities are. *)
 let test_view_survives_backing_growth () =
   for n = 1 to 70 do
     let t = Table.create ~name:"g" ~schema:small_schema in
@@ -577,7 +580,14 @@ let test_view_survives_backing_growth () =
       (Read_view.live_only grown [| 0; n |] = [| 0; n |]);
     check_bool (name "after: row 0 dead") false (Read_view.is_live after 0);
     check_bool (name "after: scan") true (live_ids after = List.init n (fun i -> i + 1));
-    check_bool (name "after: live_only") true (Read_view.live_only after [| 0; n |] = [| n |])
+    check_bool (name "after: live_only") true (Read_view.live_only after [| 0; n |] = [| n |]);
+    for c = 0 to Read_view.n_cols full - 1 do
+      let d = Read_view.dict full ~col:c in
+      for id = 0 to Column_dict.frozen_len d - 1 do
+        check_bool (name "dictionary entry through a grown view") true
+          (Column_dict.frozen_entry (Read_view.dict after ~col:c) id = Column_dict.frozen_entry d id)
+      done
+    done
   done;
   (* A restored table's first view is at epoch 0, so restore must mark
      dead slots, reclaimed or not, dead at or below it. *)
@@ -1077,6 +1087,38 @@ let test_dict_raw_mode_deterministic_across_restore () =
   check_bool "raw values accounted inline" true
     (after.st_columns.(1).st_ids_bytes > before.st_columns.(1).st_ids_bytes + 1000 * 8)
 
+(* Live words per row of a 2k-row SPARTA encrypted table (the wrebench
+   schema, client state excluded), right after [insert_batch]. A
+   dictionary entry is a slot in three flat arrays, so a raw-mode cell
+   (every ciphertext) costs its blob and about two words; boxed entries
+   cost 5 more words per cell, 572 and 590 words per row here. *)
+let test_encrypted_words_per_row () =
+  let n = 2_000 in
+  let cols = Sparta.Generator.encrypted_columns in
+  let rows =
+    Array.of_seq (Sparta.Generator.rows (Sparta.Generator.create ~seed:20_190_624L) ~n)
+  in
+  let dist_of =
+    Wre.Dist_est.of_rows ~schema:Sparta.Generator.schema ~columns:cols (Array.to_seq rows)
+  in
+  List.iter
+    (fun scheme ->
+      let kind = Result.get_ok (Wre.Scheme.of_string scheme) in
+      let edb =
+        Wre.Encrypted_db.create ~db:(Database.create ()) ~name:"main"
+          ~plain_schema:Sparta.Generator.schema ~key_column:"id" ~encrypted_columns:cols ~kind
+          ~master:(Crypto.Keys.generate (Stdx.Prng.create 1L))
+          ~dist_of ~seed:2L ()
+      in
+      ignore (Wre.Encrypted_db.insert_batch edb rows);
+      let words =
+        float_of_int (Obj.reachable_words (Obj.repr (Wre.Encrypted_db.table edb)))
+        /. float_of_int n
+      in
+      check_bool (Printf.sprintf "%s: %.1f words per row <= 500" scheme words) true
+        (words <= 500.0))
+    [ "bucketized-1000"; "poisson-1000" ]
+
 (* ---------------- QCheck ---------------- *)
 
 (* Random predicates executed through the planner must agree with naive
@@ -1484,6 +1526,7 @@ let () =
           Alcotest.test_case "vacuum roundtrip" `Quick test_columnar_vacuum_roundtrip;
           Alcotest.test_case "raw-mode deterministic" `Quick
             test_dict_raw_mode_deterministic_across_restore;
+          Alcotest.test_case "encrypted words per row" `Quick test_encrypted_words_per_row;
         ] );
       ( "csv",
         [

@@ -138,7 +138,38 @@ let qcheck_crc32_matches_reference =
       && chain crc0 0 cuts = reference_crc_update crc0 s
       && Store.Crc32.digest s = reference_crc_update 0l s)
 
+(* [update_sub] over random in-range windows, chained from a random
+   starting CRC across random cut points: always [update] of the
+   copied substring. Out-of-range windows are refused. *)
+let qcheck_crc32_update_sub =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple (string_size (0 -- 300)) ui32 (pair (0 -- 300) (0 -- 300)))
+        (list_size (0 -- 4) (0 -- 300)))
+  in
+  QCheck.Test.make ~name:"crc32 update_sub = update of the substring" ~count:500
+    (QCheck.make gen) (fun ((s, crc0, (a, b)), cuts) ->
+      let n = String.length s in
+      let off = min a n in
+      let len = min b (n - off) in
+      let stop = off + len in
+      let cuts = List.sort_uniq compare (List.map (fun c -> off + min c len) cuts) in
+      let rec chain crc pos = function
+        | [] -> Store.Crc32.update_sub crc s pos (stop - pos)
+        | cut :: rest -> chain (Store.Crc32.update_sub crc s pos (cut - pos)) cut rest
+      in
+      let expected = Store.Crc32.update crc0 (String.sub s off len) in
+      let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+      Store.Crc32.update_sub crc0 s off len = expected
+      && chain crc0 off cuts = expected
+      && refused (fun () -> Store.Crc32.update_sub crc0 s off (n - off + 1))
+      && refused (fun () -> Store.Crc32.update_sub crc0 s (-1) 0))
+
 (* ---------------- codec ---------------- *)
+
+let apply_op ?(deleted = [||]) ?(rows = [||]) ?prng () =
+  Store.Record.Apply { table = "t"; deleted; rows; prng }
 
 let test_codec_scalars () =
   let b = Buffer.create 64 in
@@ -213,6 +244,45 @@ let test_codec_truncation_rejected () =
     | exception Store.Codec.Corrupt _ -> true
     | _ -> false)
 
+(* A cursor over a substring reads in place and stops at its bound:
+   reading past it is [Corrupt], as reading past the end of a string
+   is, and a record decoded at an offset honours its length. *)
+let test_codec_bounded_cursor () =
+  let b = Buffer.create 16 in
+  Store.Codec.put_str b "hello";
+  let body = Buffer.contents b in
+  let s = "ab" ^ body ^ "tail-bytes" in
+  let n = String.length body in
+  let c = Store.Codec.cursor ~off:2 ~len:n s in
+  check_int "remaining" n (Store.Codec.remaining c);
+  Alcotest.(check string) "str in place" "hello" (Store.Codec.get_str c);
+  check_bool "at end at the bound" true (Store.Codec.at_end c);
+  check_int "nothing left" 0 (Store.Codec.remaining c);
+  let corrupt f = match f () with exception Store.Codec.Corrupt _ -> true | _ -> false in
+  check_bool "read past the bound" true (corrupt (fun () -> Store.Codec.get_u8 c));
+  check_bool "string cut by the bound" true
+    (corrupt (fun () -> Store.Codec.get_str (Store.Codec.cursor ~off:2 ~len:(n - 1) s)));
+  check_bool "u32 cut by the bound" true
+    (corrupt (fun () -> Store.Codec.get_u32 (Store.Codec.cursor ~off:2 ~len:3 s)));
+  check_bool "range outside the string" true
+    (match Store.Codec.cursor ~off:2 ~len:(String.length s) s with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let op = apply_op ~deleted:[| 0; 4 |] ~rows:[| op_row 0 |] () in
+  let r = Store.Record.encode op in
+  let framed = "xyz" ^ r ^ "\x00" in
+  check_bool "record at an offset" true
+    (Store.Record.decode ~off:3 ~len:(String.length r) framed = op);
+  check_bool "trailing byte inside the bound" true
+    (corrupt (fun () -> Store.Record.decode ~off:3 ~len:(String.length r + 1) framed));
+  (* A batch count that the whole string could hold but the record
+     cannot. *)
+  let short = Stdx.Bytes_util.of_hex "0401000000740a000000" in
+  check_bool "count bounded by the record, not the string" true
+    (match Store.Record.decode ~len:(String.length short) (short ^ String.make 64 '\x00') with
+    | exception Store.Codec.Corrupt m -> m = "batch size exceeds input"
+    | _ -> false)
+
 let qcheck_codec_value_roundtrip =
   let value_gen =
     QCheck.Gen.(
@@ -248,9 +318,6 @@ let test_codec_table_snapshot_roundtrip () =
   Store.Codec.put_table_view b view;
   let back = Store.Codec.get_table_snapshot (Store.Codec.cursor (Buffer.contents b)) in
   check_bool "snapshot roundtrip" true (back = Sqldb.Table.snapshot_of_view view)
-
-let apply_op ?(deleted = [||]) ?(rows = [||]) ?prng () =
-  Store.Record.Apply { table = "t"; deleted; rows; prng }
 
 let test_record_roundtrip () =
   let prng = String.make 32 'x' in
@@ -520,6 +587,60 @@ let test_vacuum_checkpoint_shrinks_no_resurrection () =
           check_bool "search hits only live rows" true (id >= 20 && Sqldb.Table.is_live t id))
         ids;
       Store.Engine.close store)
+
+(* A vacuum that has nothing to reclaim leaves no trace: no epoch, no
+   WAL record, the same physical table. That holds after a vacuum and
+   after a restore of a vacuumed table; a dead row that nothing has
+   reclaimed yet, deleted in the session or restored from a
+   checkpoint, is still reclaimed. *)
+let test_vacuum_nothing_to_reclaim () =
+  with_temp_dir (fun dir ->
+      setup_base dir;
+      let wal_bytes () =
+        String.length (Option.value ~default:"" (Store.Io.read_file (Store.Snapshot.wal_path ~dir)))
+      in
+      let with_table f =
+        let store = Store.Engine.open_dir ~dir () in
+        let edb = Option.get (Store.Engine.encrypted store "t") in
+        f store edb (Wre.Encrypted_db.table edb);
+        Store.Engine.close store
+      in
+      let quiet label t =
+        let epoch = Sqldb.Read_view.epoch (Sqldb.Table.freeze t) in
+        let snap = Sqldb.Table.snapshot t and wal = wal_bytes () in
+        Sqldb.Table.vacuum t;
+        check_int (label ^ ": no epoch") epoch (Sqldb.Read_view.epoch (Sqldb.Table.freeze t));
+        check_int (label ^ ": no WAL record") wal (wal_bytes ());
+        check_bool (label ^ ": same table") true (Sqldb.Table.snapshot t = snap)
+      in
+      let reclaims label t id =
+        let wal = wal_bytes () in
+        Sqldb.Table.vacuum t;
+        check_bool (label ^ ": WAL record") true (wal_bytes () > wal);
+        check_bool (label ^ ": row reclaimed") true (Sqldb.Table.peek_row t id = [||])
+      in
+      with_table (fun _ edb t ->
+          for i = 0 to 9 do
+            ignore (Wre.Encrypted_db.insert edb (op_row i))
+          done;
+          quiet "nothing deleted" t;
+          ignore (Sqldb.Table.delete t 3);
+          reclaims "first vacuum" t 3;
+          quiet "second vacuum" t;
+          ignore (Sqldb.Table.delete t 5);
+          reclaims "after a new delete" t 5;
+          ignore (Sqldb.Table.delete t 7));
+      (* Reopened from the WAL: 3 and 5 reclaimed, 7 dead. *)
+      with_table (fun store _ t ->
+          reclaims "replayed delete" t 7;
+          quiet "replayed vacuums" t;
+          ignore (Sqldb.Table.delete t 8);
+          Store.Engine.checkpoint store);
+      (* Restored from the checkpoint: 8 dead but not reclaimed. *)
+      with_table (fun store _ t ->
+          reclaims "restored delete" t 8;
+          Store.Engine.checkpoint store);
+      with_table (fun _ _ t -> quiet "restored vacuumed table" t))
 
 (* ---------------- snapshot publication ---------------- *)
 
@@ -1310,6 +1431,7 @@ let () =
           Alcotest.test_case "scalars" `Quick test_codec_scalars;
           Alcotest.test_case "integer edges" `Quick test_codec_integer_edges;
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
+          Alcotest.test_case "bounded cursor" `Quick test_codec_bounded_cursor;
           Alcotest.test_case "table snapshot" `Quick test_codec_table_snapshot_roundtrip;
           Alcotest.test_case "record ops" `Quick test_record_roundtrip;
           Alcotest.test_case "legacy records decode" `Quick test_legacy_records_decode;
@@ -1338,6 +1460,7 @@ let () =
           Alcotest.test_case "checkpoint tail replay" `Quick test_checkpoint_replays_only_tail;
           Alcotest.test_case "vacuum + checkpoint" `Quick
             test_vacuum_checkpoint_shrinks_no_resurrection;
+          Alcotest.test_case "vacuum with nothing to reclaim" `Quick test_vacuum_nothing_to_reclaim;
         ] );
       ( "snapshot",
         [
@@ -1367,5 +1490,7 @@ let () =
           Alcotest.test_case "wal append under interrupts" `Quick
             test_wal_append_under_interrupts;
         ] );
-      ("properties", q [ qcheck_codec_value_roundtrip; qcheck_crc32_matches_reference ]);
+      ( "properties",
+        q [ qcheck_codec_value_roundtrip; qcheck_crc32_matches_reference; qcheck_crc32_update_sub ]
+      );
     ]
